@@ -1,23 +1,22 @@
 /**
  * @file
- * Deterministic event-core comparison of the two pending-event-set
- * policies (binary heap vs ladder queue) at high pending counts.
+ * Deterministic event-core ledger of the binary-heap pending-event
+ * set at high pending counts.
  *
- * Unlike the google-benchmark BM_EventQueueHighPending* timings in
+ * Unlike the google-benchmark BM_EventQueueHighPendingHeap timings in
  * micro_library.cc, every number here is *structural* — operation
- * ledgers, ladder telemetry, and a steady-state allocation count from
- * a global operator-new hook — so the table is bit-identical across
- * machines and gated exactly by tools/bench_compare.py against
+ * counts and a steady-state allocation count from a global
+ * operator-new hook — so the table is bit-identical across machines
+ * and gated exactly by tools/bench_compare.py against
  * bench/baselines/micro_event_core.json.
  *
  * The workload is the engine's steady-state shape: `fanout` pending
  * self-rescheduling events (initial stagger over a compact tick span,
- * then a fixed +100-tick cycle).  Per policy and fanout the table
- * reports pushes/pops, heap sift comparisons (zero for the ladder),
- * the ladder's structural counters (zero for the heap), and the heap
- * allocations observed across the measured half of the run — the
- * committed baseline pins the last column to zero, which is the
- * allocation-free steady state the policy tests also enforce.
+ * then a fixed +100-tick cycle).  Per fanout the table reports
+ * pushes/pops, heap sift comparisons, and the heap allocations
+ * observed across the measured half of the run — the committed
+ * baseline pins the last column to zero, which is the allocation-free
+ * steady state the EventQueue tests also enforce.
  */
 
 #include <atomic>
@@ -105,16 +104,11 @@ struct CoreRow
     std::uint64_t pushes;
     std::uint64_t pops;
     std::uint64_t comparisons;
-    std::uint64_t topTransfers;
-    std::uint64_t rungSpawns;
-    std::uint64_t bottomSorts;
-    std::uint64_t sortedEvents;
-    std::uint64_t maxBucket;
     std::uint64_t steadyAllocs;
 };
 
 CoreRow
-runCore(QueueKind kind, int fanout)
+runCore(int fanout)
 {
     // Pass 1 — allocation pin, profiler detached: the profiler's
     // wall-clock sketches may open a new log2 bucket on a scheduling
@@ -122,10 +116,10 @@ runCore(QueueKind kind, int fanout)
     // zero.  The bare queue's steady state is deterministic.
     std::uint64_t steadyAllocs;
     {
-        EventQueue q(kind, static_cast<std::size_t>(fanout) * 2);
+        EventQueue q;
         // Compact initial stagger: the whole population is live from
-        // the start, so bucket high-water marks are discovered during
-        // warmup instead of drifting through a long first sweep.
+        // the start, so the backing store reaches its high-water mark
+        // during warmup.
         std::uint64_t remaining =
             static_cast<std::uint64_t>(fanout) * 4;
         for (int i = 0; i < fanout; ++i)
@@ -148,7 +142,7 @@ runCore(QueueKind kind, int fanout)
     // below is a function of the event sequence alone.
     obs::EngineProfiler prof;
     prof.beginRun();
-    EventQueue q(kind, static_cast<std::size_t>(fanout) * 2);
+    EventQueue q;
     q.attachProfiler(&prof);
     std::uint64_t remaining = static_cast<std::uint64_t>(fanout) * 8;
     for (int i = 0; i < fanout; ++i)
@@ -159,10 +153,7 @@ runCore(QueueKind kind, int fanout)
     q.runUntil(std::numeric_limits<Tick>::max());
     prof.finishRun(q.size());
     const obs::EngineProfile &p = prof.profile();
-    return {events,        p.pushes,     p.pops,
-            p.comparisons, p.topTransfers, p.rungSpawns,
-            p.bottomSorts, p.sortedEvents, p.maxBucket,
-            steadyAllocs};
+    return {events, p.pushes, p.pops, p.comparisons, steadyAllocs};
 }
 
 } // namespace
@@ -172,27 +163,16 @@ main(int argc, char **argv)
 {
     bench::init(argc, argv, "micro_event_core");
 
-    TextTable t("Event-core structural ledger: heap vs ladder "
+    TextTable t("Event-core structural ledger: binary heap "
                 "(self-rescheduling steady state, 8x fanout events)");
     t.header({"policy", "pending", "events", "pushes", "pops",
-              "heap cmps", "topXfer", "spawns", "sorts",
-              "sorted ev", "max bucket", "steady allocs"});
-    for (QueueKind kind : {QueueKind::Heap, QueueKind::Ladder}) {
-        for (int fanout : {4096, 16384, 65536}) {
-            const CoreRow r = runCore(kind, fanout);
-            t.row({kind == QueueKind::Heap ? "heap" : "ladder",
-                   std::to_string(fanout),
-                   std::to_string(r.events),
-                   std::to_string(r.pushes),
-                   std::to_string(r.pops),
-                   std::to_string(r.comparisons),
-                   std::to_string(r.topTransfers),
-                   std::to_string(r.rungSpawns),
-                   std::to_string(r.bottomSorts),
-                   std::to_string(r.sortedEvents),
-                   std::to_string(r.maxBucket),
-                   std::to_string(r.steadyAllocs)});
-        }
+              "heap cmps", "steady allocs"});
+    for (int fanout : {4096, 16384, 65536}) {
+        const CoreRow r = runCore(fanout);
+        t.row({"heap", std::to_string(fanout),
+               std::to_string(r.events), std::to_string(r.pushes),
+               std::to_string(r.pops), std::to_string(r.comparisons),
+               std::to_string(r.steadyAllocs)});
     }
     bench::emit(t);
     return bench::finish();

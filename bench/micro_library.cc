@@ -23,7 +23,6 @@
 #include "core/models/local_model.hh"
 #include "core/models/solution.hh"
 #include "sim/des/event_queue.hh"
-#include "sim/des/ladder_queue.hh"
 #include "sim/kernel/ipc_sim.hh"
 #include "ucode/microcode.hh"
 
@@ -251,22 +250,20 @@ BM_EventQueueScheduleRunProfiled(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleRunProfiled)->Arg(16)->Arg(256);
 
 /**
- * The pending-event-set policy comparison the ladder queue exists
- * for: thousands of concurrently pending events, where the heap pays
- * an O(log n) sift of 80-byte events per operation and the ladder
- * stays amortized O(1).  Same self-rescheduling workload as above at
- * fanouts 4096..65536; the acceptance target is >= 3x ladder over
- * heap at 4096 pending and 5-10x at 65536.
+ * The engine at thousands of concurrently pending events, where the
+ * heap pays an O(log n) sift of 80-byte events per operation.  Same
+ * self-rescheduling workload as above at fanouts 4096..65536 — far
+ * past the few dozen pending events any shipped workload reaches
+ * (docs/performance.md, "Why one heap").
  */
 void
-runHighPendingBench(benchmark::State &state, sim::QueueKind kind)
+BM_EventQueueHighPendingHeap(benchmark::State &state)
 {
     const int fanout = static_cast<int>(state.range(0));
     constexpr std::uint64_t perIter = 262144;
     std::uint64_t total = 0;
     for (auto _ : state) {
-        sim::EventQueue q(kind,
-                          static_cast<std::size_t>(fanout) * 2);
+        sim::EventQueue q;
         std::uint64_t remaining = perIter;
         for (int i = 0; i < fanout; ++i)
             q.scheduleAfter(
@@ -277,106 +274,7 @@ runHighPendingBench(benchmark::State &state, sim::QueueKind kind)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(total));
 }
-
-/**
- * The pending set alone, stripped of callback construction and
- * dispatch (which cost the same under either policy and compress the
- * engine-level ratio above): raw (when, seq)-ordered events of the
- * engine's 80-byte shape cycling through pop-then-reschedule.  This
- * is where the O(log n) sift vs amortized-O(1) ladder gap shows at
- * full size — the heap pays ~2 log2(n) comparisons and log2(n)
- * 80-byte moves per pop over a multi-megabyte working set.
- */
-struct RawEvent
-{
-    Tick when;
-    std::uint64_t seq;
-    unsigned char payload[64];
-};
-
-void
-BM_EventQueuePendingSetHeap(benchmark::State &state)
-{
-    const int fanout = static_cast<int>(state.range(0));
-    constexpr std::uint64_t perIter = 262144;
-    struct After
-    {
-        bool
-        operator()(const RawEvent &a, const RawEvent &b) const
-        {
-            return a.when != b.when ? a.when > b.when
-                                    : a.seq > b.seq;
-        }
-    };
-    std::uint64_t total = 0;
-    for (auto _ : state) {
-        std::priority_queue<RawEvent, std::vector<RawEvent>, After>
-            q;
-        std::uint64_t seq = 0;
-        for (int i = 0; i < fanout; ++i)
-            q.push(RawEvent{i, seq++, {}});
-        for (std::uint64_t n = 0; n < perIter; ++n) {
-            RawEvent ev =
-                std::move(const_cast<RawEvent &>(q.top()));
-            q.pop();
-            ev.when += 100;
-            ev.seq = seq++;
-            q.push(std::move(ev));
-        }
-        total += perIter;
-        benchmark::DoNotOptimize(q.top().when);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(total));
-}
-BENCHMARK(BM_EventQueuePendingSetHeap)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Arg(65536);
-
-void
-BM_EventQueuePendingSetLadder(benchmark::State &state)
-{
-    const int fanout = static_cast<int>(state.range(0));
-    constexpr std::uint64_t perIter = 262144;
-    std::uint64_t total = 0;
-    for (auto _ : state) {
-        sim::LadderQueue<RawEvent> q(
-            static_cast<std::size_t>(fanout) * 2);
-        std::uint64_t seq = 0;
-        for (int i = 0; i < fanout; ++i)
-            q.push(RawEvent{i, seq++, {}});
-        for (std::uint64_t n = 0; n < perIter; ++n) {
-            RawEvent ev = q.pop();
-            ev.when += 100;
-            ev.seq = seq++;
-            q.push(std::move(ev));
-        }
-        total += perIter;
-        benchmark::DoNotOptimize(q.front().when);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(total));
-}
-BENCHMARK(BM_EventQueuePendingSetLadder)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Arg(65536);
-
-void
-BM_EventQueueHighPendingHeap(benchmark::State &state)
-{
-    runHighPendingBench(state, sim::QueueKind::Heap);
-}
 BENCHMARK(BM_EventQueueHighPendingHeap)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Arg(65536);
-
-void
-BM_EventQueueHighPendingLadder(benchmark::State &state)
-{
-    runHighPendingBench(state, sim::QueueKind::Ladder);
-}
-BENCHMARK(BM_EventQueueHighPendingLadder)
     ->Arg(4096)
     ->Arg(16384)
     ->Arg(65536);

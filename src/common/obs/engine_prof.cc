@@ -54,19 +54,7 @@ render(const EngineProfile &p, bool full)
            ", \"pops\": " + u64(p.pops) +
            ", \"comparisons\": " + u64(p.comparisons) +
            ", \"maxHeapSize\": " + u64(p.maxHeapSize) +
-           ", \"remainingAtEnd\": " + u64(p.remainingAtEnd) +
-           ", \"kind\": " +
-           (p.queueKind == 1 ? std::string("\"ladder\"")
-                             : std::string("\"heap\"")) +
-           ", \"batchCommits\": " + u64(p.batchCommits) +
-           ", \"batchedEvents\": " + u64(p.batchedEvents) + "}";
-    if (p.queueKind == 1)
-        doc += ",\n  \"ladder\": {\"topTransfers\": " +
-               u64(p.topTransfers) +
-               ", \"rungSpawns\": " + u64(p.rungSpawns) +
-               ", \"bottomSorts\": " + u64(p.bottomSorts) +
-               ", \"sortedEvents\": " + u64(p.sortedEvents) +
-               ", \"maxBucket\": " + u64(p.maxBucket) + "}";
+           ", \"remainingAtEnd\": " + u64(p.remainingAtEnd) + "}";
     doc += ",\n  \"callbacks\": {\"spillConstructs\": " +
            u64(p.spillConstructs) + ", \"oversizeConstructs\": " +
            u64(p.oversizeConstructs);
@@ -108,16 +96,6 @@ EngineProfile::merge(const EngineProfile &other)
     comparisons += other.comparisons;
     maxHeapSize = std::max(maxHeapSize, other.maxHeapSize);
     remainingAtEnd += other.remainingAtEnd;
-    // "Any ladder replica" wins: the merged document keeps the ladder
-    // section whenever one contributor used the ladder policy.
-    queueKind = std::max(queueKind, other.queueKind);
-    topTransfers += other.topTransfers;
-    rungSpawns += other.rungSpawns;
-    bottomSorts += other.bottomSorts;
-    sortedEvents += other.sortedEvents;
-    maxBucket = std::max(maxBucket, other.maxBucket);
-    batchCommits += other.batchCommits;
-    batchedEvents += other.batchedEvents;
     spillConstructs += other.spillConstructs;
     oversizeConstructs += other.oversizeConstructs;
     freshPoolBlocks += other.freshPoolBlocks;

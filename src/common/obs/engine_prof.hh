@@ -64,23 +64,6 @@ struct EngineProfile
     std::uint64_t maxHeapSize = 0;   //!< peak in-flight population
     std::uint64_t remainingAtEnd = 0; //!< pushed, never executed
 
-    //! Pending-event-set policy (mirrors Experiment::queueKind:
-    //! 0 heap, 1 ladder).  `comparisons` above is the heap's sift
-    //! cost; the ladder counters below are its cost model instead
-    //! (rung spawns, Top transfers, Bottom sort volume, peak bucket
-    //! occupancy) and stay zero on heap runs.  All deterministic.
-    std::uint64_t queueKind = 0;
-    std::uint64_t topTransfers = 0; //!< Top partitioned into rung 0
-    std::uint64_t rungSpawns = 0;   //!< buckets split into finer rungs
-    std::uint64_t bottomSorts = 0;  //!< buckets sorted into Bottom
-    std::uint64_t sortedEvents = 0; //!< events those sorts ordered
-    std::uint64_t maxBucket = 0;    //!< peak single-bucket population
-
-    //! scheduleBatch() fan-out ledger: nonempty batch commits and
-    //! the events they staged (a subset of pushes).
-    std::uint64_t batchCommits = 0;
-    std::uint64_t batchedEvents = 0;
-
     // EventCallback storage telemetry (per-run deltas).
     std::uint64_t spillConstructs = 0;    //!< pooled spill constructions
     std::uint64_t oversizeConstructs = 0; //!< larger than a pool block
@@ -266,36 +249,6 @@ class EngineProfiler
         prof_.comparisons += comparisons;
         if (maxHeap > prof_.maxHeapSize)
             prof_.maxHeapSize = maxHeap;
-    }
-
-    /** Record the queue's configured pending-set policy. */
-    void
-    noteQueueKind(int kind)
-    {
-        prof_.queueKind = static_cast<std::uint64_t>(kind);
-    }
-
-    /** Batched ladder structural deltas (maxBucket is cumulative). */
-    void
-    addLadderTotals(std::uint64_t topTransfers,
-                    std::uint64_t rungSpawns,
-                    std::uint64_t bottomSorts,
-                    std::uint64_t sortedEvents, std::uint64_t maxBucket)
-    {
-        prof_.topTransfers += topTransfers;
-        prof_.rungSpawns += rungSpawns;
-        prof_.bottomSorts += bottomSorts;
-        prof_.sortedEvents += sortedEvents;
-        if (maxBucket > prof_.maxBucket)
-            prof_.maxBucket = maxBucket;
-    }
-
-    /** Batched scheduleBatch() fan-out deltas. */
-    void
-    addBatchTotals(std::uint64_t commits, std::uint64_t events)
-    {
-        prof_.batchCommits += commits;
-        prof_.batchedEvents += events;
     }
 
     /** The subsample mask; the queue caches it beside its hot state. */

@@ -143,8 +143,6 @@ experimentToJson(const Experiment &exp)
     num("traceSampleRate", exp.traceSampleRate);
     boolean("engineProfile", exp.engineProfile);
     field("engineProfileFile", jsonString(exp.engineProfileFile));
-    integer("queueKind", exp.queueKind);
-    integer("expectedPendingEvents", exp.expectedPendingEvents);
     // The topology object appears only when configured, so every
     // pre-topology document (and its golden bytes) is unchanged.
     if (!(exp.topo == topo::Topology{})) {
@@ -194,8 +192,7 @@ experimentFromJson(const JsonValue &v)
         "deadlineUs", "retryBudget", "retryBackoffUs",
         "retryBackoffMaxUs", "svcQueueCap", "shedPolicy", "rtoMaxUs",
         "timelineIntervalUs", "timelineFile", "traceSampleRate",
-        "engineProfile", "engineProfileFile", "queueKind",
-        "expectedPendingEvents", "topology"};
+        "engineProfile", "engineProfileFile", "topology"};
     for (const auto &[key, value] : v.asObject()) {
         if (known.count(key) == 0)
             throw std::runtime_error(
@@ -311,11 +308,6 @@ experimentFromJson(const JsonValue &v)
         exp.engineProfile = boolField(v, "engineProfile");
     if (v.has("engineProfileFile"))
         exp.engineProfileFile = stringField(v, "engineProfileFile");
-    if (v.has("queueKind"))
-        exp.queueKind = intField(v, "queueKind");
-    if (v.has("expectedPendingEvents"))
-        exp.expectedPendingEvents =
-            intField(v, "expectedPendingEvents");
     if (v.has("topology")) {
         const JsonValue &tv = v.at("topology");
         if (!tv.isObject())

@@ -162,15 +162,10 @@ ExperimentGenerator::generate(std::uint64_t index) const
     // stays unset — fuzz runs must not write artifacts.
     exp.engineProfile = rng.chance(0.25);
 
-    // Pending-event-set policy (ISSUE 9): half the corpus runs the
-    // ladder queue, and checkedRun's queue.kindIdentity re-run pins
-    // outcomeJson bit-identity against the opposite policy either
-    // way.  The reservation hint is non-semantic by construction;
-    // sampling it occasionally checks exactly that.
-    exp.queueKind = rng.chance(0.5) ? 1 : 0;
+    // Removed queueKind/expectedPendingEvents draws: keep the corpus.
+    (void)rng.chance(0.5);
     if (rng.chance(0.2))
-        exp.expectedPendingEvents =
-            256 << rng.below(6); // 256 .. 8192
+        (void)rng.below(6);
 
     // N-node topology (ISSUE 10), sampled *last* so every earlier
     // draw keeps its historical value on existing corpus indices.

@@ -827,66 +827,6 @@ checkEngineProfile(Checker &c)
 }
 
 /**
- * The pending-event-set policy's structural ledger (queue.* family,
- * single-run half).  Only the profiler sees the structure, so these
- * run when it is on; the differential half (queue.kindIdentity) lives
- * in checkedRun().
- */
-void
-checkQueuePolicy(Checker &c)
-{
-    const Experiment &exp = c.exp;
-    const obs::EngineProfile &p = c.out.engineProfile;
-    if (!exp.engineProfile)
-        return;
-
-    c.expectEq(static_cast<long>(p.queueKind), "profile.queue.kind",
-               static_cast<long>(exp.queueKind), "exp.queueKind",
-               "queue.profile");
-    if (exp.queueKind == 1) {
-        // The ladder never sifts: its cost model is Bottom sorts and
-        // rung restructuring, not heap comparisons.
-        c.expectEq(static_cast<long>(p.comparisons),
-                   "profile.comparisons", 0L, "0 (ladder)",
-                   "queue.profile");
-        // An event is Bottom-sorted at most once in its residence,
-        // and only nonempty buckets are sorted.
-        c.expectTrue(p.sortedEvents <= p.pushes, "queue.profile",
-                     "sortedEvents=" + std::to_string(p.sortedEvents) +
-                         " > pushes=" + std::to_string(p.pushes));
-        c.expectTrue(p.bottomSorts <= p.sortedEvents, "queue.profile",
-                     "bottomSorts=" + std::to_string(p.bottomSorts) +
-                         " > sortedEvents=" +
-                         std::to_string(p.sortedEvents));
-        // Each Top transfer moves at least one event, and a bucket
-        // never outgrows the peak pending population.
-        c.expectTrue(p.topTransfers <= p.pushes, "queue.profile",
-                     "topTransfers=" +
-                         std::to_string(p.topTransfers) +
-                         " > pushes=" + std::to_string(p.pushes));
-        c.expectTrue(p.maxBucket <= p.maxHeapSize, "queue.profile",
-                     "maxBucket=" + std::to_string(p.maxBucket) +
-                         " > maxHeapSize=" +
-                         std::to_string(p.maxHeapSize));
-    } else {
-        c.expectTrue(p.topTransfers == 0 && p.rungSpawns == 0 &&
-                         p.bottomSorts == 0 && p.sortedEvents == 0 &&
-                         p.maxBucket == 0,
-                     "queue.profile",
-                     "ladder ledger nonzero on a heap run");
-    }
-    // Batched events are a subset of pushes, and only nonempty
-    // commits are counted.
-    c.expectTrue(p.batchedEvents <= p.pushes, "queue.profile",
-                 "batchedEvents=" + std::to_string(p.batchedEvents) +
-                     " > pushes=" + std::to_string(p.pushes));
-    c.expectTrue(p.batchCommits <= p.batchedEvents, "queue.profile",
-                 "batchCommits=" + std::to_string(p.batchCommits) +
-                     " > batchedEvents=" +
-                     std::to_string(p.batchedEvents));
-}
-
-/**
  * The topology layer's structural ledger (topo.* family).  Flow
  * conservation is *exact* on every link and every router: a packet
  * the layer accepts either came out the other side, was accounted as
@@ -1019,7 +959,6 @@ checkOutcome(const Experiment &exp, const Outcome &out)
     checkRpc(c);
     checkTimeline(c);
     checkEngineProfile(c);
-    checkQueuePolicy(c);
     checkTopo(c);
     return std::move(c.v);
 }
@@ -1133,25 +1072,6 @@ checkedRun(const Experiment &exp, const OracleOptions &opts)
                      std::string(exp.engineProfile ? "true"
                                                    : "false") +
                      " and its flip"});
-    }
-
-    if (opts.checkQueueKindIdentity) {
-        // The pending-event-set differential: heap and ladder order
-        // by the identical strict (when, seq) total order, so the
-        // opposite policy must execute the identical event sequence
-        // and land on a bit-identical outcome.  Running it against
-        // every fuzzed configuration makes the whole corpus a free
-        // oracle for the ladder structure.
-        Experiment other = exp;
-        other.queueKind = exp.queueKind == 1 ? 0 : 1;
-        if (fullJson(runExperiment(other)) != baseJson)
-            res.violations.push_back(
-                {"queue.kindIdentity",
-                 "outcomeJson differs between queueKind=" +
-                     std::to_string(exp.queueKind) +
-                     " and queueKind=" +
-                     std::to_string(other.queueKind) +
-                     " (heap/ladder pop sequences diverged)"});
     }
 
     if (opts.parallelJobs > 1) {

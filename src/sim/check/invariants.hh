@@ -65,21 +65,6 @@
  *     non-negative, and minPositiveDeltaUs > 0 exactly when the edge
  *     saw a positive delta
  *
- *  pending-event-set policy (queue.*)
- *   - profile coherence (single-run, with the profiler on): the
- *     profile's queue kind mirrors the experiment's; ladder runs do
- *     no heap sifts (comparisons = 0) while heap runs keep the
- *     ladder ledger empty; sortedEvents <= pushes (an event is
- *     Bottom-sorted at most once) with bottomSorts <= sortedEvents;
- *     topTransfers <= pushes; maxBucket <= maxHeapSize;
- *     batchedEvents <= pushes and batchCommits <= batchedEvents
- *     (empty commits are not counted)
- *   - queue.kindIdentity (re-run): the same Experiment with the
- *     opposite queueKind produces bit-identical outcomeJson — any
- *     correct priority queue over the strict (when, seq) total order
- *     executes the identical event sequence, so every existing
- *     result doubles as a differential oracle for the ladder
- *
  *  topology ledger (Experiment::topo; topo.*)
  *   - topo.bypass: without a topology the ledger is empty — the
  *     layer is pay-for-use
@@ -140,13 +125,6 @@ struct OracleOptions
 {
     /** Re-run with an enabled tracer+metrics sink and compare. */
     bool checkTraceIdentity = true;
-
-    /**
-     * Re-run with the opposite pending-event-set policy (heap vs
-     * ladder) and require bit-identical outcomeJson — the queue.*
-     * differential.
-     */
-    bool checkQueueKindIdentity = true;
 
     /**
      * Run a 3-replica sweep serially and with this many jobs and

@@ -54,11 +54,6 @@ constexpr IntKnob intKnobs[] = {
     {"retryBudget", &Experiment::retryBudget},
     {"svcQueueCap", &Experiment::svcQueueCap},
     {"shedPolicy", &Experiment::shedPolicy},
-    // Engine knobs last: a queue-kind divergence usually keeps
-    // failing with either policy selected (the differential re-run
-    // tries both), so these generally reset to defaults.
-    {"queueKind", &Experiment::queueKind},
-    {"expectedPendingEvents", &Experiment::expectedPendingEvents},
 };
 
 constexpr DoubleKnob doubleKnobs[] = {

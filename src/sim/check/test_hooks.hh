@@ -56,15 +56,6 @@ struct TestHooks
     long topoRouterDrop = 0;
 
     /**
-     * Reverses the (when, seq) tiebreak inside the ladder queue's
-     * comparator — simultaneous events pop LIFO instead of FIFO, a
-     * classic pending-event-set implementation bug.  The heap is
-     * unaffected, so the queue.kindIdentity differential must catch
-     * the divergence whenever a run schedules simultaneous events.
-     */
-    bool ladderMisorderTiebreak = false;
-
-    /**
      * Invoked at the top of runExperiment() when set.  May throw —
      * the exception-propagation tests for the sweep runner use this
      * to make a specific run in a parallel sweep fail.

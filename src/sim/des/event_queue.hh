@@ -3,41 +3,26 @@
  * Discrete-event simulation core: a time-ordered event queue with
  * stable FIFO ordering among simultaneous events.
  *
- * The pending-event set is a selectable policy (QueueKind):
+ * The pending-event set is an explicit binary min-heap over
+ * (when, seq) rather than a std::priority_queue: priority_queue's
+ * top() returns a const reference, so popping a move-only event out
+ * of it needs a const_cast (mutating a container element through
+ * top() — UB-bait), and its pop() cannot be fused with the
+ * inspection the run loop just did.  The explicit heap moves the root
+ * out legitimately and lets runUntil() do exactly one heap inspection
+ * per executed event.  O(log n) per operation; the simulator keeps a
+ * few dozen pending events (docs/performance.md, "Why one heap").
  *
- *  - **Heap** (the reference): an explicit binary min-heap over
- *    (when, seq) rather than a std::priority_queue: priority_queue's
- *    top() returns a const reference, so popping a move-only event
- *    out of it needs a const_cast (mutating a container element
- *    through top() — UB-bait), and its pop() cannot be fused with the
- *    inspection the run loop just did.  The explicit heap moves the
- *    root out legitimately and lets runUntil() do exactly one heap
- *    inspection per executed event.  O(log n) per operation.
- *
- *  - **Ladder** (see ladder_queue.hh): the Tang/Goh/Thng three-tier
- *    structure — unsorted far-future Top, adaptively-split bucket
- *    rungs, sorted near-future Bottom — amortized O(1) per operation,
- *    which is what keeps tens of thousands of pending events (the
- *    thousand-node topologies ROADMAP item 2 aims at) off the heap's
- *    O(log n) sift path.
- *
- * Both policies order by the same strict total order (when, seq), so
- * they execute the *identical* event sequence — the fuzz oracle's
- * queue.* family holds every simulator outcome bit-identical across
- * the two.  Backing storage is reserved up front (sized by the
- * reserveHint, see EventQueue()) so the steady state never
+ * Backing storage is reserved up front so the steady state never
  * reallocates.  Callbacks are EventCallback (see callable.hh): 48
  * bytes of inline capture storage and a pooled spill path, so
- * scheduling stops allocating per event.  Fan-out call sites can
- * stage several events in a Batch (scheduleBatch()) and commit them
- * in one queue operation.
+ * scheduling stops allocating per event.
  */
 
 #ifndef HSIPC_SIM_EVENT_QUEUE_HH
 #define HSIPC_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -45,17 +30,9 @@
 #include "common/obs/engine_prof.hh"
 #include "common/time.hh"
 #include "sim/des/callable.hh"
-#include "sim/des/ladder_queue.hh"
 
 namespace hsipc::sim
 {
-
-/** Pending-event-set policy (Experiment::queueKind selects one). */
-enum class QueueKind
-{
-    Heap = 0,   //!< reference binary min-heap, O(log n)
-    Ladder = 1, //!< Tang/Goh/Thng ladder queue, amortized O(1)
-};
 
 /** The event queue driving a simulation. */
 class EventQueue
@@ -63,33 +40,9 @@ class EventQueue
   public:
     using Callback = EventCallback;
 
-    /**
-     * @p reserveHint sizes the backing store for the expected peak
-     * pending-event population; 0 applies the historical default
-     * (1024 — the kernel simulator keeps a few dozen to a few hundred
-     * events in flight, so a page of headroom removes every
-     * steady-state reallocation).  Thousand-node experiments pass
-     * their own hint (Experiment::expectedPendingEvents) so growth
-     * reallocation never lands on the event path.
-     */
-    explicit EventQueue(QueueKind kind = QueueKind::Heap,
-                        std::size_t reserveHint = 0)
-    {
-        const std::size_t cap =
-            reserveHint ? reserveHint : defaultCapacity;
-        if (kind == QueueKind::Ladder)
-            ladder = std::make_unique<LadderQueue<Event>>(cap);
-        else
-            heap.reserve(cap);
-    }
+    EventQueue() { heap.reserve(reservedCapacity); }
 
     Tick now() const { return current; }
-
-    QueueKind
-    kind() const
-    {
-        return ladder ? QueueKind::Ladder : QueueKind::Heap;
-    }
 
     /**
      * Attach a self-profiler (see common/obs/engine_prof.hh): queue
@@ -107,11 +60,6 @@ class EventQueue
         profExecFlushed = executed;
         profCmps = 0;
         profMaxHeap = 0;
-        profLadderFlushed = {};
-        profBatchCommits = 0;
-        profBatchedEvents = 0;
-        if (p)
-            p->noteQueueKind(static_cast<int>(kind()));
     }
 
     /** Schedule @p cb at absolute time @p when (>= now). */
@@ -131,90 +79,9 @@ class EventQueue
         schedule(current + delay, std::move(cb));
     }
 
-    /**
-     * A staging buffer for fan-out scheduling (retransmit bursts,
-     * open-arrival generators, kickoffs): stage events with
-     * schedule()/scheduleAfter(), then commit() lands them in one
-     * queue operation (the destructor commits any remainder).
-     *
-     * Commit order is staging order, and sequence numbers are
-     * assigned at commit in that order — a committed batch is
-     * equivalent, event for event and tie for tie, to calling
-     * EventQueue::schedule() in the same order.  Batching therefore
-     * never perturbs FIFO ordering or the heap/ladder identity; what
-     * it buys is one profiler/assert pass per batch and the ladder's
-     * ability to classify a run of far-future events back to back.
-     */
-    class Batch
-    {
-      public:
-        explicit Batch(EventQueue &q) : q_(q) {}
-        ~Batch() { commit(); }
-        Batch(const Batch &) = delete;
-        Batch &operator=(const Batch &) = delete;
+    bool empty() const { return heap.empty(); }
 
-        void
-        schedule(Tick when, Callback cb)
-        {
-            if (n_ == capacity)
-                flush();
-            staged_[n_].when = when;
-            staged_[n_].cb = std::move(cb);
-            ++n_;
-        }
-
-        void
-        scheduleAfter(Tick delay, Callback cb)
-        {
-            schedule(q_.now() + delay, std::move(cb));
-        }
-
-        /** Land every staged event; empty commits are free. */
-        void
-        commit()
-        {
-            if (n_ > 0)
-                flush();
-        }
-
-      private:
-        friend class EventQueue;
-        struct Staged
-        {
-            Tick when = 0;
-            Callback cb;
-        };
-        //! Inline staging only: a batch never allocates, so the
-        //! steady state stays allocation-free.  Overflow commits the
-        //! full chunk and keeps staging — order is preserved.
-        static constexpr int capacity = 8;
-
-        void
-        flush()
-        {
-            q_.commitBatch(staged_, n_);
-            n_ = 0;
-        }
-
-        EventQueue &q_;
-        Staged staged_[capacity];
-        int n_ = 0;
-    };
-
-    /** Open a staging batch against this queue. */
-    Batch scheduleBatch() { return Batch(*this); }
-
-    bool
-    empty() const
-    {
-        return ladder ? ladder->empty() : heap.empty();
-    }
-
-    std::size_t
-    size() const
-    {
-        return ladder ? ladder->size() : heap.size();
-    }
+    std::size_t size() const { return heap.size(); }
 
     /** Events executed since construction (for the metrics dump). */
     std::uint64_t eventsRun() const { return executed; }
@@ -225,20 +92,11 @@ class EventQueue
     {
         if (empty())
             return false;
-        if (ladder) {
-            if (prof) {
-                execOne<true, true>();
-                flushProfile();
-            } else {
-                execOne<false, true>();
-            }
+        if (prof) {
+            execOne<true>();
+            flushProfile();
         } else {
-            if (prof) {
-                execOne<true, false>();
-                flushProfile();
-            } else {
-                execOne<false, false>();
-            }
+            execOne<false>();
         }
         return true;
     }
@@ -247,37 +105,16 @@ class EventQueue
      * Run until the clock passes @p end or the queue drains.  The hot
      * loop inspects the earliest pending event once per executed
      * event: the bounds check reads it in place, and the same read
-     * feeds the pop.  The profiled and policy instantiations are
-     * dispatched once, outside the loop.
+     * feeds the pop.  The profiled instantiation is dispatched once,
+     * outside the loop.
      */
     void
     runUntil(Tick end)
     {
-        if (ladder) {
-            if (prof)
-                runUntilT<true, true>(end);
-            else
-                runUntilT<false, true>(end);
-        } else {
-            if (prof)
-                runUntilT<true, false>(end);
-            else
-                runUntilT<false, false>(end);
-        }
-    }
-
-    /**
-     * Test-only (see sim/check/test_hooks.hh, the queue-misordering
-     * drill): break the ladder's FIFO tiebreak so simultaneous events
-     * pop LIFO.  Planting a divergence this way proves the fuzz
-     * oracle's queue.* bit-identity family actually bites.  No effect
-     * on the heap policy.
-     */
-    void
-    plantLadderMisorderTiebreak()
-    {
-        if (ladder)
-            ladder->plantMisorderTiebreak();
+        if (prof)
+            runUntilT<true>(end);
+        else
+            runUntilT<false>(end);
     }
 
   private:
@@ -296,9 +133,9 @@ class EventQueue
     }
 
     /**
-     * The single insertion path (schedule() and Batch commits): the
-     * profiled instantiation tracks peak population and the 1-in-N
-     * dwell/depth subsample; Prof=false compiles to the bare insert.
+     * The single insertion path: the profiled instantiation tracks
+     * peak population and the 1-in-N dwell/depth subsample;
+     * Prof=false compiles to the bare insert.
      */
     template <bool Prof>
     void
@@ -306,7 +143,7 @@ class EventQueue
     {
         hsipc_assert(when >= current);
         if constexpr (Prof) {
-            const std::size_t depth = size() + 1;
+            const std::size_t depth = heap.size() + 1;
             if (depth > profMaxHeap)
                 profMaxHeap = depth;
             // An event scheduled for `when` sits in the queue exactly
@@ -315,51 +152,22 @@ class EventQueue
             if ((nextSeq & profMask) == 0) [[unlikely]]
                 prof->observePush(when - current, depth);
         }
-        if (ladder) {
-            ladder->push(Event{when, nextSeq++, std::move(cb)});
-        } else {
-            heap.push_back(Event{when, nextSeq++, std::move(cb)});
-            siftUpT<Prof>(heap.size() - 1);
-        }
-    }
-
-    /**
-     * Land a staged batch.  Events are inserted in staging order with
-     * sequence numbers assigned here, so the result is exactly a run
-     * of schedule() calls; the batch counters feed the profiler's
-     * fan-out ledger.
-     */
-    void
-    commitBatch(Batch::Staged *staged, int n)
-    {
-        if (prof) {
-            ++profBatchCommits;
-            profBatchedEvents += static_cast<std::uint64_t>(n);
-            for (int i = 0; i < n; ++i)
-                pushT<true>(staged[i].when, std::move(staged[i].cb));
-        } else {
-            for (int i = 0; i < n; ++i)
-                pushT<false>(staged[i].when, std::move(staged[i].cb));
-        }
+        heap.push_back(Event{when, nextSeq++, std::move(cb)});
+        siftUpT<Prof>(heap.size() - 1);
     }
 
     /**
      * Pop and execute the earliest event.  The Prof=true
      * instantiation counts the pop, and for the deterministic 1-in-N
      * subsample brackets the event body with a steady_clock pair; the
-     * Prof=false heap instantiation is byte-for-byte the pre-profiler
-     * hot loop body.
+     * Prof=false instantiation is byte-for-byte the pre-profiler hot
+     * loop body.
      */
-    template <bool Prof, bool UseLadder>
+    template <bool Prof>
     void
     execOne()
     {
-        Event ev = [this]() {
-            if constexpr (UseLadder)
-                return ladder->pop();
-            else
-                return popTop<Prof>();
-        }();
+        Event ev = popTop<Prof>();
         current = ev.when;
         ++executed;
         if constexpr (Prof) {
@@ -386,17 +194,12 @@ class EventQueue
         prof->endEvent();
     }
 
-    template <bool Prof, bool UseLadder>
+    template <bool Prof>
     void
     runUntilT(Tick end)
     {
-        if constexpr (UseLadder) {
-            while (!ladder->empty() && ladder->front().when <= end)
-                execOne<Prof, true>();
-        } else {
-            while (!heap.empty() && heap.front().when <= end)
-                execOne<Prof, false>();
-        }
+        while (!heap.empty() && heap.front().when <= end)
+            execOne<Prof>();
         if (current < end)
             current = end;
         if constexpr (Prof)
@@ -408,10 +211,8 @@ class EventQueue
      * keep itself: pushes are the seq-counter delta and pops the
      * executed delta since the last flush; comparisons and peak
      * population accumulate in queue members whose cache lines every
-     * event dirties anyway.  The ladder's structural ledger (rung
-     * spawns, Top transfers, Bottom sorts) and the batch fan-out
-     * counters ride the same flush.  Runs after every run loop, so
-     * the ledgers are current whenever control returns to the caller.
+     * event dirties anyway.  Runs after every run loop, so the
+     * ledger is current whenever control returns to the caller.
      */
     void
     flushProfile()
@@ -422,22 +223,6 @@ class EventQueue
         profSeqFlushed = nextSeq;
         profExecFlushed = executed;
         profCmps = 0;
-        if (ladder) {
-            const auto &s = ladder->stats();
-            prof->addLadderTotals(
-                s.topTransfers - profLadderFlushed.topTransfers,
-                s.rungSpawns - profLadderFlushed.rungSpawns,
-                s.bottomSorts - profLadderFlushed.bottomSorts,
-                s.sortedEvents - profLadderFlushed.sortedEvents,
-                s.maxBucket);
-            profLadderFlushed = s;
-        }
-        if (profBatchCommits > 0) {
-            prof->addBatchTotals(profBatchCommits,
-                                 profBatchedEvents);
-            profBatchCommits = 0;
-            profBatchedEvents = 0;
-        }
     }
 
     /** Remove and return the root, restoring the heap invariant. */
@@ -511,13 +296,14 @@ class EventQueue
             profCmps += cmps;
     }
 
-    /** The historical pre-sized backing store (reserveHint = 0). */
-    static constexpr std::size_t defaultCapacity = 1024;
+    /**
+     * The pre-sized backing store: the kernel simulator keeps a few
+     * dozen to a few hundred events in flight, so a page of headroom
+     * removes every steady-state reallocation.
+     */
+    static constexpr std::size_t reservedCapacity = 1024;
 
     std::vector<Event> heap;
-    //! Non-null exactly when the policy is QueueKind::Ladder; the
-    //! heap vector stays empty then.
-    std::unique_ptr<LadderQueue<Event>> ladder;
     Tick current = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t executed = 0;
@@ -531,10 +317,6 @@ class EventQueue
     std::size_t profMaxHeap = 0;       //!< peak population since attach
     std::uint64_t profSeqFlushed = 0;  //!< nextSeq at last flush
     std::uint64_t profExecFlushed = 0; //!< executed at last flush
-    //! Ladder structural counters already handed over.
-    LadderQueue<Event>::Stats profLadderFlushed;
-    std::uint64_t profBatchCommits = 0;  //!< batch commits since flush
-    std::uint64_t profBatchedEvents = 0; //!< events those staged
 };
 
 } // namespace hsipc::sim

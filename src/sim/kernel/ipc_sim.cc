@@ -167,20 +167,8 @@ class Sim
           // jitter come from a third stream, and with every knob at
           // its default the layer draws nothing at all.
           robust(robustnessEnabled(exp)),
-          robustRng(exp.seed ^ 0xB0B57EC0DEull),
-          // The pending-event set: policy and reservation are
-          // experiment knobs (strictly non-semantic — both policies
-          // pop the identical (when, seq) order, pinned by the fuzz
-          // oracle's queue.* family).
-          eq(static_cast<QueueKind>(exp.queueKind),
-             static_cast<std::size_t>(exp.expectedPendingEvents))
+          robustRng(exp.seed ^ 0xB0B57EC0DEull)
     {
-        // Planted defect for the fuzzer's self-test: reverse the
-        // ladder's FIFO tiebreak so the queue.* differential has a
-        // real divergence to catch (see sim/check/test_hooks.hh).
-        if (check::testHooks().ladderMisorderTiebreak)
-            eq.plantLadderMisorderTiebreak();
-
         // Resolve the observability sinks before anything registers a
         // track: an external tracer (the caller enables it) or the
         // owned one when the experiment names a trace file.  Metrics
@@ -303,18 +291,12 @@ class Sim
                     rc.srcNode = src;
                     rc.dstNode = dst;
                     h.mediumToDst =
-                        [this, src, dst](int bytes,
-                                         EventQueue::Callback cb,
-                                         EventQueue::Batch *b) {
-                            rawWire(src, dst, bytes, std::move(cb),
-                                    b);
+                        [this, src, dst](int bytes, EventQueue::Callback cb) {
+                            rawWire(src, dst, bytes, std::move(cb));
                         };
                     h.mediumToSrc =
-                        [this, src, dst](int bytes,
-                                         EventQueue::Callback cb,
-                                         EventQueue::Batch *b) {
-                            rawWire(dst, src, bytes, std::move(cb),
-                                    b);
+                        [this, src, dst](int bytes, EventQueue::Callback cb) {
+                            rawWire(dst, src, bytes, std::move(cb));
                         };
                     chans[chanIndex(src, dst)] =
                         std::make_unique<ReliableChannel>(
@@ -366,17 +348,11 @@ class Sim
         // server loops only; clients materialize per arrival.  Closed
         // mode keeps the classic fixed client/server pairs (a robust
         // closed client opens a tracked request around each trip).
-        // The kickoff is the largest single fan-out in the run — two
-        // events per conversation plus the first arrival and every
-        // crash window — so stage it all and commit once.  Staging
-        // order is exactly the previous schedule order, so the batch
-        // changes no tie.
         const bool open = exp.arrivalMode != 0;
-        auto kickoff = eq.scheduleBatch();
         for (std::size_t i = 0; i < convs.size(); ++i) {
             const int conv = static_cast<int>(i);
             if (!open) {
-                kickoff.schedule(
+                eq.schedule(
                     static_cast<Tick>(i) * 7, [this, conv]() {
                         if (robust)
                             startRequest(conv);
@@ -384,11 +360,11 @@ class Sim
                             clientSend(conv);
                     });
             }
-            kickoff.schedule(3 + static_cast<Tick>(i) * 7,
-                             [this, conv]() { serverReceive(conv); });
+            eq.schedule(3 + static_cast<Tick>(i) * 7,
+                        [this, conv]() { serverReceive(conv); });
         }
         if (open)
-            scheduleNextArrival(&kickoff);
+            scheduleNextArrival();
 
         // A crash wipes the node's volatile kernel state, not just
         // the packets in flight: queued requests are lost (retries or
@@ -397,13 +373,10 @@ class Sim
         if (robust) {
             for (const CrashWindow &w : exp.crashSchedule) {
                 const int node = w.node;
-                kickoff.schedule(usToTicks(w.startUs),
-                                 [this, node]() { crashFlush(node); });
+                eq.schedule(usToTicks(w.startUs),
+                            [this, node]() { crashFlush(node); });
             }
         }
-        // Commit before the timeline boundary below is scheduled, so
-        // the kickoff keeps its historical sequence numbers.
-        kickoff.commit();
 
         // Deterministic trace sampling: every recorder shares one
         // pure (seed, id) decision, so a sampled message's causal
@@ -1172,13 +1145,12 @@ class Sim
      * delay otherwise.
      */
     void
-    rawWire(int from, int to, int bytes, EventQueue::Callback deliver,
-            EventQueue::Batch *batch = nullptr)
+    rawWire(int from, int to, int bytes, EventQueue::Callback deliver)
     {
         if (net) {
-            net->send(from, to, bytes, std::move(deliver), batch);
+            net->send(from, to, bytes, std::move(deliver));
         } else if (ring) {
-            ring->send(from, to, bytes, std::move(deliver), batch);
+            ring->send(from, to, bytes, std::move(deliver));
         } else if (engProf) {
             // The inter-node lookahead edge: whoever is transmitting
             // now schedules a delivery wireUs in the future — the
@@ -1190,13 +1162,7 @@ class Sim
                 obs::EngineProfiler::Scope s(engProf, wireOrigin);
                 inner();
             };
-            if (batch)
-                batch->scheduleAfter(delay, std::move(wrapped));
-            else
-                eq.scheduleAfter(delay, std::move(wrapped));
-        } else if (batch) {
-            batch->scheduleAfter(usToTicks(exp.wireUs),
-                                 std::move(deliver));
+            eq.scheduleAfter(delay, std::move(wrapped));
         } else {
             eq.scheduleAfter(usToTicks(exp.wireUs),
                              std::move(deliver));
@@ -1233,14 +1199,8 @@ class Sim
 
     // --- Client side -----------------------------------------------
 
-    /**
-     * @p batch, when non-null, is startRequest()'s staging batch
-     * (holding the deadline timer): the retry timer is staged into it
-     * and it is committed before the attempt is handed to the host,
-     * preserving the exact unbatched sequence order.
-     */
     void
-    clientSend(int conv, EventQueue::Batch *batch = nullptr)
+    clientSend(int conv)
     {
         Conversation &cv = convs[static_cast<std::size_t>(conv)];
         // No new attempt once the request resolved — or while an
@@ -1274,7 +1234,7 @@ class Sim
             ++cv.attempt;
             ++rpcTotals.attempts;
             if (cv.retriesLeft > 0)
-                armAttemptTimer(conv, batch);
+                armAttemptTimer(conv);
         }
         if (pathLog.enabled())
             pathLog.start(cv.msgId, eq.now());
@@ -1287,8 +1247,6 @@ class Sim
         // than hijacking the newer attempt's causal record.
         const long m = cv.msgId;
         const long rid = cv.rid;
-        if (batch)
-            batch->commit();
         clientHost(conv).submit(
             act("sendSyscall", costsOf(conv).sendSyscall, cn, prioTask,
                 [this, conv, m, rid]() {
@@ -1358,18 +1316,13 @@ class Sim
                             : -1;
         ++rpcTotals.offered;
         tlAdd(tlRpcOffered);
-        // The request's control events — deadline timer and first
-        // retry timer — land in one batch; clientSend() commits it
-        // before handing the attempt to the host, so the staged pair
-        // keeps the exact sequence order of unbatched scheduling.
-        auto batch = eq.scheduleBatch();
         if (cv.deadlineAt >= 0) {
             const long rid = cv.rid;
-            batch.schedule(cv.deadlineAt, [this, conv, rid]() {
+            eq.schedule(cv.deadlineAt, [this, conv, rid]() {
                 onDeadline(conv, rid);
             });
         }
-        clientSend(conv, &batch);
+        clientSend(conv);
     }
 
     /**
@@ -1378,7 +1331,7 @@ class Sim
      * jitter so synchronized clients do not retry in lockstep.
      */
     void
-    armAttemptTimer(int conv, EventQueue::Batch *batch = nullptr)
+    armAttemptTimer(int conv)
     {
         Conversation &cv = convs[static_cast<std::size_t>(conv)];
         double wait = exp.retryBackoffUs;
@@ -1390,13 +1343,9 @@ class Sim
         const long rid = cv.rid;
         const int attempt = cv.attempt;
         const Tick delay = std::max<Tick>(1, usToTicks(wait));
-        auto fire = [this, conv, rid, attempt]() {
+        eq.scheduleAfter(delay, [this, conv, rid, attempt]() {
             onAttemptTimeout(conv, rid, attempt);
-        };
-        if (batch)
-            batch->scheduleAfter(delay, std::move(fire));
-        else
-            eq.scheduleAfter(delay, std::move(fire));
+        });
     }
 
     /**
@@ -1558,13 +1507,9 @@ class Sim
 
     // --- Open arrivals ---------------------------------------------
 
-    /**
-     * Draw the next interarrival gap and schedule the arrival —
-     * staged into @p batch when the caller (the kickoff) is already
-     * batching a fan-out.
-     */
+    /** Draw the next interarrival gap and schedule the arrival. */
     void
-    scheduleNextArrival(EventQueue::Batch *batch = nullptr)
+    scheduleNextArrival()
     {
         const double mean_us = 1e6 / exp.arrivalRatePerSec;
         double dt_us;
@@ -1587,10 +1532,7 @@ class Sim
             dt_us = x / norm * mean_us;
         }
         const Tick gap = std::max<Tick>(1, usToTicks(dt_us));
-        if (batch)
-            batch->scheduleAfter(gap, [this]() { onArrival(); });
-        else
-            eq.scheduleAfter(gap, [this]() { onArrival(); });
+        eq.scheduleAfter(gap, [this]() { onArrival(); });
     }
 
     /** An open-mode client materializes and offers one request. */
@@ -2284,10 +2226,6 @@ runExperiment(const Experiment &exp, trace::Tracer *tracer,
     hsipc_assert((exp.engineProfileFile.empty() ||
                   exp.engineProfile) &&
                  "engineProfileFile needs engineProfile");
-    hsipc_assert(exp.queueKind >= 0 && exp.queueKind <= 1 &&
-                 "queueKind is 0 (binary heap) or 1 (ladder queue)");
-    hsipc_assert(exp.expectedPendingEvents >= 0 &&
-                 "expectedPendingEvents cannot be negative");
     hsipc_assert((exp.topo.nodes == 0 ||
                   (exp.topo.nodes >= 2 && exp.topo.nodes <= 1024)) &&
                  "topology nodes is 0 (off) or in [2, 1024]");

@@ -195,26 +195,6 @@ struct Experiment
     std::string engineProfileFile;
 
     /**
-     * Pending-event-set policy of the DES core (see
-     * src/sim/des/event_queue.hh and docs/performance.md "Pending-
-     * event-set policies"): 0 = the reference binary heap, 1 = the
-     * ladder queue (amortized O(1), built for tens of thousands of
-     * pending events).  Both order by the identical (when, seq) total
-     * order, so every Outcome field is bit-identical across the two —
-     * the fuzz oracle's queue.* family enforces exactly that.
-     */
-    int queueKind = 0;
-
-    /**
-     * Expected peak pending-event population — sizes the queue's
-     * backing storage up front so large (thousand-node scale) runs
-     * never pay growth reallocation on the event path.  0 keeps the
-     * historical one-page default (1024 events); the value is a
-     * reservation hint only and never affects results.
-     */
-    int expectedPendingEvents = 0;
-
-    /**
      * N-node interconnect topology (see sim/topo/topology.hh).
      * Strictly pay-for-use: with nodes == 0 (the default) the layer
      * is off and the simulator keeps its historical one/two-node

@@ -74,40 +74,28 @@ ReliableChannel::transmit(long seq, bool retransmit)
             if (self == unacked.end() ||
                 self->second.generation != gen)
                 return;
-            // One transmission fans out several events — the
-            // injector's copies (possibly delayed), each copy's
-            // medium delivery, and the retransmission timer — so
-            // stage them all and commit once.  Staging order matches
-            // the unbatched schedule order exactly, so batching never
-            // moves a tie.
-            auto batch = eq.scheduleBatch();
             if (!faults.nodeUp(cfg.srcNode, eq.now())) {
                 faults.noteCrashDrop();
             } else {
                 for (const FaultInjector::Copy &c : faults.judge()) {
-                    auto go = [this, seq, corrupted = c.corrupted](
-                                  EventQueue::Batch *b) {
+                    auto go = [this, seq, corrupted = c.corrupted]() {
                         hooks.mediumToDst(
-                            cfg.dataBytes,
-                            [this, seq, corrupted]() {
+                            cfg.dataBytes, [this, seq, corrupted]() {
                                 arriveData(seq, corrupted);
-                            },
-                            b);
+                            });
                     };
                     if (c.extraDelay > 0)
-                        batch.scheduleAfter(
-                            c.extraDelay,
-                            [go]() { go(nullptr); });
+                        eq.scheduleAfter(c.extraDelay, go);
                     else
-                        go(&batch);
+                        go();
                 }
             }
             // The timer runs whether or not the packet made it out:
             // a crashed source retries once its window is over.
-            batch.scheduleAfter(rto(self->second.retries),
-                                [this, seq, gen]() {
-                                    onTimeout(seq, gen);
-                                });
+            eq.scheduleAfter(rto(self->second.retries),
+                             [this, seq, gen]() {
+                                 onTimeout(seq, gen);
+                             });
         });
 }
 
@@ -193,24 +181,17 @@ ReliableChannel::sendAck()
                 faults.noteCrashDrop();
                 return;
             }
-            // As in transmit(): stage the ack's injected copies and
-            // commit them in one queue operation.
-            auto batch = eq.scheduleBatch();
             for (const FaultInjector::Copy &c : faults.judge()) {
-                auto go = [this, ackNum, corrupted = c.corrupted](
-                              EventQueue::Batch *b) {
-                    hooks.mediumToSrc(
-                        cfg.ackBytes,
-                        [this, ackNum, corrupted]() {
-                            arriveAck(ackNum, corrupted);
-                        },
-                        b);
+                auto go = [this, ackNum, corrupted = c.corrupted]() {
+                    hooks.mediumToSrc(cfg.ackBytes,
+                                      [this, ackNum, corrupted]() {
+                                          arriveAck(ackNum, corrupted);
+                                      });
                 };
                 if (c.extraDelay > 0)
-                    batch.scheduleAfter(c.extraDelay,
-                                        [go]() { go(nullptr); });
+                    eq.scheduleAfter(c.extraDelay, go);
                 else
-                    go(&batch);
+                    go();
             }
         });
 }

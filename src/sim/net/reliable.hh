@@ -70,17 +70,9 @@ class ReliableChannel
                                     double procUs, int priority,
                                     EventQueue::Callback done)>;
 
-    /**
-     * Put @p bytes on the raw medium in the named direction.  When
-     * @p batch is non-null the arrival must be *staged* into it
-     * rather than scheduled directly — the channel batches a protocol
-     * step's whole fan-out (fault-injected copies, the delivery, the
-     * retransmission timer) into one queue commit, and staging keeps
-     * the committed sequence order identical to the unbatched code.
-     */
-    using RawSend = std::function<void(
-        int bytes, EventQueue::Callback arrive,
-        EventQueue::Batch *batch)>;
+    /** Put @p bytes on the raw medium in the named direction. */
+    using RawSend =
+        std::function<void(int bytes, EventQueue::Callback arrive)>;
 
     struct Hooks
     {

@@ -57,15 +57,10 @@ class TokenRing
 
     /**
      * Send @p bytes from @p src to @p dst; @p onDelivered fires when
-     * the packet has fully arrived.  When @p batch is non-null the
-     * delivery is staged into it instead of scheduled directly, so a
-     * caller fanning out several rotations (the reliable channel's
-     * duplicated copies) commits them in one queue operation; the
-     * token/booking state still advances immediately.
+     * the packet has fully arrived.
      */
     void
-    send(int src, int dst, int bytes, EventQueue::Callback onDelivered,
-         EventQueue::Batch *batch = nullptr)
+    send(int src, int dst, int bytes, EventQueue::Callback onDelivered)
     {
         hsipc_assert(src >= 0 && src < config.stations);
         hsipc_assert(dst >= 0 && dst < config.stations && dst != src);
@@ -92,12 +87,7 @@ class TokenRing
         ++packets;
         waitAcc += static_cast<double>(grant - eq.now());
 
-        if (batch)
-            batch->schedule(grant + tx + propagation,
-                            std::move(onDelivered));
-        else
-            eq.schedule(grant + tx + propagation,
-                        std::move(onDelivered));
+        eq.schedule(grant + tx + propagation, std::move(onDelivered));
     }
 
     /** Fraction of elapsed time the medium carried data. */

@@ -138,8 +138,7 @@ Network::localStation(int n) const
 }
 
 void
-Network::dispatch(Tick delay, EventQueue::Callback cb,
-                  EventQueue::Batch *batch)
+Network::dispatch(Tick delay, EventQueue::Callback cb)
 {
     if (prof) {
         // The inter-node lookahead edge, exactly as the legacy wire
@@ -149,21 +148,14 @@ Network::dispatch(Tick delay, EventQueue::Callback cb,
             obs::EngineProfiler::Scope s(prof, wireOrigin);
             inner();
         };
-        if (batch)
-            batch->scheduleAfter(delay, std::move(wrapped));
-        else
-            eq.scheduleAfter(delay, std::move(wrapped));
-    } else if (batch) {
-        batch->scheduleAfter(delay, std::move(cb));
+        eq.scheduleAfter(delay, std::move(wrapped));
     } else {
         eq.scheduleAfter(delay, std::move(cb));
     }
 }
 
 void
-Network::traverse(std::size_t li, int bytes,
-                  EventQueue::Callback then,
-                  EventQueue::Batch *batch)
+Network::traverse(std::size_t li, int bytes, EventQueue::Callback then)
 {
     Link &l = links[li];
     ++l.led.msgsIn;
@@ -179,8 +171,7 @@ Network::traverse(std::size_t li, int bytes,
                  ++dl.led.msgsOut;
                  dl.led.bytesOut += bytes;
                  inner();
-             },
-             batch);
+             });
 }
 
 void
@@ -241,21 +232,18 @@ Network::startService(std::size_t ri)
                  else
                      dr.busy = false;
                  traceDepth(ri);
-             },
-             nullptr);
+             });
 }
 
 void
-Network::send(int src, int dst, int bytes,
-              EventQueue::Callback deliver, EventQueue::Batch *batch)
+Network::send(int src, int dst, int bytes, EventQueue::Callback deliver)
 {
     hsipc_assert(src >= 0 && src < topo.nodes);
     hsipc_assert(dst >= 0 && dst < topo.nodes && dst != src);
 
     switch (topo.kind) {
       case 0:
-        traverse(meshIndex(src, dst), bytes, std::move(deliver),
-                 batch);
+        traverse(meshIndex(src, dst), bytes, std::move(deliver));
         return;
 
       case 1: {
@@ -270,11 +258,9 @@ Network::send(int src, int dst, int bytes,
                 routerArrive(0, service,
                              [this, egress, bytes,
                               cb = std::move(inner)]() mutable {
-                                 traverse(egress, bytes,
-                                          std::move(cb), nullptr);
+                                 traverse(egress, bytes, std::move(cb));
                              });
-            },
-            batch);
+            });
         return;
       }
 
@@ -294,8 +280,7 @@ Network::send(int src, int dst, int bytes,
                     ringDelivered(static_cast<std::size_t>(ss),
                                   bytes);
                     inner();
-                },
-                batch);
+                });
             return;
         }
         // Cross-segment: source ring to its router, switch service
@@ -341,10 +326,9 @@ Network::send(int src, int dst, int bytes,
                     [this, ss, ds, bytes,
                      fwd = std::move(hop)]() mutable {
                         traverse(backboneIndex(ss, ds), bytes,
-                                 std::move(fwd), nullptr);
+                                 std::move(fwd));
                     });
-            },
-            batch);
+            });
         return;
       }
     }

@@ -47,6 +47,7 @@
 #define HSIPC_SIM_TOPO_NETWORK_HH
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "common/obs/engine_prof.hh"
@@ -72,15 +73,9 @@ class Network
 
     /**
      * Route @p bytes from node @p src to node @p dst (src != dst);
-     * @p deliver fires when the packet fully arrives.  When @p batch
-     * is non-null the *first* hop is staged into it (matching the
-     * legacy wire's batching contract); later hops of multi-hop
-     * fabrics schedule directly — they run from events, after the
-     * batch committed.
+     * @p deliver fires when the packet fully arrives.
      */
-    void send(int src, int dst, int bytes,
-              EventQueue::Callback deliver,
-              EventQueue::Batch *batch = nullptr);
+    void send(int src, int dst, int bytes, EventQueue::Callback deliver);
 
     /**
      * Charge @p count retransmissions to every link on the forward
@@ -141,13 +136,10 @@ class Network
     Tick serTicks(int bytes, double mbps) const;
 
     /** Schedule @p cb after @p delay with profiler attribution. */
-    void dispatch(Tick delay, EventQueue::Callback cb,
-                  EventQueue::Batch *batch);
+    void dispatch(Tick delay, EventQueue::Callback cb);
 
     /** Put a packet on link @p li; delivery runs @p then. */
-    void traverse(std::size_t li, int bytes,
-                  EventQueue::Callback then,
-                  EventQueue::Batch *batch);
+    void traverse(std::size_t li, int bytes, EventQueue::Callback then);
 
     /** A ring delivery completes against ring link @p li. */
     void ringDelivered(std::size_t li, int bytes);

@@ -147,6 +147,17 @@ TEST(ExperimentJson, RejectsUnknownAndIllTyped)
                  std::runtime_error);
     EXPECT_THROW(experimentFromJsonText("[1, 2]"),
                  std::runtime_error);
+    // Removed knobs are unknown fields: an old repro naming them
+    // fails loudly instead of running without them.
+    for (const std::string key : {"queueKind", "expectedPendingEvents"}) {
+        try {
+            experimentFromJsonText("{\"" + key + "\": 0}");
+            ADD_FAILURE() << key << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "unknown experiment field '" + key + "'");
+        }
+    }
 }
 
 TEST(ExperimentJson, TopologyRoundTripsAndOmitsItselfByDefault)

@@ -361,72 +361,6 @@ TEST(Fuzz, InjectedRetransmissionBugIsCaughtShrunkAndReplayable)
         checkOutcome(replayed, runExperiment(replayed)).empty());
 }
 
-TEST(Fuzz, PlantedLadderMisorderingIsCaughtShrunkAndReplayable)
-{
-    // The drill for the queue.* family: reverse the ladder's seq
-    // tiebreak (simultaneous events pop LIFO instead of FIFO).
-    // Timestamps are untouched, so every single-run invariant still
-    // holds — only the heap-vs-ladder differential can see it.  The
-    // misorder is also invisible on *symmetric* configs (LIFO ties
-    // merely relabel identical conversations), so start from a
-    // generator draw known to carry consequential simultaneity —
-    // roughly a quarter of the generated surface does.
-    const ExperimentGenerator gen(42);
-    const Experiment failing = gen.generate(0);
-
-    OracleOptions opts;
-    opts.checkTraceIdentity = false; // focus on the queue family
-    opts.parallelJobs = 0;
-
-    // Healthy simulator: both policies agree on this config.
-    EXPECT_TRUE(checkedRun(failing, opts).ok());
-
-    ScopedTestHooks guard;
-    testHooks().ladderMisorderTiebreak = true;
-
-    const CheckResult caught = checkedRun(failing, opts);
-    ASSERT_FALSE(caught.ok());
-    std::set<std::string> ids;
-    for (const Violation &v : caught.violations)
-        ids.insert(v.invariant);
-    EXPECT_TRUE(ids.count("queue.kindIdentity"))
-        << formatViolations(caught.violations);
-
-    // Shrinking anchored to the differential reaches a minimal repro
-    // of at most 5 knobs.  Either queueKind catches it: the identity
-    // check always re-runs the opposite policy, so one side of the
-    // pair pops misordered whichever side the candidate names.
-    const ShrinkResult shrunk = shrinkExperiment(
-        failing, [&opts](const Experiment &cand) {
-            for (const Violation &v :
-                 checkedRun(cand, opts).violations)
-                if (v.invariant.rfind("queue.", 0) == 0)
-                    return true;
-            return false;
-        });
-    EXPECT_LE(shrunk.knobsChanged, 5)
-        << "minimal repro still has knobs: " << [&] {
-               std::string s;
-               for (const std::string &k : knobDiff(shrunk.minimal))
-                   s += k + " ";
-               return s;
-           }();
-
-    // The repro JSON round-trips and still reproduces the violation.
-    const Experiment replayed =
-        experimentFromJsonText(experimentToJson(shrunk.minimal));
-    EXPECT_TRUE(replayed == shrunk.minimal);
-    bool stillCaught = false;
-    for (const Violation &v : checkedRun(replayed, opts).violations)
-        stillCaught |= v.invariant.rfind("queue.", 0) == 0;
-    EXPECT_TRUE(stillCaught);
-
-    // Unplant: the same repro runs clean — FIFO ties restored, the
-    // two policies agree again.
-    testHooks().ladderMisorderTiebreak = false;
-    EXPECT_TRUE(checkedRun(replayed, opts).ok());
-}
-
 TEST(Fuzz, PlantedRouterDropIsCaughtShrunkAndReplayable)
 {
     // The drill for the topo.* family: a star topology whose switch

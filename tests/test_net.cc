@@ -131,12 +131,8 @@ struct Harness
                         EventQueue::Callback done) {
             eq.scheduleAfter(1, std::move(done));
         };
-        h.mediumToDst = [this, wire](int, EventQueue::Callback cb,
-                                     EventQueue::Batch *batch) {
-            if (batch)
-                batch->scheduleAfter(wire, std::move(cb));
-            else
-                eq.scheduleAfter(wire, std::move(cb));
+        h.mediumToDst = [this, wire](int, EventQueue::Callback cb) {
+            eq.scheduleAfter(wire, std::move(cb));
         };
         h.mediumToSrc = h.mediumToDst;
         chan = std::make_unique<ReliableChannel>(eq, cfg, faults,
@@ -324,14 +320,12 @@ TEST_P(RingMediumStations, ChannelDeliversExactlyOnceOverALossyRing)
         eq.scheduleAfter(1, std::move(done));
     };
     h.mediumToDst = [&ring, stations](int bytes,
-                                      EventQueue::Callback cb,
-                                      EventQueue::Batch *batch) {
-        ring.send(0, stations - 1, bytes, std::move(cb), batch);
+                                      EventQueue::Callback cb) {
+        ring.send(0, stations - 1, bytes, std::move(cb));
     };
     h.mediumToSrc = [&ring, stations](int bytes,
-                                      EventQueue::Callback cb,
-                                      EventQueue::Batch *batch) {
-        ring.send(stations - 1, 0, bytes, std::move(cb), batch);
+                                      EventQueue::Callback cb) {
+        ring.send(stations - 1, 0, bytes, std::move(cb));
     };
     ReliableChannel::Config cfg;
     cfg.rtoUs = 4000;

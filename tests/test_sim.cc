@@ -970,11 +970,9 @@ template <std::size_t Pad> struct SelfSched
 template <std::size_t Pad>
 std::size_t
 allocationsDuringSteadyState(int fanout, std::uint64_t warmup,
-                             std::uint64_t measured,
-                             QueueKind kind = QueueKind::Heap,
-                             std::size_t reserveHint = 0)
+                             std::uint64_t measured)
 {
-    EventQueue eq(kind, reserveHint);
+    EventQueue eq;
     std::uint64_t remaining = warmup;
     for (int i = 0; i < fanout; ++i)
         eq.scheduleAfter(i, SelfSched<Pad>{&eq, &remaining});
@@ -1224,294 +1222,6 @@ TEST(EventCallback, SpilledBlockParksOnTheDestroyingThreadsPool)
     EXPECT_EQ(destroyed, 1);
     EXPECT_EQ(parkedThere, 1u);
     EXPECT_EQ(pool.freeBlocks(), parkedHere);
-}
-
-// --- Pending-event-set policies (heap vs ladder) -------------------------
-//
-// (when, seq) is a strict total order, so ANY correct priority queue
-// pops the identical sequence.  These tests drive adversarial
-// timestamp distributions through both policies and require the exact
-// same pop order — plus ladder-only structural guarantees (FIFO under
-// storms, allocation-free steady state, reservation hints).
-
-/** Tiny deterministic generator for adversarial event mixes. */
-struct Lcg
-{
-    std::uint64_t s;
-
-    std::uint64_t
-    next()
-    {
-        s = s * 6364136223846793005ull + 1442695040888963407ull;
-        return s >> 33;
-    }
-};
-
-/**
- * Run a self-sustaining chain workload: @p starters initial events,
- * each fired event recording its id and scheduling the next until
- * @p total have been spawned, with delays drawn from @p delays by a
- * deterministic LCG.  Returns the ids in pop (execution) order.
- */
-struct ChainDriver
-{
-    EventQueue eq;
-    Lcg rng;
-    const std::vector<Tick> &delays;
-    long total;
-    long spawned = 0;
-    std::vector<long> order;
-
-    ChainDriver(QueueKind kind, std::uint64_t seed,
-                const std::vector<Tick> &delays, long total)
-        : eq(kind), rng{seed}, delays(delays), total(total)
-    {}
-
-    void
-    fire(long id)
-    {
-        order.push_back(id);
-        if (spawned < total) {
-            const long mine = spawned++;
-            const Tick d = delays[static_cast<std::size_t>(
-                rng.next() % delays.size())];
-            eq.scheduleAfter(d, [this, mine]() { fire(mine); });
-        }
-    }
-
-    std::vector<long>
-    run(int starters)
-    {
-        for (int i = 0; i < starters && spawned < total; ++i) {
-            const long mine = spawned++;
-            eq.schedule(rng.next() % 50,
-                        [this, mine]() { fire(mine); });
-        }
-        while (eq.runOne()) {}
-        EXPECT_EQ(static_cast<long>(order.size()), total);
-        return order;
-    }
-};
-
-std::vector<long>
-chainOrder(QueueKind kind, std::uint64_t seed,
-           const std::vector<Tick> &delays, long total,
-           int starters = 32)
-{
-    ChainDriver d(kind, seed, delays, total);
-    return d.run(starters);
-}
-
-TEST(LadderQueue, FifoStormPopsInArrivalOrder)
-{
-    // 10k simultaneous events: the ladder's Bottom fast path (a fresh
-    // seq sorts last) must preserve exact FIFO order.
-    EventQueue eq(QueueKind::Ladder);
-    std::vector<int> order;
-    for (int i = 0; i < 10000; ++i)
-        eq.schedule(42, [&order, i]() { order.push_back(i); });
-    while (eq.runOne()) {}
-    ASSERT_EQ(order.size(), 10000u);
-    for (int i = 0; i < 10000; ++i)
-        ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
-    EXPECT_EQ(eq.now(), 42);
-}
-
-TEST(LadderQueue, StrictlyMonotoneArrivalsMatchHeap)
-{
-    const std::vector<Tick> delays{1, 2, 3, 5, 8};
-    EXPECT_EQ(chainOrder(QueueKind::Heap, 7, delays, 20000),
-              chainOrder(QueueKind::Ladder, 7, delays, 20000));
-}
-
-TEST(LadderQueue, BimodalFarNearMixMatchesHeap)
-{
-    // Near events land in Bottom/low rungs while far ones pile into
-    // Top — the distribution that exercises Top transfers and rung
-    // spawning hardest.
-    const std::vector<Tick> delays{0,      1,      2,      7,
-                                   100000, 250000, 999983, 1000000};
-    EXPECT_EQ(chainOrder(QueueKind::Heap, 11, delays, 30000),
-              chainOrder(QueueKind::Ladder, 11, delays, 30000));
-}
-
-TEST(LadderQueue, ZeroDelaySelfReschedulesMatchHeapAndStayFifo)
-{
-    // Heavy zero-delay traffic: events scheduled *at* the current
-    // instant must run this instant, after everything already queued
-    // for it (FIFO), on both policies.
-    const std::vector<Tick> delays{0, 0, 0, 1, 0, 0, 3, 0};
-    const auto heap = chainOrder(QueueKind::Heap, 13, delays, 20000);
-    const auto ladder =
-        chainOrder(QueueKind::Ladder, 13, delays, 20000);
-    EXPECT_EQ(heap, ladder);
-}
-
-TEST(LadderQueue, RandomizedMixMatchesHeapPopForPop)
-{
-    // A broad tie-heavy mix over several seeds: the differential that
-    // pins the exact pop sequence, not just final state.
-    const std::vector<Tick> delays{0,   1,    1,     4,    16,
-                                   64,  256,  1024,  4096, 16384,
-                                   7777, 100000, 0,   1};
-    for (std::uint64_t seed : {1u, 2u, 3u, 1987u}) {
-        EXPECT_EQ(chainOrder(QueueKind::Heap, seed, delays, 25000),
-                  chainOrder(QueueKind::Ladder, seed, delays, 25000))
-            << "diverged at seed " << seed;
-    }
-}
-
-TEST(LadderQueue, PlantedTiebreakReversalBreaksFifo)
-{
-    // The fuzz drill's plant: with the reversed tiebreak, same-time
-    // events pop LIFO on the ladder — the divergence the queue.*
-    // differential family exists to catch.
-    EventQueue eq(QueueKind::Ladder);
-    eq.plantLadderMisorderTiebreak();
-    std::vector<int> order;
-    for (int i = 0; i < 4; ++i)
-        eq.schedule(5, [&order, i]() { order.push_back(i); });
-    while (eq.runOne()) {}
-    EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0}));
-}
-
-TEST(EventQueue, BatchCommitEqualsSequentialScheduling)
-{
-    // A committed batch must be indistinguishable — tie for tie —
-    // from the same schedule() calls made directly, on both policies.
-    // 21 staged events also force two overflow flushes of the 8-slot
-    // staging array.
-    for (QueueKind kind : {QueueKind::Heap, QueueKind::Ladder}) {
-        EventQueue direct(kind);
-        EventQueue batched(kind);
-        std::vector<int> directOrder, batchedOrder;
-        const Tick whens[21] = {9, 3, 9, 9, 1, 500000, 9,
-                                3, 2, 9, 9, 9, 3,      70000,
-                                9, 1, 9, 9, 2, 9,      9};
-        for (int i = 0; i < 21; ++i)
-            direct.schedule(whens[i], [&directOrder, i]() {
-                directOrder.push_back(i);
-            });
-        {
-            auto batch = batched.scheduleBatch();
-            for (int i = 0; i < 21; ++i)
-                batch.schedule(whens[i], [&batchedOrder, i]() {
-                    batchedOrder.push_back(i);
-                });
-            // Destructor commits the remainder.
-        }
-        EXPECT_EQ(direct.size(), batched.size());
-        while (direct.runOne()) {}
-        while (batched.runOne()) {}
-        EXPECT_EQ(directOrder, batchedOrder)
-            << "kind " << static_cast<int>(kind);
-    }
-}
-
-TEST(EventQueue, BatchInterleavesWithDirectSchedulingInStagingOrder)
-{
-    // An explicit commit() fences staged events before later direct
-    // schedules — the order-preservation contract the simulator's
-    // fan-out sites rely on.
-    EventQueue eq;
-    std::vector<int> order;
-    auto batch = eq.scheduleBatch();
-    batch.schedule(10, [&order]() { order.push_back(0); });
-    batch.schedule(10, [&order]() { order.push_back(1); });
-    batch.commit();
-    eq.schedule(10, [&order]() { order.push_back(2); });
-    batch.schedule(10, [&order]() { order.push_back(3); });
-    batch.commit();
-    while (eq.runOne()) {}
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(LadderQueue, SteadyStateIsAllocationFreeAtHighPendingCounts)
-{
-    // 4096 pending self-rescheduling events: after warmup the ladder
-    // recycles rungs, Bottom, Top, and (through the spare-block
-    // pool) bucket storage — zero heap allocations across 100k
-    // steady-state events.  Warmup must outlast the entire first
-    // sweep of the initial stagger: until the consume point passes
-    // tick 4095, unfired initial events keep joining the live
-    // window, so the population — and with it each marching
-    // bucket's high-water block — grows for the whole sweep.  The
-    // sweep ends near 4096^2/20 = 840k events (each live event
-    // fires once per 10 ticks); past it the population is a fixed
-    // 10-tick lockstep window and the pool circulates existing
-    // blocks forever.
-    EXPECT_EQ(allocationsDuringSteadyState<8>(4096, 900000, 100000,
-                                              QueueKind::Ladder,
-                                              8192),
-              0u);
-}
-
-TEST(LadderQueue, SteadyStateIsAllocationFreeWithoutReserveHint)
-{
-    // Same pin with the default reservation: warmup pays the growth,
-    // the measured phase must not.  The first-sweep horizon (see the
-    // high-pending pin above) is 1024^2/20 = 52k events here.
-    EXPECT_EQ(allocationsDuringSteadyState<8>(1024, 80000, 60000,
-                                              QueueKind::Ladder, 0),
-              0u);
-}
-
-TEST(EventQueue, ReserveHintMakesPrescheduleAllocationFree)
-{
-    // Satellite regression for the hard-coded-1024 capacity: with an
-    // adequate Experiment hint, scheduling a high pending-event
-    // population allocates nothing at all — on either policy — while
-    // the unhinted queue must pay growth reallocations for the same
-    // load.
-    constexpr int n = 16384;
-    for (QueueKind kind : {QueueKind::Heap, QueueKind::Ladder}) {
-        EventQueue hinted(kind, n);
-        std::size_t before =
-            g_heapAllocs.load(std::memory_order_relaxed);
-        for (int i = 0; i < n; ++i)
-            hinted.schedule(i % 977, []() {});
-        EXPECT_EQ(g_heapAllocs.load(std::memory_order_relaxed) -
-                      before,
-                  0u)
-            << "hinted kind " << static_cast<int>(kind);
-
-        EventQueue unhinted(kind);
-        before = g_heapAllocs.load(std::memory_order_relaxed);
-        for (int i = 0; i < n; ++i)
-            unhinted.schedule(i % 977, []() {});
-        EXPECT_GT(g_heapAllocs.load(std::memory_order_relaxed) -
-                      before,
-                  0u)
-            << "unhinted kind " << static_cast<int>(kind);
-        while (hinted.runOne()) {}
-        while (unhinted.runOne()) {}
-    }
-}
-
-TEST(IpcSim, QueueKindDoesNotChangeOutcomes)
-{
-    // End-to-end: a faulty, decomposed, profiled two-node run must
-    // produce the identical outcome under either pending-event-set
-    // policy.  (The fuzz oracle pins this across the whole knob
-    // surface; this is the deterministic smoke version.)
-    Experiment exp;
-    exp.arch = Arch::III;
-    exp.local = false;
-    exp.conversations = 4;
-    exp.lossRate = 0.1;
-    exp.duplicateRate = 0.1;
-    exp.reorderRate = 0.1;
-    exp.retransmitTimeoutUs = 2000;
-    exp.decomposeLatency = true;
-    exp.engineProfile = true;
-    exp.warmupUs = 2000;
-    exp.measureUs = 20000;
-    exp.queueKind = 0;
-    const Outcome heap = runExperiment(exp);
-    exp.queueKind = 1;
-    exp.expectedPendingEvents = 2048;
-    const Outcome ladder = runExperiment(exp);
-    EXPECT_EQ(outcomeJson(heap), outcomeJson(ladder));
 }
 
 } // namespace

@@ -313,7 +313,7 @@ TEST(TopoRun, MeshLinkOverridesSlowNamedPairsOnly)
 
 TEST(TopoRun, NToNBitIdentityAcrossQueuePolicyAndJobs)
 {
-    // The jobs=1/N and heap/ladder identities extend to N-node runs,
+    // The trace-on and jobs=1/N identities extend to N-node runs,
     // ledger included (outcomeJson + topoJson both pinned).
     Experiment e;
     e.warmupUs = 1000;
@@ -328,7 +328,6 @@ TEST(TopoRun, NToNBitIdentityAcrossQueuePolicyAndJobs)
     e.topo.zipfSkew = 1.3;
     check::OracleOptions opts;
     opts.checkTraceIdentity = true;
-    opts.checkQueueKindIdentity = true;
     opts.parallelJobs = 3;
     const check::CheckResult res = check::checkedRun(e, opts);
     EXPECT_TRUE(res.ok()) << check::formatViolations(res.violations);

@@ -239,36 +239,11 @@ def render_profile_text(paths, docs, out=None):
                   (path, fmt(doc.get("sampleEvery", 1)),
                    fmt(doc.get("sampledEvents", 0))))
         per_pop = (q["comparisons"] / q["pops"]) if q["pops"] else 0.0
-        out.write("  queue (%s): %s pushes, %s pops, %s remaining, "
+        out.write("  queue: %s pushes, %s pops, %s remaining, "
                   "max depth %s, %.2f comparisons/pop\n" %
-                  (q.get("kind", "heap"), fmt(q["pushes"]),
-                   fmt(q["pops"]), fmt(q["remainingAtEnd"]),
-                   fmt(q["maxHeapSize"]), per_pop))
-        if q.get("batchCommits"):
-            commits = q["batchCommits"]
-            batched = q.get("batchedEvents", 0)
-            out.write("  batches: %s commits, %s events "
-                      "(%.1f events/commit)\n" %
-                      (fmt(commits), fmt(batched),
-                       batched / commits))
-        lad = doc.get("ladder")
-        if isinstance(lad, dict):
-            # Tolerate counters this renderer doesn't know about: a
-            # newer engine may add telemetry without breaking older
-            # report.py checkouts, so named fields render first and
-            # any unrecognized ones append as name=value.
-            known = ("topTransfers", "rungSpawns", "bottomSorts",
-                     "sortedEvents", "maxBucket")
-            line = ("  ladder: %s top transfers, %s rung spawns, "
-                    "%s bottom sorts (%s events), max bucket %s" %
-                    tuple(fmt(lad.get(k, 0)) for k in known))
-            extra = ["%s=%s" % (k, fmt(v))
-                     for k, v in sorted(lad.items())
-                     if k not in known
-                     and isinstance(v, (int, float))]
-            if extra:
-                line += ", " + ", ".join(extra)
-            out.write(line + "\n")
+                  (fmt(q["pushes"]), fmt(q["pops"]),
+                   fmt(q["remainingAtEnd"]), fmt(q["maxHeapSize"]),
+                   per_pop))
         cb = doc.get("callbacks", {})
         if isinstance(cb, dict) and cb:
             out.write("  callbacks: %s pooled spills, %s oversize"

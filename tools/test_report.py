@@ -248,47 +248,6 @@ class ProfileRenderTest(unittest.TestCase):
         self.assertIn("(none recorded)", text)
         self.assertNotIn("warning:", text)
 
-    def test_queue_kind_defaults_to_heap_for_old_documents(self):
-        text = self.render(profile_doc())
-        self.assertIn("queue (heap):", text)
-        self.assertNotIn("ladder:", text)
-        self.assertNotIn("batches:", text)
-
-    def test_renders_ladder_counters_and_batches(self):
-        d = profile_doc()
-        d["queue"].update({"kind": "ladder", "batchCommits": 4,
-                           "batchedEvents": 4096})
-        d["ladder"] = {"topTransfers": 7, "rungSpawns": 128,
-                       "bottomSorts": 50, "sortedEvents": 2400,
-                       "maxBucket": 192}
-        text = self.render(d)
-        self.assertIn("queue (ladder):", text)
-        self.assertIn("batches: 4 commits, 4096 events "
-                      "(1024.0 events/commit)", text)
-        self.assertIn("ladder: 7 top transfers, 128 rung spawns, "
-                      "50 bottom sorts (2400 events), "
-                      "max bucket 192", text)
-
-    def test_unknown_ladder_counters_render_instead_of_failing(self):
-        d = profile_doc()
-        d["queue"]["kind"] = "ladder"
-        d["ladder"] = {"topTransfers": 1, "futureCounter": 99,
-                       "notANumber": "skip me"}
-        text = self.render(d)
-        self.assertIn("futureCounter=99", text)
-        self.assertNotIn("notANumber", text)
-        # Known-but-missing counters render as zero.
-        self.assertIn("0 rung spawns", text)
-
-    def test_ladder_document_loads_despite_extra_sections(self):
-        with tempfile.TemporaryDirectory() as d:
-            doc_ = profile_doc()
-            doc_["queue"]["kind"] = "ladder"
-            doc_["ladder"] = {"topTransfers": 7}
-            path = write_json(d, "p.json", doc_)
-            self.assertEqual(
-                report.load_profile(path)["ladder"]["topTransfers"], 7)
-
 
 class MainTest(unittest.TestCase):
     def test_end_to_end_terminal_and_html(self):
