@@ -16,6 +16,8 @@
 
 #include <functional>
 
+#include "common/time.hh"
+
 namespace hsipc::sim
 {
 
@@ -54,6 +56,17 @@ struct TestHooks
      * fuzzer must shrink the configuration that exposed it.
      */
     long topoRouterDrop = 0;
+
+    /**
+     * Ticks the processor's fast-forward of quiet bus runs adds to
+     * the event queue's quiet horizon — a deliberate overshoot that
+     * books accesses past the next pending event, so an event that
+     * should have seen (or contended for) the bus mid-run no longer
+     * does.  Traced runs take the per-access path, so the
+     * determinism.traceIdentity oracle must catch the divergence and
+     * the fuzzer must shrink it.  Read when a Processor is built.
+     */
+    Tick fastForwardSlackTicks = 0;
 
     /**
      * Invoked at the top of runExperiment() when set.  May throw —

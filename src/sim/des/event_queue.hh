@@ -22,7 +22,9 @@
 #ifndef HSIPC_SIM_EVENT_QUEUE_HH
 #define HSIPC_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -86,7 +88,34 @@ class EventQueue
     /** Events executed since construction (for the metrics dump). */
     std::uint64_t eventsRun() const { return executed; }
 
-    /** Pop and run the earliest event; false when none remain. */
+    /**
+     * The quiet horizon: the last tick up to which only the running
+     * event's own continuations can execute.  It is one tick before
+     * the earliest pending event, capped at the active runUntil()
+     * bound (events at exactly the bound still run inside the loop;
+     * the caller inspects state only after it returns).  Outside
+     * runUntil() — in particular under runOne(), whose caller may
+     * inspect state between any two events — there is no quiet
+     * span, and the horizon lies before every tick.
+     *
+     * A handler that books its own continuations up to this tick
+     * without scheduling them is unobservable: no other event fires
+     * in between, and the runUntil() caller sees the state only at
+     * the bound.
+     */
+    Tick
+    quietHorizon() const
+    {
+        if (heap.empty())
+            return runEnd;
+        return std::min(runEnd, heap.front().when - 1);
+    }
+
+    /**
+     * Pop and run the earliest event; false when none remain.  The
+     * quiet horizon stays off: the caller may inspect state between
+     * any two events.
+     */
     bool
     runOne()
     {
@@ -198,8 +227,10 @@ class EventQueue
     void
     runUntilT(Tick end)
     {
+        runEnd = end;
         while (!heap.empty() && heap.front().when <= end)
             execOne<Prof>();
+        runEnd = noHorizon;
         if (current < end)
             current = end;
         if constexpr (Prof)
@@ -303,10 +334,14 @@ class EventQueue
      */
     static constexpr std::size_t reservedCapacity = 1024;
 
+    /** quietHorizon() outside runUntil(): before every tick. */
+    static constexpr Tick noHorizon = std::numeric_limits<Tick>::min();
+
     std::vector<Event> heap;
     Tick current = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t executed = 0;
+    Tick runEnd = noHorizon; //!< the active runUntil() bound
     obs::EngineProfiler *prof = nullptr;
     // Per-event profiling state lives here, not on the profiler: the
     // queue's cache lines are dirty every event regardless, so these

@@ -101,6 +101,32 @@ class Resource
     }
 
     std::size_t queueLength() const { return waiting.size(); }
+
+    /** Free, with nobody waiting: an acquire() now is granted at once. */
+    bool quiet() const { return !busy && waiting.empty(); }
+
+    /** True while the tracer or the causal log records this resource. */
+    bool
+    recording() const
+    {
+        return (tracer && tracer->enabled()) ||
+               (causal && causal->enabled());
+    }
+
+    /**
+     * Book a hold of @p hold ticks granted at @p at, exactly as an
+     * uncontended acquire() at @p at would, but with no release
+     * event.  Only for a caller that has established that the hold
+     * starts and ends before anything else can observe or acquire
+     * the resource (see Processor's fast-forward).
+     */
+    void
+    bookHold(Tick at, Tick hold)
+    {
+        busyTicks += hold;
+        heldUntil = at + hold;
+    }
+
     const std::string &resourceName() const { return name; }
 
   private:
@@ -128,8 +154,7 @@ class Resource
         waiting.erase(waiting.begin() + static_cast<long>(best));
 
         busy = true;
-        busyTicks += req.hold;
-        heldUntil = eq.now() + req.hold;
+        bookHold(eq.now(), req.hold);
         if (tracer && tracer->enabled()) {
             tracer->complete(traceTrack, "access", eq.now(), req.hold,
                              "bus", req.msgId);
@@ -145,15 +170,19 @@ class Resource
         }
         if (prof)
             prof->edge(profOrigin, req.hold);
-        eq.scheduleAfter(req.hold,
-                         [this, done = std::move(req.done)]() {
-                             obs::EngineProfiler::Scope s(prof,
-                                                          profOrigin);
-                             busy = false;
-                             done();
-                             if (!busy)
-                                 grantNext();
-                         });
+        // One grant is outstanding at a time, so its continuation
+        // waits in a member and the release captures only `this`:
+        // the event stays within the callback's inline storage.
+        heldDone = std::move(req.done);
+        eq.scheduleAfter(req.hold, [this]() {
+            obs::EngineProfiler::Scope s(prof, profOrigin);
+            busy = false;
+            // Moved out first: the continuation may re-acquire.
+            const EventQueue::Callback done = std::move(heldDone);
+            done();
+            if (!busy)
+                grantNext();
+        });
     }
 
     EventQueue &eq;
@@ -164,6 +193,7 @@ class Resource
     int profOrigin = 0;
     int traceTrack = -1;
     std::deque<Request> waiting;
+    EventQueue::Callback heldDone; //!< the current grant's continuation
     bool busy = false;
     Tick busyTicks = 0;
     Tick heldUntil = 0; //!< end of the latest granted hold

@@ -2,32 +2,41 @@
 
 #include <memory>
 
+#include "sim/check/test_hooks.hh"
+
 namespace hsipc::sim
 {
 
+Processor::Processor(EventQueue &eq, std::string name)
+    : eq(eq), name(std::move(name)),
+      fastForwardSlack(check::testHooks().fastForwardSlackTicks)
+{}
+
 void
-Processor::charge(Tick t, bool accessWait)
+Processor::charge(Tick at, Tick t, bool accessWait)
 {
     busyTicks += t;
-    chargedUntil = eq.now() + t;
+    chargedUntil = at + t;
     hsipc_assert(running);
-    perActivity[running->act.name] += t;
+    if (!running->ticks)
+        running->ticks = &perActivity[running->act.name];
+    *running->ticks += t;
     const long msg = running->act.msgId;
     if (tracer && tracer->enabled() && t > 0) {
         // The first charge of a message-serving activity is where its
         // flow arrow lands: inside the span recorded just below.
         if (msg != 0 && !running->flowed) {
             running->flowed = true;
-            tracer->flowStep(traceTrack, "msg", eq.now(), msg);
+            tracer->flowStep(traceTrack, "msg", at, msg);
         }
-        tracer->complete(traceTrack, running->act.name, eq.now(), t,
+        tracer->complete(traceTrack, running->act.name, at, t,
                          "activity", msg);
     }
     // Access-wait charges stay off the causal log: the bus records
     // that microsecond as the message's service itself.
     if (causal && causal->enabled() && msg != 0 && !accessWait)
-        causal->interval(msg, name, trace::Component::Service,
-                         eq.now(), eq.now() + t);
+        causal->interval(msg, name, trace::Component::Service, at,
+                         at + t);
 }
 
 void
@@ -49,12 +58,13 @@ Processor::submit(Activity act)
     r.act = std::move(act);
 
     // Preempt at the next chunk boundary if this is more urgent; the
-    // queue keeps FCFS order within each priority.
-    queue.push_back(std::move(r));
-    std::stable_sort(queue.begin(), queue.end(),
-                     [](const Running &a, const Running &b) {
-                         return a.act.priority > b.act.priority;
-                     });
+    // queue is kept in priority order, FCFS within each priority.
+    const int prio = r.act.priority;
+    queue.insert(std::partition_point(queue.begin(), queue.end(),
+                                      [prio](const Running &q) {
+                                          return q.act.priority >= prio;
+                                      }),
+                 std::move(r));
     maybeStart();
 }
 
@@ -79,58 +89,119 @@ Processor::segment()
         Running paused = std::move(*running);
         running.reset();
         // Re-insert after the urgent work but ahead of its own class.
-        std::size_t pos = 0;
-        while (pos < queue.size() &&
-               queue[pos].act.priority > paused.act.priority)
-            ++pos;
-        queue.insert(queue.begin() + static_cast<long>(pos),
+        const int prio = paused.act.priority;
+        queue.insert(std::partition_point(queue.begin(), queue.end(),
+                                          [prio](const Running &q) {
+                                              return q.act.priority >
+                                                     prio;
+                                          }),
                      std::move(paused));
         maybeStart();
         return;
     }
 
-    // Interleave: while accesses remain, run one CPU chunk then one
-    // memory access; the final chunk absorbs the rounding remainder.
-    if (running->memLeft + running->memLeft2 > 0) {
-        const Tick chunk = std::min(running->chunk, running->cpuLeft);
-        running->cpuLeft -= chunk;
-        charge(chunk);
-        if (prof)
-            prof->edge(profOrigin, chunk);
-        eq.scheduleAfter(chunk, [this]() {
-            obs::EngineProfiler::Scope s(prof, profOrigin);
-            // Alternate between the two partitions when both remain.
-            Resource *bus;
-            if (running->memLeft > 0 &&
-                (running->memLeft >= running->memLeft2 ||
-                 running->memLeft2 == 0)) {
-                bus = running->act.bus;
-                --running->memLeft;
-            } else {
-                bus = running->act.bus2;
-                --running->memLeft2;
-            }
-            charge(tickUs, true); // the processor waits on its access
-            bus->acquire(running->act.priority, tickUs,
-                         [this]() {
-                             obs::EngineProfiler::Scope s(prof,
-                                                          profOrigin);
-                             segment();
-                         },
-                         running->act.msgId);
-        });
-        return;
-    }
+    scheduleNext(chargeChunk(eq.now()));
+}
 
-    const Tick tail = running->cpuLeft;
-    running->cpuLeft = 0;
-    charge(tail);
+Tick
+Processor::chargeChunk(Tick at)
+{
+    // Interleave: while accesses remain, run one CPU chunk then one
+    // memory access; the final chunk (the tail) absorbs the rounding
+    // remainder.
+    Running &r = *running;
+    const Tick chunk = r.memLeft + r.memLeft2 > 0
+        ? std::min(r.chunk, r.cpuLeft)
+        : r.cpuLeft;
+    r.cpuLeft -= chunk;
+    charge(at, chunk);
+    return at + chunk;
+}
+
+void
+Processor::scheduleNext(Tick at)
+{
     if (prof)
-        prof->edge(profOrigin, tail);
-    eq.scheduleAfter(tail, [this]() {
-        obs::EngineProfiler::Scope s(prof, profOrigin);
-        finish();
-    });
+        prof->edge(profOrigin, at - eq.now());
+    if (running->memLeft + running->memLeft2 > 0) {
+        eq.schedule(at, [this]() {
+            obs::EngineProfiler::Scope s(prof, profOrigin);
+            chunkEnd();
+        });
+    } else {
+        eq.schedule(at, [this]() {
+            obs::EngineProfiler::Scope s(prof, profOrigin);
+            finish();
+        });
+    }
+}
+
+Resource *
+Processor::takeAccess()
+{
+    // Alternate between the two partitions when both remain.
+    if (running->memLeft > 0 && running->memLeft >= running->memLeft2) {
+        --running->memLeft;
+        return running->act.bus;
+    }
+    --running->memLeft2;
+    return running->act.bus2;
+}
+
+void
+Processor::chunkEnd()
+{
+    if (fastForward())
+        return;
+    Resource *bus = takeAccess();
+    charge(eq.now(), tickUs, true); // the processor waits on its access
+    bus->acquire(running->act.priority, tickUs,
+                 [this]() {
+                     obs::EngineProfiler::Scope s(prof, profOrigin);
+                     segment();
+                 },
+                 running->act.msgId);
+}
+
+bool
+Processor::fastForward()
+{
+    // The horizon test comes first: it is the cheapest, and on a busy
+    // fleet, where another node's event is nearly always less than an
+    // access away, it is the one that fails.
+    const Tick horizon = eq.quietHorizon() + fastForwardSlack;
+    Tick at = eq.now();
+    if (at + tickUs > horizon)
+        return false;
+    // The tracer and the causal log record one span per access.
+    if ((tracer && tracer->enabled()) || (causal && causal->enabled()))
+        return false;
+    Running &r = *running;
+    // A more urgent activity preempts at the next boundary.
+    if (!queue.empty() && queue.front().act.priority > r.act.priority)
+        return false;
+    const auto usable = [](const Resource *bus) {
+        return bus->quiet() && !bus->recording();
+    };
+    if ((r.memLeft > 0 && !usable(r.act.bus)) ||
+        (r.memLeft2 > 0 && !usable(r.act.bus2)))
+        return false;
+
+    // Nothing fires before the horizon, so nothing can acquire a bus,
+    // submit work or read state until then: book each access and the
+    // chunk after it exactly as the per-access path would, and
+    // schedule only the event segment() schedules at the last
+    // release.
+    for (;;) {
+        Resource *bus = takeAccess();
+        charge(at, tickUs, true);
+        bus->bookHold(at, tickUs);
+        at = chargeChunk(at + tickUs);
+        if (r.memLeft + r.memLeft2 == 0 || at + tickUs > horizon) {
+            scheduleNext(at);
+            return true;
+        }
+    }
 }
 
 void

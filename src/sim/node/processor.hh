@@ -10,6 +10,11 @@
  * preempt the current one at chunk boundaries — "typically on single
  * machine instruction boundaries" (§6.6.1) — and the preempted
  * activity resumes where it left off.
+ *
+ * A run of uncontended accesses that nothing else can observe is
+ * booked at once instead of event by event (see fastForward() and
+ * docs/performance.md, "Fast-forwarding quiet bus runs"); the outputs
+ * are identical either way.
  */
 
 #ifndef HSIPC_SIM_PROCESSOR_HH
@@ -58,9 +63,7 @@ struct Activity
 class Processor
 {
   public:
-    Processor(EventQueue &eq, std::string name)
-        : eq(eq), name(std::move(name))
-    {}
+    Processor(EventQueue &eq, std::string name);
 
     /** Queue an activity (FCFS within its priority). */
     void submit(Activity act);
@@ -156,10 +159,25 @@ class Processor
         int memLeft2 = 0; //!< remaining accesses on bus2
         Tick chunk = 0;   //!< CPU per segment
         bool flowed = false; //!< flow step already emitted
+        //! This activity's perActivity slot, taken on its first charge
+        //! (not at submit: an activity that never starts books none).
+        Tick *ticks = nullptr;
     };
 
     void maybeStart();
     void segment();
+    Tick chargeChunk(Tick at);
+    void scheduleNext(Tick at);
+    void chunkEnd();
+    /**
+     * At a chunk end, book every access+chunk step whose release lies
+     * at or before the event queue's quiet horizon and schedule the
+     * one event the per-access path would schedule at the last
+     * release.  False (nothing booked) unless the buses are free, no
+     * more urgent work is queued and nothing records per access.
+     */
+    bool fastForward();
+    Resource *takeAccess();
     void finish();
 
     EventQueue &eq;
@@ -169,7 +187,9 @@ class Processor
     obs::EngineProfiler *prof = nullptr;
     int profOrigin = 0;
     int traceTrack = -1;
-    void charge(Tick t, bool accessWait = false);
+    //! Test-only: ticks the fast-forward wrongly adds to the horizon.
+    Tick fastForwardSlack;
+    void charge(Tick at, Tick t, bool accessWait = false);
 
     std::deque<Running> queue;
     std::unique_ptr<Running> running;

@@ -432,4 +432,61 @@ TEST(Fuzz, PlantedRouterDropIsCaughtShrunkAndReplayable)
         checkOutcome(replayed, runExperiment(replayed)).empty());
 }
 
+TEST(Fuzz, PlantedFastForwardOvershootIsCaughtShrunkAndReplayable)
+{
+    // The drill for the processor's fast-forward of quiet bus runs: a
+    // horizon treated as 3 us later than it is books accesses past
+    // the next pending event, so a release, a grant or a preemption
+    // that event should have seen moves.  Traced runs take the
+    // per-access path, which turns the trace-on vs trace-off identity
+    // into a fast-forward vs per-access differential.  The config is
+    // the fuzz corpus draw that first caught the plant.
+    const Experiment failing = ExperimentGenerator(1987).generate(1);
+    OracleOptions oracle;
+    oracle.parallelJobs = 0;
+
+    // Healthy simulator: the oracle is green on this config.
+    EXPECT_TRUE(checkedRun(failing, oracle).ok());
+
+    ScopedTestHooks guard;
+    testHooks().fastForwardSlackTicks = usToTicks(3);
+
+    const std::vector<Violation> caught =
+        checkedRun(failing, oracle).violations;
+    ASSERT_FALSE(caught.empty());
+    std::set<std::string> ids;
+    for (const Violation &v : caught)
+        ids.insert(v.invariant);
+    EXPECT_TRUE(ids.count("determinism.traceIdentity"))
+        << formatViolations(caught);
+
+    // Shrinking anchored to the caught invariants reaches a minimal
+    // repro of at most 5 knobs.
+    const auto sameFailure = [&](const Experiment &cand) {
+        for (const Violation &v : checkedRun(cand, oracle).violations)
+            if (ids.count(v.invariant))
+                return true;
+        return false;
+    };
+    const ShrinkResult shrunk = shrinkExperiment(failing, sameFailure);
+    EXPECT_LE(shrunk.knobsChanged, 5)
+        << "minimal repro still has knobs: " << [&] {
+               std::string s;
+               for (const std::string &k : knobDiff(shrunk.minimal))
+                   s += k + " ";
+               return s;
+           }();
+
+    // The repro JSON round-trips and still reproduces the violation.
+    const Experiment replayed =
+        experimentFromJsonText(experimentToJson(shrunk.minimal));
+    EXPECT_TRUE(replayed == shrunk.minimal);
+    EXPECT_TRUE(sameFailure(replayed));
+
+    // With the planted bug removed the same repro runs clean: the
+    // failure was the bug, not the configuration.
+    testHooks().fastForwardSlackTicks = 0;
+    EXPECT_TRUE(checkedRun(replayed, oracle).ok());
+}
+
 } // namespace

@@ -8,9 +8,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <new>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -270,6 +273,271 @@ TEST(Processor, InterruptPreemptsAtChunkBoundary)
     // while the task was running.
     EXPECT_LT(intr_done, usToTicks(300));
     EXPECT_GT(task_done, intr_done + usToTicks(700));
+}
+
+// --- Fast-forward of quiet bus runs --------------------------------
+//
+// The fixture's task: 100 us of CPU with 9 accesses, so ten 10-us
+// chunks around 1-us accesses.  Uncontended, access k runs over
+// [11k - 1, 11k) us and the task finishes at 109 us.
+
+/** How a scenario drives its queue. */
+enum class Drive
+{
+    FastForward, //!< runUntil(), nothing recording
+    Traced,      //!< runUntil() with a recording tracer: per access
+    Stepwise,    //!< runOne() loop: no quiet horizon, per access
+};
+
+struct QuietBus
+{
+    EventQueue eq;
+    Resource bus{eq, "bus"};
+    Processor p{eq, "p"};
+    trace::Tracer tracer;
+    Tick taskDone = 0;
+
+    explicit QuietBus(Drive d)
+    {
+        if (d == Drive::Traced) {
+            tracer.setEnabled(true);
+            p.attachTracer(&tracer);
+            bus.attachTracer(&tracer);
+        }
+    }
+
+    void
+    submitTask()
+    {
+        Activity a;
+        a.name = "task";
+        a.processing = usToTicks(100);
+        a.memAccesses = 9;
+        a.bus = &bus;
+        a.onDone = [this]() { taskDone = eq.now(); };
+        p.submit(std::move(a));
+    }
+
+    void
+    run(Drive d, Tick end)
+    {
+        if (d == Drive::Stepwise)
+            while (eq.runOne()) {}
+        else
+            eq.runUntil(end);
+    }
+};
+
+TEST(FastForward, UncontendedActivityRunsInTwoEvents)
+{
+    for (Drive d : {Drive::FastForward, Drive::Traced, Drive::Stepwise}) {
+        QuietBus s(d);
+        s.submitTask();
+        s.run(d, usToTicks(1000));
+        SCOPED_TRACE(static_cast<int>(d));
+        // The first chunk end books every access; the second event is
+        // the finish.  Per access: 9 chunk ends + 9 releases + finish.
+        EXPECT_EQ(s.eq.eventsRun(), d == Drive::FastForward ? 2u : 19u);
+        EXPECT_EQ(s.taskDone, usToTicks(109));
+        EXPECT_EQ(s.p.busyTime(), usToTicks(109));
+        EXPECT_EQ(s.p.activityTicks().at("task"), usToTicks(109));
+        EXPECT_EQ(s.bus.busyTime(), usToTicks(9));
+        EXPECT_TRUE(s.p.idle());
+        EXPECT_TRUE(s.bus.quiet());
+    }
+}
+
+TEST(FastForward, EventPendingAtAReleaseInstantStillWinsTheBus)
+{
+    // Another master asks for the bus for 15 us at exactly the second
+    // release instant (22 us).  Its event was scheduled first, so it
+    // runs before the release, queues, and is granted at the release;
+    // the task's third access (chunk end at 32 us) then waits until
+    // 37 us, which pushes the task's finish out by 5 us.
+    for (Drive d : {Drive::FastForward, Drive::Traced, Drive::Stepwise}) {
+        QuietBus s(d);
+        Tick otherReleased = -1;
+        s.eq.schedule(usToTicks(22), [&]() {
+            s.bus.acquire(0, usToTicks(15), [&]() {
+                otherReleased = s.eq.now();
+            });
+        });
+        s.submitTask();
+        s.run(d, usToTicks(1000));
+        SCOPED_TRACE(static_cast<int>(d));
+        EXPECT_EQ(otherReleased, usToTicks(37));
+        EXPECT_EQ(s.taskDone, usToTicks(114));
+        EXPECT_EQ(s.bus.busyTime(), usToTicks(9 + 15));
+        EXPECT_EQ(s.p.activityTicks().at("task"), usToTicks(109));
+    }
+}
+
+TEST(FastForward, EventPendingAtAReleaseInstantStillPreempts)
+{
+    // An interrupt submitted at exactly the second release instant
+    // takes the processor at that boundary: it runs 22..72 us, and the
+    // task's remaining 8 chunks and 7 accesses follow, to 159 us.
+    for (Drive d : {Drive::FastForward, Drive::Traced, Drive::Stepwise}) {
+        QuietBus s(d);
+        Tick intrDone = 0;
+        s.eq.schedule(usToTicks(22), [&]() {
+            Activity intr;
+            intr.name = "intr";
+            intr.processing = usToTicks(50);
+            intr.priority = prioInterrupt;
+            intr.onDone = [&]() { intrDone = s.eq.now(); };
+            s.p.submit(std::move(intr));
+        });
+        s.submitTask();
+        s.run(d, usToTicks(1000));
+        SCOPED_TRACE(static_cast<int>(d));
+        EXPECT_EQ(intrDone, usToTicks(72));
+        EXPECT_EQ(s.taskDone, usToTicks(159));
+        EXPECT_EQ(s.p.activityTicks().at("task"), usToTicks(109));
+        EXPECT_EQ(s.p.activityTicks().at("intr"), usToTicks(50));
+    }
+}
+
+TEST(FastForward, RunUntilBoundSeesThePerAccessState)
+{
+    // Bounds inside an access, at a release instant, and inside a
+    // chunk.  At the bound the chunk or access in flight is booked in
+    // activityTicks() but excluded from busyTime().
+    struct Expect
+    {
+        double boundUs;
+        double procBusyUs; //!< busyTime(): 100% busy up to the bound
+        double bookedUs;   //!< activityTicks(): through the charge in flight
+        double busBusyUs;
+    };
+    const Expect cases[] = {
+        {21.5, 21.5, 22, 1.5}, // second access in flight
+        {22, 22, 32, 2},       // at its release: the next chunk booked
+        {25, 25, 32, 2},       // inside the third chunk
+        {54.5, 54.5, 55, 4.5}, // inside the fifth access
+    };
+    for (const Expect &c : cases) {
+        for (Drive d : {Drive::FastForward, Drive::Traced}) {
+            QuietBus s(d);
+            s.submitTask();
+            const Tick bound = usToTicks(c.boundUs);
+            s.eq.runUntil(bound);
+            SCOPED_TRACE(std::to_string(c.boundUs) + " us, drive " +
+                         std::to_string(static_cast<int>(d)));
+            EXPECT_EQ(s.p.busyTime(), usToTicks(c.procBusyUs));
+            EXPECT_EQ(s.p.activityTicks().at("task"),
+                      usToTicks(c.bookedUs));
+            EXPECT_EQ(s.bus.busyTime(), usToTicks(c.busBusyUs));
+            EXPECT_DOUBLE_EQ(s.p.utilization(), 1.0);
+            EXPECT_DOUBLE_EQ(s.bus.utilization(),
+                             c.busBusyUs / c.boundUs);
+            // Resuming past the bound ends exactly as one long run.
+            s.eq.runUntil(usToTicks(1000));
+            EXPECT_EQ(s.taskDone, usToTicks(109));
+            EXPECT_EQ(s.bus.busyTime(), usToTicks(9));
+        }
+    }
+}
+
+TEST(FastForward, ArchIVStillAlternatesBusPartitions)
+{
+    // 3 accesses on one partition and 2 on the other, 10-us chunks:
+    // the order is A A B A B, releasing at 11, 22, 33, 44, 55 us.  A
+    // bound at each release shows the partitions' busy time step by
+    // step, whether the run reaches it in one fast-forward or several.
+    for (Drive d : {Drive::FastForward, Drive::Traced}) {
+        for (const std::vector<int> &bounds :
+             {std::vector<int>{11, 22, 33, 44, 55},
+              std::vector<int>{33, 55}, std::vector<int>{55}}) {
+            EventQueue eq;
+            Resource busA(eq, "busTcb"), busB(eq, "busKb");
+            Processor p(eq, "mp");
+            trace::Tracer tracer;
+            if (d == Drive::Traced) {
+                tracer.setEnabled(true);
+                p.attachTracer(&tracer);
+                busA.attachTracer(&tracer);
+                busB.attachTracer(&tracer);
+            }
+            Activity a;
+            a.name = "split";
+            a.processing = usToTicks(60);
+            a.memAccesses = 3;
+            a.bus = &busA;
+            a.memAccesses2 = 2;
+            a.bus2 = &busB;
+            p.submit(std::move(a));
+            const std::map<int, std::pair<int, int>> expectUs = {
+                {11, {1, 0}}, {22, {2, 0}}, {33, {2, 1}},
+                {44, {3, 1}}, {55, {3, 2}}};
+            for (int b : bounds) {
+                eq.runUntil(usToTicks(b));
+                SCOPED_TRACE(std::to_string(b) + " us");
+                EXPECT_EQ(busA.busyTime(),
+                          usToTicks(expectUs.at(b).first));
+                EXPECT_EQ(busB.busyTime(),
+                          usToTicks(expectUs.at(b).second));
+            }
+            eq.runUntil(usToTicks(1000));
+            EXPECT_EQ(p.activityTicks().at("split"), usToTicks(65));
+            EXPECT_TRUE(p.idle());
+        }
+    }
+
+    // And through the kernel simulator: an Arch-IV run's outcome is
+    // identical with the per-access path forced by a tracer.
+    Experiment e;
+    e.arch = Arch::IV;
+    e.local = true;
+    e.conversations = 3;
+    e.computeUs = 570;
+    e.measureUs = 300000;
+    trace::Tracer tracer;
+    tracer.setEnabled(true);
+    EXPECT_EQ(outcomeJson(runExperiment(e)),
+              outcomeJson(runExperiment(e, &tracer, nullptr)));
+}
+
+TEST(Processor, QueuedButNeverStartedActivityBooksNoTicks)
+{
+    // The per-activity slot is taken on the first charge, not at
+    // submit: a queued activity that never runs has no entry.
+    EventQueue eq;
+    Processor p(eq, "p");
+    Activity a;
+    a.name = "first";
+    a.processing = usToTicks(100);
+    p.submit(std::move(a));
+    Activity b;
+    b.name = "second";
+    b.processing = usToTicks(10);
+    p.submit(std::move(b));
+    eq.runUntil(usToTicks(50));
+    EXPECT_EQ(p.activityTicks().count("second"), 0u);
+    EXPECT_EQ(p.activityCounts().at("second"), 1);
+}
+
+TEST(Processor, SubmitKeepsPriorityOrderFcfsWithinAClass)
+{
+    EventQueue eq;
+    Processor p(eq, "p");
+    std::vector<std::string> order;
+    auto submit = [&](const std::string &name, int prio) {
+        Activity a;
+        a.name = name;
+        a.processing = usToTicks(10);
+        a.priority = prio;
+        a.onDone = [&order, name]() { order.push_back(name); };
+        p.submit(std::move(a));
+    };
+    submit("t0", prioTask); // starts at once
+    submit("t1", prioTask);
+    submit("i0", prioInterrupt);
+    submit("t2", prioTask);
+    submit("i1", prioInterrupt);
+    eq.runUntil(usToTicks(1000));
+    EXPECT_EQ(order, (std::vector<std::string>{"t0", "i0", "i1", "t1",
+                                               "t2"}));
 }
 
 TEST(Costs, DerivedFromStepTables)
