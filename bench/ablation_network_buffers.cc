@@ -33,23 +33,25 @@ main(int argc, char **argv)
     const std::vector<int> pools = {1, 2, 3, 6, 64};
 
     std::vector<sim::Experiment> exps;
+    // Two nodes joined by a fixed-delay link, then by one token-ring
+    // segment (topology kind 2).
     for (double wire : wires) {
         sim::Experiment e;
         e.arch = Arch::II;
-        e.local = false;
         e.conversations = 4;
         e.computeUs = 1710;
-        e.wireUs = wire;
+        e.topo.nodes = 2;
+        e.topo.linkLatencyUs = wire;
         exps.push_back(e);
     }
     for (double mbps : rates) {
         sim::Experiment e;
         e.arch = Arch::II;
-        e.local = false;
         e.conversations = 4;
         e.computeUs = 1710;
-        e.useTokenRing = true;
-        e.ringMbps = mbps;
+        e.topo.nodes = 2;
+        e.topo.kind = 2;
+        e.topo.segMbps = mbps;
         exps.push_back(e);
     }
     for (int buffers : pools) {

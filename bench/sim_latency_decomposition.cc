@@ -55,10 +55,10 @@ main(int argc, char **argv)
             for (int conv : {1, 2, 4, 8}) {
                 sim::Experiment e;
                 e.arch = arch;
-                e.local = false;
                 e.conversations = conv;
                 e.computeUs = 2000;
-                e.wireUs = 50;
+                e.topo.nodes = 2;
+                e.topo.linkLatencyUs = 50;
                 e.warmupUs = 20000;
                 e.measureUs = 300000;
                 e.decomposeLatency = true;

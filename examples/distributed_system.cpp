@@ -23,8 +23,9 @@ main()
     e.mixedLocal = 2;     // an editor/file-server pair on each node
     e.mixedRemote = 2;    // plus cross-node print/mail traffic
     e.computeUs = 1477;   // one 1K file-page read per request
-    e.useTokenRing = true;
-    e.ringMbps = 4.0;
+    e.topo.nodes = 2;     // both nodes on one 4 Mb/s token ring
+    e.topo.kind = 2;
+    e.topo.segMbps = 4.0;
     const sim::Outcome o = sim::runExperiment(e);
 
     std::printf("Two smart-bus nodes, 4 conversations (2 local + 2 "

@@ -39,17 +39,16 @@ differentialEligible(const Experiment &exp,
                            exp.duplicateRate == 0 &&
                            exp.reorderRate == 0 &&
                            exp.crashSchedule.empty();
-    return exp.local && exp.mixedLocal + exp.mixedRemote == 0 &&
+    // The analytic engines model one node; a fabric spreads
+    // conversations across two or more.
+    return effectiveTopology(exp).nodes == 1 &&
            exp.conversations >= 1 &&
            exp.conversations <= opts.maxConversations &&
            exp.computeUs <= opts.maxComputeUs &&
            exp.hostsPerNode == 1 && exp.mpSpeedFactor == 1 &&
            !exp.extraCopy && faultFree && !exp.reliableProtocol &&
            exp.kernelBuffers >= exp.conversations &&
-           !robustnessEnabled(exp) &&
-           // The analytic engines model the classic one/two-node
-           // layout; a topology spreads conversations across N nodes.
-           !exp.topo.enabled();
+           !robustnessEnabled(exp);
 }
 
 std::vector<Violation>

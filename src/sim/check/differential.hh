@@ -80,7 +80,7 @@ struct DifferentialOptions
 
 /**
  * True when @p exp is in the subset all three engines can model:
- * classic local workload, one host per node at unit MP speed, no
+ * one node (effectiveTopology), one host at unit MP speed, no
  * extra copy, fault-free with the protocol off, and small enough for
  * the exact solvers.
  */

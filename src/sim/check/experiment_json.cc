@@ -98,9 +98,6 @@ experimentToJson(const Experiment &exp)
     boolean("extraCopy", exp.extraCopy);
     num("mpSpeedFactor", exp.mpSpeedFactor);
     integer("kernelBuffers", exp.kernelBuffers);
-    num("wireUs", exp.wireUs);
-    boolean("useTokenRing", exp.useTokenRing);
-    num("ringMbps", exp.ringMbps);
     integer("packetBytes", exp.packetBytes);
     num("warmupUs", exp.warmupUs);
     num("measureUs", exp.measureUs);
@@ -182,9 +179,9 @@ experimentFromJson(const JsonValue &v)
     static const std::set<std::string> known = {
         "arch", "local", "conversations", "mixedLocal", "mixedRemote",
         "computeUs", "hostsPerNode", "extraCopy", "mpSpeedFactor",
-        "kernelBuffers", "wireUs", "useTokenRing", "ringMbps",
-        "packetBytes", "warmupUs", "measureUs", "seed", "lossRate",
-        "corruptRate", "duplicateRate", "reorderRate",
+        "kernelBuffers", "packetBytes", "warmupUs", "measureUs",
+        "seed", "lossRate", "corruptRate", "duplicateRate",
+        "reorderRate",
         "reorderDelayUs", "retransmitTimeoutUs", "retransmitWindow",
         "reliableProtocol", "crashSchedule", "traceFile",
         "metricsFile", "decomposeLatency", "arrivalMode",
@@ -225,12 +222,6 @@ experimentFromJson(const JsonValue &v)
         exp.mpSpeedFactor = numberField(v, "mpSpeedFactor");
     if (v.has("kernelBuffers"))
         exp.kernelBuffers = intField(v, "kernelBuffers");
-    if (v.has("wireUs"))
-        exp.wireUs = numberField(v, "wireUs");
-    if (v.has("useTokenRing"))
-        exp.useTokenRing = boolField(v, "useTokenRing");
-    if (v.has("ringMbps"))
-        exp.ringMbps = numberField(v, "ringMbps");
     if (v.has("packetBytes"))
         exp.packetBytes = intField(v, "packetBytes");
     if (v.has("warmupUs"))

@@ -76,12 +76,16 @@ ExperimentGenerator::generate(std::uint64_t index) const
         exp.mpSpeedFactor = coarse(rng.uniform(0.5, 4.0));
     if (rng.chance(0.2)) // small pools exercise buffer stalls
         exp.kernelBuffers = 1 + static_cast<int>(rng.below(8));
+    // The retired wire-delay and token-ring knobs keep their draws
+    // so every (seed, index) still names the same run; a two-node run
+    // that drew them gets the equivalent topology after the topology
+    // draw below.
+    double wireUs = 0;
     if (rng.chance(0.5))
-        exp.wireUs = coarse(rng.uniform(0, 500));
-    if (twoNodes && rng.chance(0.25)) {
-        exp.useTokenRing = true;
-        exp.ringMbps = coarse(rng.uniform(1.0, 10.0));
-    }
+        wireUs = coarse(rng.uniform(0, 500));
+    double ringMbps = 0; // 0 = no ring
+    if (twoNodes && rng.chance(0.25))
+        ringMbps = coarse(rng.uniform(1.0, 10.0));
     if (rng.chance(0.5))
         exp.packetBytes = 16 + static_cast<int>(rng.below(241));
     exp.warmupUs = coarse(rng.uniform(500, 4000));
@@ -167,12 +171,10 @@ ExperimentGenerator::generate(std::uint64_t index) const
     if (rng.chance(0.2))
         (void)rng.below(6);
 
-    // N-node topology (ISSUE 10), sampled *last* so every earlier
-    // draw keeps its historical value on existing corpus indices.
-    // The layer supersedes the classic two-node layout and is
-    // incompatible with mixed workloads and the legacy ring knob
-    // (runExperiment validates both), so those corners stay off.
-    if (!mixed && !exp.useTokenRing && rng.chance(0.3)) {
+    // N-node topology, sampled *last* so every earlier draw keeps its
+    // historical value on existing corpus indices.  Mixed workloads
+    // stay on two nodes, and ring runs keep their one-segment ring.
+    if (!mixed && ringMbps == 0 && rng.chance(0.3)) {
         static const int kNodeCounts[] = {2, 2, 3,  3,  4,  4, 5,
                                           6, 8, 12, 16, 24, 32};
         exp.topo.nodes = kNodeCounts[rng.below(13)];
@@ -207,6 +209,13 @@ ExperimentGenerator::generate(std::uint64_t index) const
                 exp.topo.links.push_back(l);
             }
         }
+    } else if (twoNodes && ringMbps > 0) {
+        exp.topo.nodes = 2;
+        exp.topo.kind = 2;
+        exp.topo.segMbps = ringMbps;
+    } else if (twoNodes && wireUs > 0) {
+        exp.topo.nodes = 2;
+        exp.topo.linkLatencyUs = wireUs;
     }
     return exp;
 }

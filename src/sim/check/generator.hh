@@ -4,7 +4,7 @@
  *
  * Each draw covers the simulator's whole configuration surface — all
  * four architectures, classic local/non-local and mixed workloads,
- * multiprocessor nodes, MP speed ablations, both media, the full
+ * multiprocessor nodes, MP speed ablations, every fabric kind, the full
  * fault/protocol knob set, and the observational toggles (latency
  * decomposition; tracing is exercised separately by the oracle's
  * bit-identity check) — under validity constraints that make every

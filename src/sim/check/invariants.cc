@@ -107,10 +107,11 @@ checkMeasurement(Checker &c)
     c.expectUnit(out.mpUtil, "mpUtil", "util.range");
     c.expectUnit(out.busUtil, "busUtil", "util.range");
     c.expectUnit(out.ringUtil, "ringUtil", "util.range");
-    if (!exp.useTokenRing) {
+    const topo::Topology topology = effectiveTopology(exp);
+    if (topology.nodes < 2 || topology.kind != 2) {
         c.expectTrue(out.ringUtil == 0 && out.ringTokenWaitUs == 0,
                      "ring.absent",
-                     "ring measurements nonzero without the ring");
+                     "ring measurements nonzero without a ring");
     }
 
     c.expectTrue(out.roundTrips >= 0, "throughput.recompute",
@@ -159,21 +160,17 @@ checkMeasurement(Checker &c)
                          std::to_string(static_cast<int>(exp.arch)));
     }
 
-    // Topology placement policies choose client/server nodes per
-    // conversation (locality pins both to one node, hot-spot can land
-    // on the client's own node), so the local/remote split is not
-    // knowable from `exp.local` alone on a topology run.
+    // One node is all local; the classic and round-robin placements
+    // never co-locate a pair.  The mixed workload interleaves both
+    // kinds, locality pins client and server together, and hot-spot
+    // can land the server on the client's own node.
     const bool mixed = exp.mixedLocal + exp.mixedRemote > 0;
-    if (!mixed && !exp.topo.enabled()) {
-        if (exp.local)
-            c.expectTrue(out.remoteThroughputPerSec == 0,
-                         "workload.split",
-                         "remote throughput on a local-only run");
-        else
-            c.expectTrue(out.localThroughputPerSec == 0,
-                         "workload.split",
-                         "local throughput on a remote-only run");
-    }
+    if (topology.nodes == 1)
+        c.expectTrue(out.remoteThroughputPerSec == 0, "workload.split",
+                     "remote throughput on a local-only run");
+    else if (!mixed && topology.placement <= 1)
+        c.expectTrue(out.localThroughputPerSec == 0, "workload.split",
+                     "local throughput on a remote-only run");
 
     c.expectTrue(out.crashWindowsRecovered >= 0 &&
                      static_cast<std::size_t>(
@@ -344,9 +341,7 @@ checkConservation(Checker &c)
                            exp.duplicateRate == 0 &&
                            exp.reorderRate == 0 &&
                            exp.crashSchedule.empty();
-    const bool twoNodes = !exp.local ||
-                          exp.mixedLocal + exp.mixedRemote > 0 ||
-                          exp.topo.enabled();
+    const bool twoNodes = effectiveTopology(exp).nodes >= 2;
     if (!twoNodes || (faultFree && !exp.reliableProtocol)) {
         c.expectTrue(nt.pktsInjected == 0 && nt.msgsAccepted == 0 &&
                          nt.dataTransmissions == 0 &&
@@ -839,16 +834,17 @@ checkTopo(Checker &c)
     const topo::Ledger &t = c.out.topo;
 
     if (!exp.topo.enabled()) {
-        // Pay-for-use: no topology, no ledger.
+        // The ledger is reported for an explicit topology only
+        // (checkedRun audits the default fabric's).
         c.expectTrue(!t.enabled && t.links.empty() &&
                          t.routers.empty(),
                      "topo.bypass",
-                     "topology ledger filled without a topology");
+                     "fabric ledger reported without a topology");
         return;
     }
 
     c.expectTrue(t.enabled, "topo.enabled",
-                 "ledger disabled despite an enabled topology");
+                 "ledger disabled despite an explicit topology");
 
     // Element counts are a pure function of the topology shape.
     const std::size_t n = static_cast<std::size_t>(exp.topo.nodes);
@@ -1031,10 +1027,9 @@ checkedRun(const Experiment &exp, const OracleOptions &opts)
     res.outcome = runExperiment(exp);
     res.violations = checkOutcome(exp, res.outcome);
 
-    // The topology ledger lives outside outcomeJson (so the N=2
-    // degenerate document stays byte-identical to the legacy two-node
-    // one); replica comparisons pin the composite so per-link and
-    // per-router counters must replicate bit-exactly too.
+    // The fabric ledger lives outside outcomeJson; replica
+    // comparisons pin the composite so per-link and per-router
+    // counters must replicate bit-exactly too.
     const auto fullJson = [](const Outcome &o) {
         return outcomeJson(o) + topoJson(o);
     };
@@ -1055,6 +1050,25 @@ checkedRun(const Experiment &exp, const OracleOptions &opts)
         // pairs; check the sketches against their histograms.
         for (Violation &viol : checkSketchAccuracy(registry))
             res.violations.push_back(std::move(viol));
+    }
+
+    // The ledger is reported for an explicit topology only, so the
+    // default fabric of a multi-node run is audited through its
+    // explicit spelling: the same outcome, and a ledger that balances.
+    if (opts.checkTraceIdentity && !exp.topo.enabled() &&
+        effectiveTopology(exp).nodes >= 2) {
+        Experiment spelled = exp;
+        spelled.topo = effectiveTopology(exp);
+        const Outcome o = runExperiment(spelled);
+        if (outcomeJson(o) != outcomeJson(res.outcome))
+            res.violations.push_back(
+                {"topo.resolverIdentity",
+                 "outcomeJson differs between the default fabric and "
+                 "its explicit topology spelling"});
+        for (Violation &viol : checkOutcome(spelled, o)) {
+            if (viol.invariant.rfind("topo.", 0) == 0)
+                res.violations.push_back(std::move(viol));
+        }
     }
 
     if (opts.checkTraceIdentity) {

@@ -7,7 +7,8 @@
  *
  *  measurement sanity
  *   - every per-resource utilization, and the legacy maxima, lie in
- *     [0, 1]; ring utilization too, and it is zero without the ring
+ *     [0, 1]; ring utilization too, and it is zero unless the
+ *     effective topology is a kind-2 ring fabric
  *   - throughput is exactly completed round trips over the
  *     measurement window; local + remote split sums to the total
  *   - percentiles are ordered (p50 <= p95), activity and protocol
@@ -65,14 +66,14 @@
  *     non-negative, and minPositiveDeltaUs > 0 exactly when the edge
  *     saw a positive delta
  *
- *  topology ledger (Experiment::topo; topo.*)
- *   - topo.bypass: without a topology the ledger is empty — the
- *     layer is pay-for-use
+ *  fabric ledger (Experiment::topo; topo.*)
+ *   - topo.bypass: without an explicit topology the reported ledger
+ *     is empty
  *   - topo.enabled: with one, the ledger is filled and its element
- *     counts are a pure function of the shape (mesh: N(N-1) directed
- *     links, no routers; star: 2N links and one switch; S ring
- *     segments: S ring links, plus S routers and S(S-1) backbone
- *     links when S > 1)
+ *     counts are a pure function of the shape (mesh: N(N-1)
+ *     directed links, no routers; star: 2N links and one switch;
+ *     S ring segments: S ring links, plus S routers and S(S-1)
+ *     backbone links when S > 1)
  *   - topo.conservation: *exact* flow conservation on every link
  *     (msgsIn = msgsOut + dropped + inFlightAtEnd) and every router
  *     (received = forwarded + dropped + inFlightAtEnd); bytes never
@@ -84,6 +85,10 @@
  *
  *  determinism (re-run checks)
  *   - tracing on vs off: bit-identical outcomeJson
+ *   - a multi-node run without an explicit topology vs the same run
+ *     with effectiveTopology() spelled out: bit-identical outcomeJson
+ *     (topo.resolverIdentity), and the spelled run's ledger passes
+ *     every topo.* check — so the family audits every fabric
  *   - engineProfile flipped: bit-identical outcomeJson
  *     (engprof.payForUse — the profile never enters the outcome)
  *   - SweepRunner jobs=1 vs jobs=N: bit-identical outcomeJson, and

@@ -34,7 +34,6 @@ struct BoolKnob
 constexpr BoolKnob boolKnobs[] = {
     {"local", &Experiment::local},
     {"extraCopy", &Experiment::extraCopy},
-    {"useTokenRing", &Experiment::useTokenRing},
     {"reliableProtocol", &Experiment::reliableProtocol},
     {"decomposeLatency", &Experiment::decomposeLatency},
     {"engineProfile", &Experiment::engineProfile},
@@ -59,8 +58,6 @@ constexpr IntKnob intKnobs[] = {
 constexpr DoubleKnob doubleKnobs[] = {
     {"computeUs", &Experiment::computeUs},
     {"mpSpeedFactor", &Experiment::mpSpeedFactor},
-    {"wireUs", &Experiment::wireUs},
-    {"ringMbps", &Experiment::ringMbps},
     {"warmupUs", &Experiment::warmupUs},
     {"measureUs", &Experiment::measureUs},
     {"lossRate", &Experiment::lossRate},

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,7 +21,6 @@
 #include "sim/net/reliable.hh"
 #include "sim/node/costs.hh"
 #include "sim/node/processor.hh"
-#include "sim/node/token_ring.hh"
 #include "sim/topo/network.hh"
 
 namespace hsipc::sim
@@ -167,7 +167,8 @@ class Sim
           // jitter come from a third stream, and with every knob at
           // its default the layer draws nothing at all.
           robust(robustnessEnabled(exp)),
-          robustRng(exp.seed ^ 0xB0B57EC0DEull)
+          robustRng(exp.seed ^ 0xB0B57EC0DEull),
+          topology(effectiveTopology(exp)), nn(topology.nodes)
     {
         // Resolve the observability sinks before anything registers a
         // track: an external tracer (the caller enables it) or the
@@ -201,14 +202,17 @@ class Sim
         if (engProf) {
             engProf->beginRun();
             eq.attachProfiler(engProf);
-            wireOrigin = engProf->origin("wire");
         }
 
-        const bool mixed =
-            exp.mixedLocal > 0 || exp.mixedRemote > 0;
+        // The interconnect fabric for every node pair.  Built before
+        // the nodes so its "wire" profiler origin sits right after
+        // "sim", ahead of the node tracks.
+        if (nn > 1)
+            net = std::make_unique<topo::Network>(eq, topology,
+                                                  tracer, engProf);
+
         const bool coproc = exp.arch != Arch::I;
         const bool split = exp.arch == Arch::IV;
-        const bool two_nodes = mixed || !exp.local;
 
         costsLocal = ipcCosts(exp.arch, true);
         costsNonlocal = ipcCosts(exp.arch, false);
@@ -224,11 +228,6 @@ class Sim
             pathLog.enabled() ? &pathLog : nullptr;
         trace::Tracer *nodeTracer =
             tracer->enabled() ? tracer : nullptr;
-        // The topology layer supersedes the classic one/two-node
-        // layout; with it off the loop degenerates to exactly the
-        // historical "n0" (+ "n1") construction.
-        const bool topoOn = exp.topo.enabled();
-        nn = topoOn ? exp.topo.nodes : (two_nodes ? 2 : 1);
         for (int i = 0; i < nn; ++i)
             nodes.push_back(std::make_unique<Node>(
                 eq, "n" + std::to_string(i), exp.hostsPerNode,
@@ -238,27 +237,13 @@ class Sim
         if (tracer->enabled())
             injector.attachTracer(tracer, &eq);
 
-        if (two_nodes && exp.useTokenRing) {
-            TokenRing::Config rc;
-            rc.stations = 2;
-            rc.megabitsPerSec = exp.ringMbps;
-            ring = std::make_unique<TokenRing>(eq, rc);
-        }
-        // The interconnect fabric; rawWire() routes through it for
-        // every node pair.  Kind 2 models its own ring segments, so
-        // the legacy `ring` member stays null in topo mode (its
-        // Outcome fields belong to useTokenRing alone).
-        if (topoOn)
-            net = std::make_unique<topo::Network>(eq, exp.topo,
-                                                  tracer, engProf);
-
         // The reliability stack is strictly pay-for-use: it exists
         // only when the medium can fail (or when explicitly forced),
         // so fault-free runs keep the ideal-medium code path and
         // produce bit-identical results.  One channel per ordered
         // node pair, row-major — for two nodes that is exactly the
         // historical (0 -> 1, 1 -> 0) pair.
-        if ((two_nodes || topoOn) &&
+        if (net &&
             (injector.faultPlan().active() || exp.reliableProtocol)) {
             ReliableChannel::Config rc;
             rc.windowSize = exp.retransmitWindow;
@@ -292,11 +277,11 @@ class Sim
                     rc.dstNode = dst;
                     h.mediumToDst =
                         [this, src, dst](int bytes, EventQueue::Callback cb) {
-                            rawWire(src, dst, bytes, std::move(cb));
+                            net->send(src, dst, bytes, std::move(cb));
                         };
                     h.mediumToSrc =
                         [this, src, dst](int bytes, EventQueue::Callback cb) {
-                            rawWire(dst, src, bytes, std::move(cb));
+                            net->send(dst, src, bytes, std::move(cb));
                         };
                     chans[chanIndex(src, dst)] =
                         std::make_unique<ReliableChannel>(
@@ -320,29 +305,9 @@ class Sim
         for (const CrashWindow &w : exp.crashSchedule)
             recoveries.push_back(Recovery{w, -1});
 
-        // Lay out the conversations: classic mode pins all clients to
-        // node 0 (servers at node 1 when non-local); mixed mode
-        // interleaves local pairs and cross-node pairs over both
-        // nodes — the case the thesis' models could not represent
-        // (§6.6.3).
-        if (mixed) {
-            for (int i = 0; i < exp.mixedLocal; ++i)
-                addConversation(i % 2, i % 2);
-            for (int i = 0; i < exp.mixedRemote; ++i)
-                addConversation(i % 2, 1 - i % 2);
-        } else if (topoOn) {
-            // Topology placement decides where each conversation's
-            // endpoints live; a pure function of (topology, index,
-            // seed), so jobs=1/N replicas place identically.
-            for (int i = 0; i < exp.conversations; ++i) {
-                const auto [c, s] = topo::placeConversation(
-                    exp.topo, i, exp.seed);
-                addConversation(c, s);
-            }
-        } else {
-            for (int i = 0; i < exp.conversations; ++i)
-                addConversation(0, exp.local ? 0 : 1);
-        }
+        const int mixed = exp.mixedLocal + exp.mixedRemote;
+        for (int i = 0; i < (mixed > 0 ? mixed : exp.conversations); ++i)
+            addConversation(i);
 
         // Open-arrival mode repurposes the laid-out conversations as
         // server loops only; clients materialize per arrival.  Closed
@@ -510,10 +475,8 @@ class Sim
             out.resourceUtilization[name] =
                 static_cast<double>(busy - before) / window_ticks;
         }
-        if (ring) {
-            out.ringUtil = ring->utilization();
-            out.ringTokenWaitUs = ring->meanTokenWaitUs();
-        }
+        if (net)
+            std::tie(out.ringUtil, out.ringTokenWaitUs) = net->ringStats();
         const double window_sec = ticksToUs(end - warm) / 1e6;
         out.localThroughputPerSec =
             static_cast<double>(rtLocal.count()) / window_sec;
@@ -588,12 +551,15 @@ class Sim
         nt.pktsReordered = fs.reordered;
         nt.pktsCrashDropped = fs.crashDrops;
 
-        // The topology layer's per-link conservation ledger: charge
-        // each channel's retransmissions to its forward route, then
+        // The fabric's per-link conservation ledger: charge each
+        // channel's retransmissions to its forward route, then
         // snapshot every link and router (structural in-flight
         // included, so the flow identities hold exactly at the
-        // horizon).
-        if (net) {
+        // horizon).  Reported only for an explicitly configured
+        // topology, so a run on the default fabric keeps the
+        // topoJson bytes it always had (the host-cost benchmark's
+        // reference digests hash them).
+        if (net && exp.topo.enabled()) {
             if (!chans.empty()) {
                 for (int src = 0; src < nn; ++src) {
                     for (int dst = 0; dst < nn; ++dst) {
@@ -754,13 +720,26 @@ class Sim
         }
     }
 
+    /**
+     * Lay out conversation @p index.  The mixed workload interleaves
+     * its same-node pairs, then its cross-node pairs, over both nodes
+     * (§6.6.3); every other run asks the placement policy, a pure
+     * function of (topology, index, seed).
+     */
     void
-    addConversation(int client_node, int server_node)
+    addConversation(int index)
     {
         Conversation cv;
-        cv.clientNode = client_node;
-        cv.serverNode = server_node;
-        cv.host = static_cast<int>(convs.size()) % exp.hostsPerNode;
+        if (exp.mixedLocal + exp.mixedRemote > 0) {
+            const bool local = index < exp.mixedLocal;
+            const int j = local ? index : index - exp.mixedLocal;
+            cv.clientNode = j % 2;
+            cv.serverNode = local ? j % 2 : 1 - j % 2;
+        } else {
+            std::tie(cv.clientNode, cv.serverNode) =
+                topo::placeConversation(topology, index, exp.seed);
+        }
+        cv.host = index % exp.hostsPerNode;
         convs.push_back(cv);
     }
 
@@ -1140,36 +1119,6 @@ class Sim
     }
 
     /**
-     * The raw medium between two nodes: the topology fabric when one
-     * is instantiated, the token ring when enabled, a fixed wire
-     * delay otherwise.
-     */
-    void
-    rawWire(int from, int to, int bytes, EventQueue::Callback deliver)
-    {
-        if (net) {
-            net->send(from, to, bytes, std::move(deliver));
-        } else if (ring) {
-            ring->send(from, to, bytes, std::move(deliver));
-        } else if (engProf) {
-            // The inter-node lookahead edge: whoever is transmitting
-            // now schedules a delivery wireUs in the future — the
-            // minimum positive delta on (src -> wire) edges is the
-            // lookahead a sharded engine could exploit between nodes.
-            const Tick delay = usToTicks(exp.wireUs);
-            engProf->edge(wireOrigin, delay);
-            auto wrapped = [this, inner = std::move(deliver)]() {
-                obs::EngineProfiler::Scope s(engProf, wireOrigin);
-                inner();
-            };
-            eq.scheduleAfter(delay, std::move(wrapped));
-        } else {
-            eq.scheduleAfter(usToTicks(exp.wireUs),
-                             std::move(deliver));
-        }
-    }
-
-    /**
      * Ship one message from @p from to @p to: through the reliability
      * stack when the medium is faulty, directly otherwise.  The whole
      * traversal — from handing the packet to the medium until its
@@ -1194,7 +1143,7 @@ class Sim
         if (!chans.empty())
             chans[chanIndex(from, to)]->send(std::move(arrive), msg);
         else
-            rawWire(from, to, exp.packetBytes, std::move(arrive));
+            net->send(from, to, exp.packetBytes, std::move(arrive));
     }
 
     // --- Client side -----------------------------------------------
@@ -1540,13 +1489,7 @@ class Sim
     onArrival()
     {
         const int conv = static_cast<int>(convs.size());
-        if (exp.topo.enabled()) {
-            const auto [c, s] =
-                topo::placeConversation(exp.topo, conv, exp.seed);
-            addConversation(c, s);
-        } else {
-            addConversation(0, exp.local ? 0 : 1);
-        }
+        addConversation(conv);
         startRequest(conv);
         scheduleNextArrival();
     }
@@ -2099,14 +2042,12 @@ class Sim
     //! otherwise owned when exp.engineProfile is set.
     obs::EngineProfiler *engProf = nullptr;
     std::unique_ptr<obs::EngineProfiler> ownEngProf;
-    int wireOrigin = 0; //!< profiler origin id for wire deliveries
 
+    const topo::Topology topology; //!< effectiveTopology(exp)
+    const int nn;                  //!< node count (topology.nodes)
     std::vector<std::unique_ptr<Node>> nodes;
-    std::unique_ptr<TokenRing> ring;
-    //! The instantiated interconnect (null unless exp.topo enables
-    //! the topology layer).
+    //! The interconnect; null on a one-node run.
     std::unique_ptr<topo::Network> net;
-    int nn = 1; //!< node count (1, 2, or exp.topo.nodes)
     //! Reliable channels, one per ordered node pair in row-major
     //! order (empty when the medium is ideal); for two nodes that is
     //! the historical [0 -> 1, 1 -> 0] pair.
@@ -2157,12 +2098,10 @@ runExperiment(const Experiment &exp, trace::Tracer *tracer,
     hsipc_assert(exp.hostsPerNode >= 1);
     hsipc_assert(exp.packetBytes > 0 && "packetBytes must be positive");
     hsipc_assert(exp.computeUs >= 0 && "computeUs cannot be negative");
-    hsipc_assert(exp.wireUs >= 0 && "wireUs cannot be negative");
     hsipc_assert(exp.kernelBuffers >= 1 &&
                  "need at least one kernel buffer per node");
     hsipc_assert(exp.mpSpeedFactor > 0 &&
                  "mpSpeedFactor must be positive");
-    hsipc_assert(exp.ringMbps > 0 && "ringMbps must be positive");
     hsipc_assert(exp.warmupUs >= 0 && exp.measureUs > 0);
     for (double rate : {exp.lossRate, exp.corruptRate,
                         exp.duplicateRate, exp.reorderRate})
@@ -2251,12 +2190,11 @@ runExperiment(const Experiment &exp, trace::Tracer *tracer,
             hsipc_assert(l.a >= 0 && l.b >= 0 && l.a != l.b &&
                          l.latencyUs >= 0 && l.mbps >= 0 &&
                          "link override must be well-formed");
-        hsipc_assert(exp.mixedLocal == 0 && exp.mixedRemote == 0 &&
-                     "the topology layer is incompatible with the "
-                     "mixed workload");
-        hsipc_assert(!exp.useTokenRing &&
-                     "topology kind 2 models ring segments; "
-                     "useTokenRing is the legacy two-node ring");
+        hsipc_assert((exp.mixedLocal + exp.mixedRemote == 0 ||
+                      (exp.topo.nodes == 2 &&
+                       exp.topo.placement == 0)) &&
+                     "the mixed workload lays out its own "
+                     "conversations over a two-node topology");
     }
     Sim sim(exp, tracer, metrics, engineProf);
     return sim.run();

@@ -64,9 +64,6 @@ struct Experiment
     bool extraCopy = false;   //!< §6.8 validation configuration
     double mpSpeedFactor = 1; //!< MP speed relative to the host
     int kernelBuffers = 64;   //!< finite buffer pool per node
-    double wireUs = 0;        //!< fixed network delay (ideal medium)
-    bool useTokenRing = false; //!< model the 4 Mb/s token ring instead
-    double ringMbps = 4.0;    //!< token-ring data rate
     int packetBytes = 48;     //!< message + header on the wire
     double warmupUs = 100000;
     double measureUs = 1500000;
@@ -195,14 +192,10 @@ struct Experiment
     std::string engineProfileFile;
 
     /**
-     * N-node interconnect topology (see sim/topo/topology.hh).
-     * Strictly pay-for-use: with nodes == 0 (the default) the layer
-     * is off and the simulator keeps its historical one/two-node
-     * path bit-for-bit; nodes >= 2 instantiates the described fabric
-     * and the placement policy decides where conversations live
-     * (`local` and the classic two-node layout are superseded).
-     * Incompatible with the mixed workload and with useTokenRing
-     * (kind 2 models rings of its own).
+     * The interconnect, the only network medium (see
+     * sim/topo/topology.hh and effectiveTopology() below).  nodes >= 2
+     * instantiates the described fabric and supersedes `local`; the
+     * mixed workload accepts only two nodes with placement 0.
      */
     topo::Topology topo;
 
@@ -225,6 +218,22 @@ robustnessEnabled(const Experiment &exp)
 {
     return exp.arrivalMode != 0 || exp.deadlineUs > 0 ||
            exp.retryBudget > 0 || exp.svcQueueCap > 0;
+}
+
+/**
+ * The interconnect a run instantiates, shared by the simulator, the
+ * oracle, the differential and the generator: an explicit topology
+ * as given, one node (no fabric) for a non-mixed `local` run, else
+ * the zero-latency two-node mesh with the classic placement.
+ */
+inline topo::Topology
+effectiveTopology(const Experiment &exp)
+{
+    if (exp.topo.enabled())
+        return exp.topo;
+    topo::Topology t;
+    t.nodes = exp.local && exp.mixedLocal + exp.mixedRemote == 0 ? 1 : 2;
+    return t;
 }
 
 /** Measured outcome of a run. */
@@ -251,8 +260,8 @@ struct Outcome
      */
     std::map<std::string, double> resourceUtilization;
     long bufferStalls = 0;      //!< sends delayed by buffer exhaustion
-    double ringUtil = 0;        //!< token-ring medium utilization
-    double ringTokenWaitUs = 0; //!< mean wait for the token
+    double ringUtil = 0;        //!< busiest ring segment (kind 2)
+    double ringTokenWaitUs = 0; //!< mean token wait, all segments
 
     /**
      * Measured processing time per kernel activity, microseconds per
@@ -398,12 +407,10 @@ struct Outcome
     obs::EngineProfile engineProfile;
 
     /**
-     * Per-link / per-router flow-conservation ledger of the topology
-     * layer, filled only when Experiment::topo is enabled (the
-     * topo.* invariant family audits it).  Like engineProfile it is
-     * deliberately excluded from outcomeJson() — the degenerate
-     * two-node topology must stay byte-identical to the legacy path
-     * — and rendered separately by topoJson().
+     * Per-link / per-router flow-conservation ledger of the fabric,
+     * filled only when Experiment::topo is set explicitly (the topo.*
+     * invariant family audits it).  Like engineProfile it stays out
+     * of outcomeJson() and is rendered separately by topoJson().
      */
     topo::Ledger topo;
 };

@@ -108,15 +108,8 @@ class TokenRing
                static_cast<double>(span);
     }
 
-    /** Mean wait for the token across packets, microseconds. */
-    double
-    meanTokenWaitUs() const
-    {
-        return packets > 0
-            ? ticksToUs(static_cast<Tick>(waitAcc /
-                                          static_cast<double>(packets)))
-            : 0.0;
-    }
+    /** Total wait for the token across packets, in ticks. */
+    double tokenWaitTicks() const { return waitAcc; }
 
     long packetCount() const { return packets; }
 

@@ -110,8 +110,8 @@ std::string outcomeJson(const Outcome &out);
  * Deterministic JSON rendering of the topology layer's per-link /
  * per-router conservation ledger (ledger order is construction
  * order, so the document is byte-comparable across replicas).  Kept
- * out of outcomeJson() deliberately: the N=2 degenerate topology
- * must stay byte-identical to the legacy two-node document.
+ * out of outcomeJson(), whose documents carry the simulated
+ * measurements alone.
  */
 std::string topoJson(const Outcome &out);
 

@@ -1,5 +1,6 @@
 #include "sim/topo/network.hh"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -14,9 +15,7 @@ Network::Network(EventQueue &eq, const Topology &t,
     : eq(eq), topo(t),
       tracer(tr && tr->enabled() ? tr : nullptr), prof(p)
 {
-    hsipc_assert(topo.enabled());
-    // Same attribution origin as the legacy wire: the degenerate
-    // two-node mesh profiles identically to the path it replaces.
+    hsipc_assert(topo.nodes >= 2);
     if (prof)
         wireOrigin = prof->origin("wire");
 
@@ -97,7 +96,7 @@ Network::Network(EventQueue &eq, const Topology &t,
         break;
       }
     }
-    if (tracer)
+    if (tracer && !routers.empty())
         topoTrack = tracer->track("topo");
 }
 
@@ -141,8 +140,10 @@ void
 Network::dispatch(Tick delay, EventQueue::Callback cb)
 {
     if (prof) {
-        // The inter-node lookahead edge, exactly as the legacy wire
-        // records it (see Sim::rawWire).
+        // The inter-node lookahead edge: whoever is transmitting
+        // now schedules a delivery `delay` in the future — the
+        // minimum positive delta on (src -> wire) edges is the
+        // lookahead a sharded engine could exploit between nodes.
         prof->edge(wireOrigin, delay);
         auto wrapped = [this, inner = std::move(cb)]() {
             obs::EngineProfiler::Scope s(prof, wireOrigin);
@@ -399,6 +400,20 @@ Network::linkInFlightSum() const
     for (const Link &l : links)
         sum += static_cast<double>(l.inFlight);
     return sum;
+}
+
+std::pair<double, double>
+Network::ringStats() const
+{
+    double util = 0, wait = 0;
+    long packets = 0;
+    for (const auto &r : rings) {
+        util = std::max(util, r->utilization());
+        wait += r->tokenWaitTicks();
+        packets += r->packetCount();
+    }
+    const Tick mean = packets > 0 ? static_cast<Tick>(wait / packets) : 0;
+    return {util, ticksToUs(mean)};
 }
 
 } // namespace hsipc::sim::topo

@@ -8,10 +8,9 @@
  *
  *  - **mesh** (0): a dedicated directed link per ordered node pair,
  *    each with its own propagation latency and optional serialization
- *    rate (overridable per pair).  One scheduled event per packet —
- *    with the defaults this is event-for-event the legacy fixed-delay
- *    wire, which is what makes the N=2 degenerate topology
- *    byte-identical to the historical two-node path.
+ *    rate (overridable per pair).  One scheduled event per packet;
+ *    the two-node mesh is the default medium of every remote and
+ *    mixed run (see effectiveTopology in sim/kernel/ipc_sim.hh).
  *
  *  - **star** (1): every node hangs off one store-and-forward switch.
  *    Ingress link (latency + serialization), a single-server FIFO
@@ -21,7 +20,8 @@
  *    actually contends.
  *
  *  - **ring segments** (2): contiguous token-ring segments (the
- *    thesis' 4 Mb/s ring, one TokenRing instance per segment); with
+ *    thesis' 4 Mb/s ring, one TokenRing instance per segment, whose
+ *    utilization and token wait ringStats() reports); with
  *    more than one segment each ring gains a router station, and the
  *    routers bridge segments over a full mesh of point-to-point
  *    backbone links.  A cross-segment packet takes source ring →
@@ -38,9 +38,9 @@
  * breaks it.
  *
  * Observational hooks mirror the rest of the simulator: a Tracer
- * gets a "topo" counter track of router depths, an EngineProfiler
- * gets the same "wire" origin and lookahead edges the legacy wire
- * recorded.  Neither perturbs the event sequence.
+ * gets a "topo" counter track of router depths (if there are any),
+ * an EngineProfiler a "wire" origin and the inter-node lookahead
+ * edges.  Neither perturbs the event sequence.
  */
 
 #ifndef HSIPC_SIM_TOPO_NETWORK_HH
@@ -48,6 +48,7 @@
 
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/obs/engine_prof.hh"
@@ -92,6 +93,10 @@ class Network
 
     /** Total packets currently traversing links (timeline gauge). */
     double linkInFlightSum() const;
+
+    /** Busiest ring's utilization and mean token wait (us) over all
+     *  rings' packets; zeros without rings. */
+    std::pair<double, double> ringStats() const;
 
   private:
     /** A point-to-point link (or a ring booked as one ledger). */

@@ -1,8 +1,8 @@
 /**
  * @file
- * N-node interconnect topologies for the multi-node simulation — the
- * fleet half of ROADMAP item 1 (the thesis models exactly two nodes;
- * a 925 installation was a machine-room full of them).
+ * N-node interconnect topologies, the simulator's only network medium
+ * (the thesis models exactly two nodes; a 925 installation was a
+ * machine-room full of them).
  *
  * A Topology describes the interconnect at the Experiment level:
  * point-to-point links with latency and bandwidth (kind 0), a
@@ -10,11 +10,11 @@
  * by routers over a full-mesh backbone (kind 2).  Placement policies
  * decide which nodes carry a conversation's client and server.
  *
- * Strictly pay-for-use: nodes == 0 disables the layer entirely and
- * the simulator keeps its historical one/two-node path bit-for-bit.
- * With nodes == 2, kind 0, linkMbps == 0 and linkLatencyUs == wireUs,
- * the topology reproduces the legacy two-node run byte-identically
- * (pinned by tests/test_topo.cc).
+ * nodes == 0 leaves the choice to effectiveTopology()
+ * (sim/kernel/ipc_sim.hh): one node for a local run, else the
+ * two-node mesh with the classic placement.  A fixed wire delay is
+ * that mesh with linkLatencyUs; the thesis' 4 Mb/s ring is kind 2
+ * with one segment.
  *
  * The Ledger types carry the exact per-link / per-router flow-
  * conservation counts the topo.* invariant family asserts (see
@@ -55,8 +55,9 @@ struct TopoLink
 /** The Experiment-level interconnect description. */
 struct Topology
 {
-    //! Node count; 0 disables the whole layer (the legacy path),
-    //! any value >= 2 enables it.
+    //! Node count; 0 lets the experiment's workload pick the
+    //! default fabric (see effectiveTopology), any value >= 2 is
+    //! taken as given.
     int nodes = 0;
 
     //! 0 = point-to-point full mesh, 1 = store-and-forward switch
@@ -76,7 +77,7 @@ struct Topology
     double segMbps = 4.0;
 
     //! Client/server placement: 0 = classic (all clients node 0,
-    //! all servers node 1 — the degenerate two-node layout),
+    //! all servers node 1; both node 0 on a one-node run),
     //! 1 = round-robin (client i%N, server (i+1)%N), 2 = locality
     //! (client and server co-resident at i%N), 3 = hot-spot (client
     //! i%N, server Zipf-distributed with node 0 hottest).

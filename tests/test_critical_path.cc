@@ -238,10 +238,10 @@ TEST(SimDecomposition, ComponentsSumToMeasuredRoundTrip)
 {
     sim::Experiment e;
     e.arch = models::Arch::II;
-    e.local = false;
     e.conversations = 3;
     e.computeUs = 1000;
-    e.wireUs = 50;
+    e.topo.nodes = 2;
+    e.topo.linkLatencyUs = 50;
     e.warmupUs = 20000;
     e.measureUs = 200000;
     e.decomposeLatency = true;
@@ -281,10 +281,10 @@ TEST(SimDecomposition, RetransmissionWaitIsChargedToNetwork)
 {
     sim::Experiment e;
     e.arch = models::Arch::II;
-    e.local = false;
     e.conversations = 1;
     e.computeUs = 500;
-    e.wireUs = 10;
+    e.topo.nodes = 2;
+    e.topo.linkLatencyUs = 10;
     e.reliableProtocol = true;
     e.warmupUs = 20000;
     e.measureUs = 300000;

@@ -38,9 +38,6 @@ everyFieldChanged()
     e.extraCopy = true;
     e.mpSpeedFactor = 1.0 / 3.0;
     e.kernelBuffers = 5;
-    e.wireUs = 123.456789012345;
-    e.useTokenRing = true;
-    e.ringMbps = 9.999999999999998;
     e.packetBytes = 129;
     e.warmupUs = 777.25;
     e.measureUs = 31415.9;
@@ -148,8 +145,11 @@ TEST(ExperimentJson, RejectsUnknownAndIllTyped)
     EXPECT_THROW(experimentFromJsonText("[1, 2]"),
                  std::runtime_error);
     // Removed knobs are unknown fields: an old repro naming them
-    // fails loudly instead of running without them.
-    for (const std::string key : {"queueKind", "expectedPendingEvents"}) {
+    // fails loudly instead of running without them (the network
+    // knobs' spellings are topology fields now).
+    for (const std::string key :
+         {"queueKind", "expectedPendingEvents", "wireUs",
+          "useTokenRing", "ringMbps"}) {
         try {
             experimentFromJsonText("{\"" + key + "\": 0}");
             ADD_FAILURE() << key << " was accepted";

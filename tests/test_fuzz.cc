@@ -63,7 +63,7 @@ TEST(Generator, CoversTheConfigurationSurface)
         if (e.lossRate > 0 || e.corruptRate > 0 ||
             e.duplicateRate > 0 || e.reorderRate > 0)
             ++faulty;
-        if (e.useTokenRing)
+        if (e.topo.enabled() && e.topo.kind == 2)
             ++rings;
         if (!e.crashSchedule.empty())
             ++crashes;
@@ -138,7 +138,6 @@ TEST(Generator, EveryDrawIsRunnableAndValid)
         EXPECT_GE(e.computeUs, 0);
         EXPECT_GE(e.kernelBuffers, 1);
         EXPECT_GT(e.mpSpeedFactor, 0);
-        EXPECT_GT(e.ringMbps, 0);
         EXPECT_GT(e.measureUs, 0);
         for (double rate : {e.lossRate, e.corruptRate,
                             e.duplicateRate, e.reorderRate}) {
@@ -190,11 +189,11 @@ TEST(Generator, EveryDrawIsRunnableAndValid)
             EXPECT_GE(l.latencyUs, 0);
             EXPECT_GE(l.mbps, 0);
         }
-        if (e.topo.enabled()) {
-            EXPECT_EQ(e.mixedLocal + e.mixedRemote, 0)
-                << "a topology supersedes the mixed layout";
-            EXPECT_FALSE(e.useTokenRing)
-                << "a topology supersedes the legacy ring knob";
+        if (e.topo.enabled() && e.mixedLocal + e.mixedRemote > 0) {
+            EXPECT_EQ(e.topo.nodes, 2)
+                << "the mixed layout spans exactly two nodes";
+            EXPECT_EQ(e.topo.placement, 0)
+                << "the mixed layout is its own placement";
         }
     }
 }
@@ -250,6 +249,16 @@ TEST(Differential, EligibilityMatchesTheModeledSubset)
     Experiment capped = baseExperiment();
     capped.svcQueueCap = 4;
     EXPECT_FALSE(differentialEligible(capped));
+    // Eligibility is "resolves to one node": the mixed workload and
+    // any explicit fabric (even one whose placement keeps every pair
+    // on-node) are out.
+    Experiment mixed = baseExperiment();
+    mixed.mixedLocal = 1;
+    EXPECT_FALSE(differentialEligible(mixed));
+    Experiment fleet = baseExperiment();
+    fleet.topo.nodes = 2;
+    fleet.topo.placement = 2;
+    EXPECT_FALSE(differentialEligible(fleet));
 }
 
 TEST(Differential, ThreeEnginesAgreeOnEligibleConfigs)

@@ -295,8 +295,8 @@ TEST(ReliableChannel, ExperimentRtoCeilingCapsTheBackoff)
 
 /**
  * The protocol is medium-agnostic: run it over a token ring of any
- * station count (the topology layer's bridged segments instantiate
- * rings well beyond the legacy two stations) with data crossing the
+ * station count (a two-node ring has two stations, the topology
+ * layer's bridged segments many more) with data crossing the
  * whole ring and acks crossing back.
  */
 class RingMediumStations : public ::testing::TestWithParam<int>

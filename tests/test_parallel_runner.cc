@@ -143,8 +143,8 @@ mixedExperiments()
 
     sim::Experiment d = a; // different architecture + token ring
     d.arch = models::Arch::III;
-    d.local = false;
-    d.useTokenRing = true;
+    d.topo.nodes = 2;
+    d.topo.kind = 2;
     exps.push_back(d);
 
     sim::Experiment e = a; // mixed workload

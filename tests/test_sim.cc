@@ -650,11 +650,10 @@ TEST(IpcSim, WireLatencyAddsToRoundTrip)
 {
     Experiment e;
     e.arch = Arch::II;
-    e.local = false;
     e.conversations = 1;
-    e.wireUs = 0;
+    e.topo.nodes = 2;
     const double rt0 = runExperiment(e).meanRoundTripUs;
-    e.wireUs = 500;
+    e.topo.linkLatencyUs = 500;
     const double rt1 = runExperiment(e).meanRoundTripUs;
     EXPECT_NEAR(rt1 - rt0, 1000.0, 150.0); // two crossings
 }
@@ -698,8 +697,8 @@ TEST(TokenRing, TransmitTimeMatchesRate)
     EXPECT_EQ(ring.transmitTime(48), usToTicks(96));
 }
 
-// The ring model is station-count generic — the legacy two-node path
-// uses 2 stations, the topology layer's bridged segments anything up
+// The ring model is station-count generic — a two-node ring has 2
+// stations, the topology layer's bridged segments anything up
 // to the segment size plus a router — so the medium tests run across
 // the whole range instead of pinning one constant.
 class TokenRingStations : public ::testing::TestWithParam<int>
@@ -763,8 +762,9 @@ TEST(IpcSim, TokenRingCostsThroughput)
     e.conversations = 4;
     e.computeUs = 0;
     const Outcome ideal = runExperiment(e);
-    e.useTokenRing = true;
-    e.ringMbps = 4.0;
+    e.topo.nodes = 2;
+    e.topo.kind = 2;
+    e.topo.segMbps = 4.0;
     const Outcome ring = runExperiment(e);
     EXPECT_LT(ring.throughputPerSec, ideal.throughputPerSec);
     EXPECT_GT(ring.ringUtil, 0.0);
@@ -772,7 +772,7 @@ TEST(IpcSim, TokenRingCostsThroughput)
     EXPECT_LT(ring.ringUtil, 0.5);
     // A very slow ring becomes the bottleneck (0.1 Mb/s carries at
     // most ~130 round trips/sec for two 48-byte packets each).
-    e.ringMbps = 0.1;
+    e.topo.segMbps = 0.1;
     const Outcome slow = runExperiment(e);
     EXPECT_LT(slow.throughputPerSec, ring.throughputPerSec * 0.8);
 }
@@ -1133,7 +1133,8 @@ TEST(IpcSimLossy, LossyTokenRingAlsoRecovers)
     e.local = false;
     e.conversations = 2;
     e.computeUs = 1140;
-    e.useTokenRing = true;
+    e.topo.nodes = 2;
+    e.topo.kind = 2;
     e.lossRate = 0.02;
     const Outcome o = runExperiment(e);
     EXPECT_GT(o.roundTrips, 100);

@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests of the N-node topology layer (sim/topo): the degenerate
- * two-node topology is byte-identical to the legacy two-node path on
- * every architecture (with and without faults or the reliable
- * protocol), placement policies land conversations where specified,
- * every topology kind keeps the per-link/per-router flow-conservation
- * ledger balanced, and the ledger itself behaves (pay-for-use when
- * off, replicated bit-exactly across queue policies).
+ * Tests of the topology layer (sim/topo), the simulator's only
+ * network medium: the default two-node fabric a remote run resolves
+ * to is the explicit 2-node mesh byte for byte, the mesh and the
+ * one-segment ring reproduce the pinned numbers of the fixed-wire and
+ * two-station-ring media they replaced, placement policies land
+ * conversations where specified, every topology kind keeps the
+ * per-link/per-router flow-conservation ledger balanced, and the
+ * ledger itself behaves (empty on one node, replicated bit-exactly
+ * across jobs; reported only for an explicit topology).
  */
 
 #include <cstdint>
@@ -27,112 +29,212 @@ namespace
 using namespace hsipc;
 using namespace hsipc::sim;
 
-/** The classic two-node remote workload the topology must subsume. */
+/**
+ * The classic two-node remote workload, spelled without a topology:
+ * effectiveTopology() resolves it to the zero-latency 2-node mesh.
+ */
 Experiment
-legacyRemote(int arch)
+implicitRemote(int arch)
 {
     Experiment e;
     e.arch = static_cast<models::Arch>(arch);
     e.local = false;
     e.conversations = 2;
     e.computeUs = 200;
-    e.wireUs = 150;
     e.warmupUs = 2000;
     e.measureUs = 20000;
     e.seed = 99 + static_cast<std::uint64_t>(arch);
     return e;
 }
 
-/** The same workload expressed as a degenerate 2-node topology. */
+/** The same workload on an explicit 2-node mesh. */
 Experiment
-degenerate(const Experiment &legacy)
+explicitMesh(const Experiment &e, double linkLatencyUs)
 {
-    Experiment e = legacy;
-    e.topo.nodes = 2;
-    e.topo.kind = 0; // point-to-point mesh
-    e.topo.linkLatencyUs = legacy.wireUs;
-    e.topo.placement = 0; // classic: every conversation is 0 -> 1
-    return e;
+    Experiment m = e;
+    m.topo.nodes = 2;
+    m.topo.kind = 0; // point-to-point mesh
+    m.topo.linkLatencyUs = linkLatencyUs;
+    m.topo.placement = 0; // classic: every conversation is 0 -> 1
+    return m;
+}
+
+/**
+ * Round trips, mean round trip and a third per-case counter that
+ * the retired fixed-wire medium (wireUs = 150) produced for
+ * implicitRemote(arch); the 150 us mesh must reproduce them exactly.
+ */
+struct Pinned
+{
+    long roundTrips;
+    double meanRoundTripUs;
+    long third;
+};
+
+void
+expectPinned(const Outcome &o, const Pinned &p, long third, int arch)
+{
+    EXPECT_EQ(o.roundTrips, p.roundTrips) << "arch " << arch;
+    EXPECT_EQ(o.meanRoundTripUs, p.meanRoundTripUs) << "arch " << arch;
+    EXPECT_EQ(third, p.third) << "arch " << arch;
 }
 
 TEST(TopoDegenerate, TwoNodeMeshMatchesLegacyBytesOnEveryArch)
 {
+    // Third column: round trips again (the fault-free run has no
+    // other nonzero counter worth pinning).
+    const Pinned wire150[] = {{4, 0x1.3424e66666666p+13, 4},
+                              {4, 0x1.12ff5f3b645a2p+13, 4},
+                              {6, 0x1.a0df6bdc80576p+12, 6},
+                              {6, 0x1.9f77e2a53490bp+12, 6}};
     for (int arch = 1; arch <= 4; ++arch) {
-        const Experiment legacy = legacyRemote(arch);
-        const Experiment two = degenerate(legacy);
-        EXPECT_EQ(outcomeJson(runExperiment(legacy)),
-                  outcomeJson(runExperiment(two)))
+        const Experiment e = implicitRemote(arch);
+        EXPECT_EQ(outcomeJson(runExperiment(e)),
+                  outcomeJson(runExperiment(explicitMesh(e, 0))))
             << "arch " << arch;
+        const Outcome o = runExperiment(explicitMesh(e, 150));
+        expectPinned(o, wire150[arch - 1], o.roundTrips, arch);
     }
 }
 
 TEST(TopoDegenerate, MatchesLegacyUnderFaults)
 {
+    // Third column: retransmissions.
+    const Pinned wire150[] = {{2, 0x1.08e9fe76c8b44p+14, 3},
+                              {2, 0x1.82d999999999ap+13, 5},
+                              {4, 0x1.23a790e560418p+13, 4},
+                              {4, 0x1.129dad916872ap+13, 1}};
     for (int arch = 1; arch <= 4; ++arch) {
-        Experiment legacy = legacyRemote(arch);
-        legacy.lossRate = 0.1;
-        legacy.corruptRate = 0.05;
-        legacy.duplicateRate = 0.05;
-        legacy.retransmitTimeoutUs = 2000;
-        const Experiment two = degenerate(legacy);
-        EXPECT_EQ(outcomeJson(runExperiment(legacy)),
-                  outcomeJson(runExperiment(two)))
+        Experiment e = implicitRemote(arch);
+        e.lossRate = 0.1;
+        e.corruptRate = 0.05;
+        e.duplicateRate = 0.05;
+        e.retransmitTimeoutUs = 2000;
+        EXPECT_EQ(outcomeJson(runExperiment(e)),
+                  outcomeJson(runExperiment(explicitMesh(e, 0))))
             << "arch " << arch;
+        const Outcome o = runExperiment(explicitMesh(e, 150));
+        expectPinned(o, wire150[arch - 1], o.retransmissions, arch);
     }
 }
 
 TEST(TopoDegenerate, MatchesLegacyWithTheReliableProtocol)
 {
+    // Third column: acknowledgements sent over the whole run.
+    const Pinned wire150[] = {{2, 0x1.98f5ee978d4fep+13, 6},
+                              {3, 0x1.5c10e6bdc8058p+13, 8},
+                              {4, 0x1.067234bc6a7fp+13, 10},
+                              {4, 0x1.05ca1a1cac083p+13, 10}};
     for (int arch = 1; arch <= 4; ++arch) {
-        Experiment legacy = legacyRemote(arch);
-        legacy.reliableProtocol = true;
-        const Experiment two = degenerate(legacy);
-        EXPECT_EQ(outcomeJson(runExperiment(legacy)),
-                  outcomeJson(runExperiment(two)))
+        Experiment e = implicitRemote(arch);
+        e.reliableProtocol = true;
+        EXPECT_EQ(outcomeJson(runExperiment(e)),
+                  outcomeJson(runExperiment(explicitMesh(e, 0))))
             << "arch " << arch;
+        const Outcome o = runExperiment(explicitMesh(e, 150));
+        expectPinned(o, wire150[arch - 1], o.netTotals.acksSent, arch);
     }
 }
 
 TEST(TopoDegenerate, MatchesLegacyEngineProfileDeterministically)
 {
-    // The fabric reuses the legacy "wire" profiler origin, so even
-    // the lookahead graph of the degenerate topology matches.  The
-    // one line excluded is callback storage: the fabric's wrapper
-    // captures link bookkeeping around the kernel's delivery
-    // callback, so a handful of wire callbacks spill to the heap
-    // that fit inline on the legacy path — an allocator internal,
-    // not an event-stream observable.
-    const auto stripCallbacks = [](std::string json) {
-        const std::size_t from = json.find("\"callbacks\"");
-        const std::size_t to = json.find('\n', from);
-        if (from != std::string::npos && to != std::string::npos)
-            json.erase(from, to - from);
-        return json;
-    };
-    Experiment legacy = legacyRemote(2);
-    legacy.engineProfile = true;
-    const Experiment two = degenerate(legacy);
-    const Outcome a = runExperiment(legacy);
-    const Outcome b = runExperiment(two);
+    // The implicit and explicit spellings build the same fabric, so
+    // the whole deterministic profile — lookahead graph and callback
+    // storage included — agrees.
+    Experiment e = implicitRemote(2);
+    e.engineProfile = true;
+    const Outcome a = runExperiment(e);
+    const Outcome b = runExperiment(explicitMesh(e, 0));
     EXPECT_EQ(outcomeJson(a), outcomeJson(b));
-    EXPECT_EQ(stripCallbacks(a.engineProfile.deterministicJson()),
-              stripCallbacks(b.engineProfile.deterministicJson()));
+    EXPECT_EQ(a.engineProfile.deterministicJson(),
+              b.engineProfile.deterministicJson());
+}
+
+TEST(TopoRing, OneSegmentReproducesTheTwoStationRing)
+{
+    // The four ring rates of bench/ablation_network_buffers, whose
+    // numbers the retired two-station TokenRing medium produced:
+    // round trips, mean round trip, ring utilization, mean token wait.
+    struct Ring
+    {
+        double mbps;
+        long roundTrips;
+        double meanRoundTripUs;
+        double util;
+        double waitUs;
+    };
+    const Ring pinned[] = {
+        {16, 405, 0x1.ce58f02ffa94p+13, 0x1.a82e87d2c7b89p-7,
+         0x1.cac083126e979p-1},
+        {4, 402, 0x1.d39e75ed993bdp+13, 0x1.a4bdba0a52696p-5,
+         0x1.2dd2f1a9fbe77p+0},
+        {1, 404, 0x1.d05572f634c2ap+13, 0x1.a7b0b39192642p-3,
+         0x1.209374bc6a7fp+3},
+        {0.25, 362, 0x1.035dd786cb6b8p+14, 0x1.7adbb9da56ce1p-1,
+         0x1.0c645a1cac083p+9},
+    };
+    for (const Ring &r : pinned) {
+        Experiment e;
+        e.arch = models::Arch::II;
+        e.conversations = 4;
+        e.computeUs = 1710;
+        e.topo.nodes = 2;
+        e.topo.kind = 2;
+        e.topo.segMbps = r.mbps;
+        const Outcome o = runExperiment(e);
+        EXPECT_EQ(o.roundTrips, r.roundTrips) << r.mbps << " Mb/s";
+        EXPECT_EQ(o.meanRoundTripUs, r.meanRoundTripUs)
+            << r.mbps << " Mb/s";
+        EXPECT_EQ(o.ringUtil, r.util) << r.mbps << " Mb/s";
+        EXPECT_EQ(o.ringTokenWaitUs, r.waitUs) << r.mbps << " Mb/s";
+    }
+}
+
+TEST(TopoRing, StatsCoverEverySegment)
+{
+    // Bridged segments: utilization is the busiest ring's, and the
+    // token wait averages over every packet on every ring — so both
+    // are present, bounded, and zero on the other fabric kinds.
+    Experiment e;
+    e.warmupUs = 1000;
+    e.measureUs = 12000;
+    e.computeUs = 100;
+    e.conversations = 6;
+    e.topo.nodes = 6;
+    e.topo.kind = 2;
+    e.topo.segments = 3;
+    e.topo.segMbps = 2;
+    e.topo.placement = 1;
+    const Outcome ring = runExperiment(e);
+    EXPECT_GT(ring.ringUtil, 0.0);
+    EXPECT_LE(ring.ringUtil, 1.0);
+    EXPECT_GT(ring.ringTokenWaitUs, 0.0);
+    e.topo.kind = 1;
+    const Outcome star = runExperiment(e);
+    EXPECT_EQ(star.ringUtil, 0.0);
+    EXPECT_EQ(star.ringTokenWaitUs, 0.0);
 }
 
 TEST(TopoLedger, IsEmptyWithoutATopology)
 {
-    const Experiment legacy = legacyRemote(1);
-    const Outcome out = runExperiment(legacy);
+    // A local run resolves to one node: no fabric, no ledger.  A
+    // remote run on the default fabric reports none either — its
+    // topoJson is byte-identical to the one-node run's.
+    Experiment local = implicitRemote(1);
+    local.local = true;
+    const Outcome out = runExperiment(local);
     EXPECT_FALSE(out.topo.enabled);
     EXPECT_TRUE(out.topo.links.empty());
     EXPECT_TRUE(out.topo.routers.empty());
     EXPECT_NE(topoJson(out).find("\"enabled\": false"),
               std::string::npos);
+    EXPECT_EQ(topoJson(runExperiment(implicitRemote(1))), topoJson(out));
 }
 
 TEST(TopoLedger, DegenerateMeshBooksEveryMessageOnItsLink)
 {
-    const Outcome out = runExperiment(degenerate(legacyRemote(1)));
+    const Outcome out =
+        runExperiment(explicitMesh(implicitRemote(1), 150));
     ASSERT_TRUE(out.topo.enabled);
     ASSERT_EQ(out.topo.links.size(), 2u); // n0->n1 and n1->n0
     EXPECT_TRUE(out.topo.routers.empty());
