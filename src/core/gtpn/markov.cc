@@ -1,5 +1,6 @@
 #include "core/gtpn/markov.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -37,12 +38,48 @@ MarkovChain::setSojourn(std::size_t state, double t)
 SolveResult
 MarkovChain::solve(const SolveOptions &opts) const
 {
+    hsipc_assert(opts.maxSweeps >= 1);
+    hsipc_assert(opts.checkInterval >= 1);
+    hsipc_assert(opts.tolerance > 0.0);
+    hsipc_assert(opts.damping >= 0.0 && opts.damping < 1.0);
+
     const std::size_t n = numStates();
     hsipc_assert(n > 0);
     for (std::size_t i = 0; i < n; ++i) {
         if (std::abs(rowSums[i] - 1.0) > 1e-6)
             hsipc_panic("Markov row " + std::to_string(i) +
                         " sums to " + std::to_string(rowSums[i]));
+    }
+
+    // Gauss-Seidel on pi (I - P) = 0 sets pi_j to its off-diagonal
+    // inflow over 1 - p_jj, so each self-loop is split off once here.
+    // An absorbing row (1 - p_jj ~ 0, the deadlock states analyze()
+    // adds) has nothing to divide by: it takes the power step
+    // pi_j + inflow instead and keeps collecting mass (leave[j] = 0).
+    //
+    // Sweeps visit states in reverse discovery order, j = n-1 ... 0,
+    // which needs about a third of the sweeps of forward order on the
+    // chains analyze() builds.  The off-diagonal edges are laid out
+    // flat in that order so a sweep streams through them: state j's
+    // end at edgesEnd[j], where state j+1's left off.
+    constexpr double absorbing = 1e-12;
+    std::size_t total = 0;
+    for (const std::vector<Edge> &in : incoming)
+        total += in.size();
+    std::vector<Edge> edges;
+    edges.reserve(total);
+    std::vector<std::size_t> edgesEnd(n);
+    std::vector<double> leave(n);
+    for (std::size_t j = n; j-- > 0;) {
+        double stay = 0.0;
+        for (const Edge &e : incoming[j]) {
+            if (e.src == j)
+                stay += e.prob;
+            else
+                edges.push_back(e);
+        }
+        edgesEnd[j] = edges.size();
+        leave[j] = 1.0 - stay <= absorbing ? 0.0 : 1.0 / (1.0 - stay);
     }
 
     SolveResult res;
@@ -57,15 +94,17 @@ MarkovChain::solve(const SolveOptions &opts) const
         if (check)
             prev = pi;
 
-        // One damped Gauss-Seidel sweep: pi(j) is updated in place so
-        // later states see the freshest values, which markedly speeds
-        // convergence on the near-pipeline chains the GTPN produces.
+        // One Gauss-Seidel sweep, updating pi(j) in place so later
+        // states see the freshest values.
         double sum = 0.0;
-        for (std::size_t j = 0; j < n; ++j) {
+        std::size_t q = 0;
+        for (std::size_t j = n; j-- > 0;) {
             double acc = 0.0;
-            for (const Edge &e : incoming[j])
-                acc += pi[e.src] * e.prob;
-            pi[j] = alpha * pi[j] + (1.0 - alpha) * acc;
+            for (; q < edgesEnd[j]; ++q)
+                acc += pi[edges[q].src] * edges[q].prob;
+            const double next =
+                leave[j] > 0.0 ? acc * leave[j] : pi[j] + acc;
+            pi[j] = alpha * pi[j] + (1.0 - alpha) * next;
             sum += pi[j];
         }
         hsipc_assert(sum > 0.0);
@@ -80,9 +119,7 @@ MarkovChain::solve(const SolveOptions &opts) const
                 const double scale = std::max(pi[j], 1e-300);
                 worst = std::max(worst, std::abs(pi[j] - prev[j]) / scale);
             }
-            // The damped iterate moves at most (1 - alpha) of the full
-            // step, and we compare across checkInterval sweeps, so the
-            // raw tolerance applies directly.
+            // The change is that of the one sweep just taken.
             if (worst < opts.tolerance)
                 converged = true;
         }

@@ -4,11 +4,18 @@
  * deterministic sojourn times (the chain embedded at GTPN state-change
  * instants).
  *
- * The solver runs damped Gauss-Seidel sweeps of x <- xP over a sparse
- * incoming-edge representation; damping removes periodicity (the
- * thesis' nets are strongly periodic because every timed transition
- * takes exactly one time unit).  Convergence is declared on the
- * relative change of the stationary vector.
+ * The solver runs Gauss-Seidel sweeps on pi (I - P) = 0 over a sparse
+ * incoming-edge representation, visiting states in reverse discovery
+ * order: self-loops are held apart, and each state takes its
+ * off-diagonal inflow divided by 1 - p_jj.  Absorbing states
+ * (p_jj = 1) take the power step instead, so a transient chain still
+ * drains into them.  Convergence is declared on the relative change
+ * of the stationary vector over one sweep.
+ *
+ * Damping (off by default) mixes the previous iterate into each
+ * update.  The chains analyze() builds converge without it; it is
+ * there for chains on which the plain sweep cycles, such as a ring
+ * whose states hold unequal self-loops.
  */
 
 #ifndef HSIPC_GTPN_MARKOV_HH
@@ -25,7 +32,7 @@ struct SolveOptions
 {
     double tolerance = 1e-10;   //!< max relative change of pi per sweep
     int maxSweeps = 200000;     //!< hard iteration cap
-    double damping = 0.5;       //!< weight of the previous iterate
+    double damping = 0.0;       //!< weight of the previous iterate, in [0, 1)
     int checkInterval = 16;     //!< sweeps between convergence checks
 };
 

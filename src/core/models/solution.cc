@@ -98,6 +98,7 @@ solveNonlocalCustom(const NonlocalClientParams &cp,
     const double sc = sp.receivePath();
 
     NonlocalSolution out;
+    bool solves_converged = true;
     double lambda_per_us = 0.0;
     double client_states = 0.0, server_states = 0.0;
 
@@ -113,6 +114,7 @@ solveNonlocalCustom(const NonlocalClientParams &cp,
         const gtpn::AnalyzerResult cr = gtpn::analyze(cm.net,
                                                       cfg.analyzer);
         hsipc_assert(!cr.deadlock);
+        solves_converged = solves_converged && cr.converged;
         lambda_per_us = cm.throughputPerUs(cr.usage(lambdaResource));
         client_states = static_cast<double>(cr.numStates);
         hsipc_assert(lambda_per_us > 0.0);
@@ -134,6 +136,7 @@ solveNonlocalCustom(const NonlocalClientParams &cp,
         const gtpn::AnalyzerResult sr = gtpn::analyze(sm.net,
                                                       cfg.analyzer);
         hsipc_assert(!sr.deadlock);
+        solves_converged = solves_converged && sr.converged;
         server_states = static_cast<double>(sr.numStates);
 
         const double arrivals_per_us =
@@ -151,7 +154,9 @@ solveNonlocalCustom(const NonlocalClientParams &cp,
         const double rel = std::abs(sd_new - sd) / std::max(sd, 1.0);
         sd = 0.5 * (sd + sd_new);
         if (rel < cfg.tolerance) {
-            out.converged = true;
+            // A fixed point built on an unfinished stationary solve is
+            // not a converged one.
+            out.converged = solves_converged;
             break;
         }
     }

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/gtpn/analyzer.hh"
 #include "core/gtpn/export.hh"
 #include "core/gtpn/net.hh"
 #include "core/gtpn/simulator.hh"
 #include "core/gtpn/tokengame.hh"
+#include "core/models/local_model.hh"
 
 namespace
 {
@@ -649,6 +653,29 @@ TEST(Markov, SolveOptionsRespectSweepCap)
     const SolveResult r = c.solve(opts);
     EXPECT_FALSE(r.converged);
     EXPECT_EQ(r.sweeps, 3);
+}
+
+TEST(Analyzer, Fig618LocalArchIISolvesInFewSweeps)
+{
+    // The Fig 6.18 local Arch II net at n = 4, X = 1.71 ms, on the
+    // time scale solveLocal() picks: the smallest stage mean over 20
+    // time units.
+    const models::LocalParams p = models::localParams(models::Arch::II);
+    const double x = 1710.0;
+    const double scale = std::max(
+        1.0, std::floor(std::min({p.sendSyscall, p.recvSyscall, p.mpSend,
+                                  p.mpRecv, p.mpMatch,
+                                  p.hostReplyBase + x, p.mpReply}) /
+                        20.0));
+    const models::LocalModel m = models::buildLocalModel(p, 4, x, scale, 1);
+    const AnalyzerResult r = analyze(m.net);
+    ASSERT_TRUE(r.converged);
+    ASSERT_EQ(r.numStates, 6336u);
+    // Gauss-Seidel on pi (I - P) = 0 takes ~1150 sweeps here; a
+    // damped power-style update x <- xP needs ~7200.
+    EXPECT_LE(r.sweeps, 2000);
+    const double thr = m.throughputPerUs(r.usage(models::lambdaResource));
+    EXPECT_NEAR(thr, 0.000216416229756, 0.000216416229756 * 1e-6);
 }
 
 TEST(Markov, HigherDampingStillConverges)

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "core/gtpn/markov.hh"
 
@@ -34,8 +37,8 @@ TEST(Markov, TwoStateChain)
 
 TEST(Markov, PeriodicChainConverges)
 {
-    // 0 -> 1 -> 0 with period 2; damping must still converge to
-    // (0.5, 0.5).
+    // 0 -> 1 -> 0 with period 2; the undamped sweep must still
+    // converge to (0.5, 0.5).
     MarkovChain c;
     c.addEdge(0, 1, 1.0);
     c.addEdge(1, 0, 1.0);
@@ -70,6 +73,8 @@ TEST(Markov, RingChainUniform)
                   static_cast<std::size_t>((i + 1) % n), 1.0);
     const SolveResult r = c.solve();
     ASSERT_TRUE(r.converged);
+    // Settled by the second convergence check.
+    EXPECT_LE(r.sweeps, 2 * SolveOptions().checkInterval);
     for (int i = 0; i < n; ++i)
         EXPECT_NEAR(r.piEmbedded[static_cast<std::size_t>(i)], 1.0 / n,
                     1e-7);
@@ -99,6 +104,130 @@ TEST(Markov, BirthDeathChain)
                     std::pow(rho, i) / z, 1e-7);
 }
 
+TEST(Markov, HeavySelfLoopMatchesClosedForm)
+{
+    // Both states stay with probability >= 0.998, so x <- xP mixes over
+    // hundreds of steps.  Balance across the cut: pi0 * 0.001 =
+    // pi1 * 0.002, so pi = (2/3, 1/3).  With the self-loops split off,
+    // one Gauss-Seidel sweep lands on it.
+    MarkovChain c;
+    c.addEdge(0, 0, 0.999);
+    c.addEdge(0, 1, 0.001);
+    c.addEdge(1, 1, 0.998);
+    c.addEdge(1, 0, 0.002);
+    c.setSojourn(1, 4.0);
+
+    const SolveResult r = c.solve();
+    ASSERT_TRUE(r.converged);
+    EXPECT_LE(r.sweeps, 2 * SolveOptions().checkInterval);
+    EXPECT_NEAR(r.piEmbedded[0], 2.0 / 3.0, 1e-12);
+    EXPECT_NEAR(r.piEmbedded[1], 1.0 / 3.0, 1e-12);
+    EXPECT_NEAR(r.piTime[1], 2.0 / 3.0, 1e-12);
+}
+
+TEST(Markov, TransientChainDrainsIntoAbsorbingState)
+{
+    // The deadlock path of analyze(): transient states 0..2 cycle
+    // among themselves and leak into state 3, which loops on itself
+    // with probability 1.  All the mass must end up there.
+    MarkovChain c;
+    c.addEdge(0, 1, 0.6);
+    c.addEdge(0, 2, 0.4);
+    c.addEdge(1, 0, 0.5);
+    c.addEdge(1, 1, 0.3);
+    c.addEdge(1, 3, 0.2);
+    c.addEdge(2, 0, 0.9);
+    c.addEdge(2, 3, 0.1);
+    c.addEdge(3, 3, 1.0);
+
+    const SolveResult r = c.solve();
+    EXPECT_NEAR(r.piEmbedded[3], 1.0, 1e-9);
+    for (std::size_t j = 0; j < 3; ++j)
+        EXPECT_NEAR(r.piEmbedded[j], 0.0, 1e-9);
+    EXPECT_NEAR(r.piTime[3], 1.0, 1e-9);
+}
+
+/** Stationary vector of the dense row-stochastic @p p by elimination. */
+std::vector<double>
+eliminationStationary(const std::vector<std::vector<double>> &p)
+{
+    // Rows 0..n-2 of (I - P)^T pi = 0, the last replaced by sum pi = 1.
+    const std::size_t n = p.size();
+    std::vector<std::vector<double>> a(n, std::vector<double>(n + 1, 0.0));
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j)
+            a[i][j] = (i == j ? 1.0 : 0.0) - p[j][i];
+    }
+    for (std::size_t j = 0; j < n; ++j)
+        a[n - 1][j] = 1.0;
+    a[n - 1][n] = 1.0;
+
+    for (std::size_t col = 0; col < n; ++col) {
+        std::size_t pivot = col;
+        for (std::size_t r = col + 1; r < n; ++r) {
+            if (std::abs(a[r][col]) > std::abs(a[pivot][col]))
+                pivot = r;
+        }
+        std::swap(a[col], a[pivot]);
+        for (std::size_t r = 0; r < n; ++r) {
+            if (r == col)
+                continue;
+            const double f = a[r][col] / a[col][col];
+            for (std::size_t k = col; k <= n; ++k)
+                a[r][k] -= f * a[col][k];
+        }
+    }
+    std::vector<double> pi(n);
+    for (std::size_t i = 0; i < n; ++i)
+        pi[i] = a[i][n] / a[i][i];
+    return pi;
+}
+
+TEST(Markov, DenseRandomChainMatchesElimination)
+{
+    const std::size_t n = 8;
+    std::mt19937 rng(1987);
+    std::uniform_real_distribution<double> weight(0.0, 1.0);
+    std::vector<std::vector<double>> p(n, std::vector<double>(n));
+    for (auto &row : p) {
+        double sum = 0.0;
+        for (double &v : row)
+            sum += (v = weight(rng));
+        for (double &v : row)
+            v /= sum;
+    }
+
+    MarkovChain c;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j)
+            c.addEdge(i, j, p[i][j]);
+    }
+    const SolveResult r = c.solve();
+    ASSERT_TRUE(r.converged);
+    const std::vector<double> ref = eliminationStationary(p);
+    for (std::size_t j = 0; j < n; ++j)
+        EXPECT_NEAR(r.piEmbedded[j], ref[j], 1e-9) << "state " << j;
+}
+
+TEST(Markov, DampingSettlesARingWithUnequalSelfLoops)
+{
+    // 0 -> 1 -> 2 -> 0 with p_00 = 0.5.  The plain sweep alternates
+    // between two vectors on this ring; a damped one settles on the
+    // balance pi0 * 0.5 = pi1 = pi2, i.e. (1/2, 1/4, 1/4).
+    MarkovChain c;
+    c.addEdge(0, 0, 0.5);
+    c.addEdge(0, 1, 0.5);
+    c.addEdge(1, 2, 1.0);
+    c.addEdge(2, 0, 1.0);
+    SolveOptions opts;
+    opts.damping = 0.5;
+    const SolveResult r = c.solve(opts);
+    ASSERT_TRUE(r.converged);
+    EXPECT_NEAR(r.piEmbedded[0], 0.5, 1e-8);
+    EXPECT_NEAR(r.piEmbedded[1], 0.25, 1e-8);
+    EXPECT_NEAR(r.piEmbedded[2], 0.25, 1e-8);
+}
+
 TEST(Markov, AbsorbingStateCollectsAllMass)
 {
     MarkovChain c;
@@ -114,6 +243,28 @@ TEST(Markov, RejectsUnnormalizedRows)
     c.addEdge(0, 1, 0.5); // row 0 sums to 0.5
     c.addEdge(1, 0, 1.0);
     EXPECT_DEATH({ c.solve(); }, "sums");
+}
+
+TEST(Markov, RejectsInvalidSolveOptions)
+{
+    MarkovChain c;
+    c.addEdge(0, 1, 1.0);
+    c.addEdge(1, 0, 1.0);
+    const auto solveWith = [&c](auto edit) {
+        SolveOptions opts;
+        edit(opts);
+        c.solve(opts);
+    };
+    EXPECT_DEATH(solveWith([](SolveOptions &o) { o.checkInterval = 0; }),
+                 "checkInterval");
+    EXPECT_DEATH(solveWith([](SolveOptions &o) { o.maxSweeps = 0; }),
+                 "maxSweeps");
+    EXPECT_DEATH(solveWith([](SolveOptions &o) { o.tolerance = 0.0; }),
+                 "tolerance");
+    EXPECT_DEATH(solveWith([](SolveOptions &o) { o.damping = 1.0; }),
+                 "damping");
+    EXPECT_DEATH(solveWith([](SolveOptions &o) { o.damping = -0.1; }),
+                 "damping");
 }
 
 } // namespace

@@ -164,6 +164,18 @@ TEST(NonlocalModel, FixedPointConverges)
     }
 }
 
+TEST(NonlocalModel, UnfinishedStationarySolveIsNotConverged)
+{
+    // Two sweeps end every stationary solve before its first
+    // convergence check, so however quickly S_d settles, the fixed
+    // point is not converged.
+    SolveConfig cfg;
+    cfg.analyzer.solve.maxSweeps = 2;
+    const NonlocalSolution s = solveNonlocal(Arch::II, 2, 1140.0, cfg);
+    EXPECT_FALSE(s.converged);
+    EXPECT_GT(s.throughputPerUs, 0.0);
+}
+
 TEST(NonlocalModel, ArchIIIBeatsIAtMaxLoad)
 {
     const double t1 = solveNonlocal(Arch::I, 3, 0.0).throughputPerUs;
