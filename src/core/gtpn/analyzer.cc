@@ -1,7 +1,8 @@
 #include "core/gtpn/analyzer.hh"
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
-#include <unordered_map>
 
 #include "common/logging.hh"
 
@@ -11,19 +12,84 @@ namespace hsipc::gtpn
 namespace
 {
 
-/** Intern @p state, returning its dense index (appending if new). */
-std::size_t
-intern(NetState state, std::unordered_map<std::string, std::size_t> &index,
-       std::vector<NetState> &states, std::vector<std::size_t> &frontier)
+/**
+ * The tangible states found so far: their words (FiringExpander's
+ * encoding) back to back in one arena, one start offset per state,
+ * and an open-addressing table of state ids keyed by the words' hash.
+ * Ids are dense and assigned in insertion order.
+ */
+class StateStore
 {
-    const std::string k = state.key();
-    auto [it, fresh] = index.emplace(k, states.size());
-    if (fresh) {
-        states.push_back(std::move(state));
-        frontier.push_back(it->second);
+  public:
+    StateStore() : slots(1024, 0) {}
+
+    std::size_t size() const { return hashes.size(); }
+
+    const std::uint32_t *
+    words(std::size_t s) const
+    {
+        return arena.data() + start[s];
     }
-    return it->second;
-}
+
+    std::size_t
+    length(std::size_t s) const
+    {
+        return start[s + 1] - start[s];
+    }
+
+    /**
+     * The id of the @p len words at @p w (with hash @p h), appending
+     * them as a new state when absent.  @p fresh reports which.
+     */
+    std::size_t
+    intern(const std::uint32_t *w, std::size_t len, std::uint64_t h,
+           bool &fresh)
+    {
+        const std::size_t mask = slots.size() - 1;
+        std::size_t i = static_cast<std::size_t>(h) & mask;
+        for (; slots[i] != 0; i = (i + 1) & mask) {
+            const std::size_t s = slots[i] - 1;
+            if (hashes[s] == h && length(s) == len &&
+                std::equal(w, w + len, words(s))) {
+                fresh = false;
+                return s;
+            }
+        }
+
+        if (arena.size() + len > std::numeric_limits<std::uint32_t>::max())
+            hsipc_panic("GTPN state arena exceeds 32-bit offsets; "
+                        "lower maxStates");
+        const std::size_t id = size();
+        arena.insert(arena.end(), w, w + len);
+        start.push_back(static_cast<std::uint32_t>(arena.size()));
+        hashes.push_back(h);
+        slots[i] = static_cast<std::uint32_t>(id + 1);
+        if (2 * size() > slots.size())
+            grow();
+        fresh = true;
+        return id;
+    }
+
+  private:
+    /** Double the table and re-place every id by its stored hash. */
+    void
+    grow()
+    {
+        slots.assign(slots.size() * 2, 0);
+        const std::size_t mask = slots.size() - 1;
+        for (std::size_t s = 0; s < size(); ++s) {
+            std::size_t i = static_cast<std::size_t>(hashes[s]) & mask;
+            while (slots[i] != 0)
+                i = (i + 1) & mask;
+            slots[i] = static_cast<std::uint32_t>(s + 1);
+        }
+    }
+
+    std::vector<std::uint32_t> arena;
+    std::vector<std::uint32_t> start{0}; //!< size() + 1 offsets
+    std::vector<std::uint64_t> hashes;   //!< per state id
+    std::vector<std::uint32_t> slots;    //!< id + 1; 0 is empty
+};
 
 } // namespace
 
@@ -32,19 +98,33 @@ analyze(const PetriNet &net, const AnalyzerOptions &opts)
 {
     AnalyzerResult res;
 
-    std::unordered_map<std::string, std::size_t> index;
-    std::vector<NetState> states;
+    StateStore states;
     std::vector<std::size_t> frontier;
+    std::vector<int> sojourn;
+    FiringExpander ex(net);
+
+    // Intern outcome i of the last expansion, queueing it if new.
+    auto intern = [&](std::size_t i) {
+        bool fresh = false;
+        const std::size_t t =
+            states.intern(ex.words(i), ex.length(i), ex.hash(i), fresh);
+        if (fresh) {
+            frontier.push_back(t);
+            sojourn.push_back(1);
+        }
+        return t;
+    };
 
     // Seed: run the selection phase on the initial marking.  The
     // stationary distribution does not depend on how the initial
     // probability splits, so each outcome simply seeds the BFS.
-    NetState initial{net.initialMarking(), {}};
-    for (Outcome &o : enumerateFirings(net, initial))
-        intern(std::move(o.state), index, states, frontier);
+    ex.load(NetState{net.initialMarking(), {}});
+    ex.expand();
+    for (std::size_t i = 0; i < ex.numOutcomes(); ++i)
+        intern(i);
 
     MarkovChain chain;
-    std::vector<int> sojourn;
+    const std::size_t places = net.numPlaces();
 
     while (!frontier.empty()) {
         const std::size_t s = frontier.back();
@@ -53,55 +133,50 @@ analyze(const PetriNet &net, const AnalyzerOptions &opts)
         if (states.size() > opts.maxStates)
             hsipc_panic("GTPN reachability graph exceeds maxStates");
 
-        if (sojourn.size() <= s)
-            sojourn.resize(states.size(), 1);
-
-        if (states[s].firings.empty()) {
-            // Deadlock: treat as absorbing with unit sojourn so the
-            // solver still runs; flag it for the caller.
+        if (states.length(s) == places) {
+            // Deadlock (no firing in flight): treat as absorbing with
+            // unit sojourn so the solver still runs; flag it for the
+            // caller.
             res.deadlock = true;
             chain.addEdge(s, s, 1.0);
             chain.setSojourn(s, 1.0);
-            sojourn[s] = 1;
             continue;
         }
 
-        NetState advanced = states[s];
-        const int step = advanceTime(net, advanced);
+        const int step = ex.loadAdvanced(states.words(s), states.length(s));
         sojourn[s] = step;
         chain.setSojourn(s, static_cast<double>(step));
 
-        for (Outcome &o : enumerateFirings(net, advanced)) {
-            const std::size_t t =
-                intern(std::move(o.state), index, states, frontier);
-            if (sojourn.size() < states.size())
-                sojourn.resize(states.size(), 1);
-            chain.addEdge(s, t, o.prob);
-        }
+        ex.expand();
+        for (std::size_t i = 0; i < ex.numOutcomes(); ++i)
+            chain.addEdge(s, intern(i), ex.prob(i));
     }
 
-    res.numStates = states.size();
+    const std::size_t n = states.size();
+    res.numStates = n;
     const SolveResult sol = chain.solve(opts.solve);
     res.converged = sol.converged;
     res.sweeps = sol.sweeps;
 
     // Time-averaged resource usage: every in-flight firing of a
     // tangible state is active throughout that state's sojourn.
-    for (std::size_t s = 0; s < states.size(); ++s) {
-        for (const Firing &f : states[s].firings) {
-            const std::string &r = net.transition(f.trans).resource;
+    // Firings are (trans, remaining) word pairs after the marking.
+    for (std::size_t s = 0; s < n; ++s) {
+        const std::uint32_t *w = states.words(s);
+        for (std::size_t k = places; k < states.length(s); k += 2) {
+            const std::string &r =
+                net.transition(static_cast<TransId>(w[k])).resource;
             if (!r.empty())
                 res.resourceUsage[r] += sol.piTime[s];
         }
     }
 
     // Time-averaged marking per place.
-    res.placeOccupancy.assign(net.numPlaces(), 0.0);
-    for (std::size_t s = 0; s < states.size(); ++s) {
-        for (std::size_t p = 0; p < net.numPlaces(); ++p) {
-            res.placeOccupancy[p] +=
-                sol.piTime[s] * static_cast<double>(states[s].marking[p]);
-        }
+    res.placeOccupancy.assign(places, 0.0);
+    for (std::size_t s = 0; s < n; ++s) {
+        const std::uint32_t *w = states.words(s);
+        for (std::size_t p = 0; p < places; ++p)
+            res.placeOccupancy[p] += sol.piTime[s] * static_cast<double>(w[p]);
     }
 
     // Firing rates: completions when leaving state s are the in-flight
@@ -109,15 +184,15 @@ analyze(const PetriNet &net, const AnalyzerOptions &opts)
     // rate is the embedded-visit-weighted count over mean cycle time.
     res.firingRate.assign(net.numTransitions(), 0.0);
     double mean_cycle = 0.0;
-    for (std::size_t s = 0; s < states.size(); ++s)
+    for (std::size_t s = 0; s < n; ++s)
         mean_cycle += sol.piEmbedded[s] * static_cast<double>(sojourn[s]);
     if (mean_cycle > 0.0) {
-        for (std::size_t s = 0; s < states.size(); ++s) {
-            for (const Firing &f : states[s].firings) {
-                if (f.remaining == sojourn[s]) {
-                    res.firingRate[static_cast<std::size_t>(f.trans)] +=
-                        sol.piEmbedded[s];
-                }
+        for (std::size_t s = 0; s < n; ++s) {
+            const std::uint32_t *w = states.words(s);
+            const auto due = static_cast<std::uint32_t>(sojourn[s]);
+            for (std::size_t k = places; k < states.length(s); k += 2) {
+                if (w[k + 1] == due)
+                    res.firingRate[w[k]] += sol.piEmbedded[s];
             }
         }
         for (double &r : res.firingRate)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 namespace hsipc::gtpn
 {
@@ -14,18 +13,12 @@ namespace
 /**
  * Maximum depth of the selection recursion (vanishing-loop guard).
  * Must be low enough that the guard panics before the recursion in
- * enumerateRec exhausts the native stack — sanitizer builds inflate
- * each frame to several KB.  A real selection phase is bounded by the
- * zero-delay transitions firable in one instant, far below this.
+ * FiringExpander::recurse exhausts the native stack — sanitizer
+ * builds inflate each frame to several KB.  A real selection phase
+ * is bounded by the zero-delay transitions firable in one instant,
+ * far below this.
  */
 constexpr int maxSelectionDepth = 512;
-
-/** An enabled transition with its evaluated frequency. */
-struct Candidate
-{
-    TransId trans;
-    double freq;
-};
 
 /** Evaluate the delay of @p t in context and validate it. */
 int
@@ -36,25 +29,6 @@ evalDelay(const PetriNet &net, TransId t, const EvalContext &ctx)
     const int di = static_cast<int>(std::lround(d));
     hsipc_assert(std::abs(d - di) < 1e-9);
     return di;
-}
-
-/** All transitions enabled in @p marking with a positive frequency. */
-std::vector<Candidate>
-enabledCandidates(const PetriNet &net, const std::vector<int> &marking,
-                  const std::vector<int> &counts)
-{
-    const EvalContext ctx(marking, counts);
-    std::vector<Candidate> out;
-    const auto n = static_cast<TransId>(net.numTransitions());
-    for (TransId t = 0; t < n; ++t) {
-        if (!inputsSatisfied(net, marking, t))
-            continue;
-        const double f = net.transition(t).frequency(ctx);
-        hsipc_assert(f >= 0.0);
-        if (f > 0.0)
-            out.push_back(Candidate{t, f});
-    }
-    return out;
 }
 
 /** True when transitions @p a and @p b share an input place. */
@@ -71,20 +45,37 @@ sharesInput(const PetriNet &net, TransId a, TransId b)
 }
 
 /**
- * The conflict set of the first candidate: every candidate sharing an
- * input place with it (the thesis' nets only conflict over identical
- * input sets, so direct sharing is sufficient).
+ * Append to @p out the conflict set of the lowest-numbered enabled
+ * transition with a positive frequency: it and every other such
+ * transition sharing an input place with it (the thesis' nets only
+ * conflict over identical input sets, so direct sharing is
+ * sufficient).  Every enabled transition's frequency is evaluated and
+ * checked.  Returns the set's total frequency, summed in transition
+ * order; nothing is appended when no transition is enabled.
  */
-std::vector<Candidate>
-conflictSet(const PetriNet &net, const std::vector<Candidate> &cands)
+double
+appendConflictSet(const PetriNet &net, const std::vector<int> &marking,
+                  const std::vector<int> &counts, std::vector<Candidate> &out)
 {
-    std::vector<Candidate> set;
-    const TransId head = cands.front().trans;
-    for (const Candidate &c : cands) {
-        if (c.trans == head || sharesInput(net, head, c.trans))
-            set.push_back(c);
+    const EvalContext ctx(marking, counts);
+    TransId head = -1;
+    double total = 0.0;
+    const auto n = static_cast<TransId>(net.numTransitions());
+    for (TransId t = 0; t < n; ++t) {
+        if (!inputsSatisfied(net, marking, t))
+            continue;
+        const double f = net.transition(t).frequency(ctx);
+        hsipc_assert(f >= 0.0);
+        if (!(f > 0.0))
+            continue;
+        if (head < 0)
+            head = t;
+        else if (!sharesInput(net, head, t))
+            continue;
+        out.push_back(Candidate{t, f});
+        total += f;
     }
-    return set;
+    return total;
 }
 
 /** Remove the input tokens of @p t from @p marking. */
@@ -97,6 +88,14 @@ consumeInputs(const PetriNet &net, std::vector<int> &marking, TransId t)
     }
 }
 
+/** Give the input tokens of @p t back to @p marking. */
+void
+restoreInputs(const PetriNet &net, std::vector<int> &marking, TransId t)
+{
+    for (const Arc &a : net.transition(t).inputs)
+        marking[static_cast<std::size_t>(a.id)] += a.multiplicity;
+}
+
 /** Deposit the output tokens of @p t into @p marking. */
 void
 produceOutputs(const PetriNet &net, std::vector<int> &marking, TransId t)
@@ -105,42 +104,40 @@ produceOutputs(const PetriNet &net, std::vector<int> &marking, TransId t)
         marking[static_cast<std::size_t>(a.id)] += a.multiplicity;
 }
 
-/** Recursive exhaustive expansion of the selection phase. */
+/** Take the output tokens of @p t back out of @p marking. */
 void
-enumerateRec(const PetriNet &net, NetState state, std::vector<int> counts,
-             double prob, int depth, std::vector<Outcome> &out)
+withdrawOutputs(const PetriNet &net, std::vector<int> &marking, TransId t)
 {
-    if (depth > maxSelectionDepth)
-        hsipc_panic("GTPN selection did not terminate (vanishing loop?)");
+    for (const Arc &a : net.transition(t).outputs)
+        marking[static_cast<std::size_t>(a.id)] -= a.multiplicity;
+}
 
-    const auto cands = enabledCandidates(net, state.marking, counts);
-    if (cands.empty()) {
-        std::sort(state.firings.begin(), state.firings.end());
-        out.push_back(Outcome{std::move(state), prob});
-        return;
-    }
+/** One state word; every stored word is a non-negative int. */
+std::uint32_t
+stateWord(int v)
+{
+    hsipc_assert(v >= 0);
+    return static_cast<std::uint32_t>(v);
+}
 
-    const auto set = conflictSet(net, cands);
-    double total = 0.0;
-    for (const Candidate &c : set)
-        total += c.freq;
+/** Start value of a state hash. */
+constexpr std::uint64_t hashSeed = 0xcbf29ce484222325ULL;
 
-    for (const Candidate &c : set) {
-        const double p = prob * c.freq / total;
-        NetState next = state;
-        std::vector<int> next_counts = counts;
-        const EvalContext ctx(state.marking, counts);
-        const int delay = evalDelay(net, c.trans, ctx);
-        consumeInputs(net, next.marking, c.trans);
-        if (delay == 0) {
-            produceOutputs(net, next.marking, c.trans);
-        } else {
-            next.firings.push_back(Firing{c.trans, delay});
-            ++next_counts[static_cast<std::size_t>(c.trans)];
-        }
-        enumerateRec(net, std::move(next), std::move(next_counts), p,
-                     depth + 1, out);
-    }
+/** Fold one word into a running state hash. */
+std::uint64_t
+mixWord(std::uint64_t h, std::uint32_t w)
+{
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 32);
+}
+
+/** Append the four little-endian bytes of @p v to @p k. */
+void
+appendBytes(std::string &k, int v)
+{
+    const auto u = static_cast<std::uint32_t>(v);
+    for (int shift = 0; shift < 32; shift += 8)
+        k.push_back(static_cast<char>((u >> shift) & 0xff));
 }
 
 } // namespace
@@ -149,18 +146,15 @@ std::string
 NetState::key() const
 {
     std::string k;
-    k.reserve(marking.size() * 2 + firings.size() * 4 + 1);
+    k.reserve(marking.size() * 4 + firings.size() * 8 + 1);
     for (int m : marking) {
-        hsipc_assert(m >= 0 && m < (1 << 16));
-        k.push_back(static_cast<char>(m & 0xff));
-        k.push_back(static_cast<char>((m >> 8) & 0xff));
+        hsipc_assert(m >= 0);
+        appendBytes(k, m);
     }
     k.push_back('\x01');
     for (const Firing &f : firings) {
-        k.push_back(static_cast<char>(f.trans & 0xff));
-        k.push_back(static_cast<char>((f.trans >> 8) & 0xff));
-        k.push_back(static_cast<char>(f.remaining & 0xff));
-        k.push_back(static_cast<char>((f.remaining >> 8) & 0xff));
+        appendBytes(k, f.trans);
+        appendBytes(k, f.remaining);
     }
     return k;
 }
@@ -200,38 +194,30 @@ advanceTime(const PetriNet &net, NetState &state)
 std::vector<Outcome>
 enumerateFirings(const PetriNet &net, const NetState &start)
 {
-    std::vector<Outcome> raw;
-    enumerateRec(net, start, firingCounts(net, start), 1.0, 0, raw);
-
-    // Merge outcomes that reached the same tangible state.
-    std::unordered_map<std::string, std::size_t> index;
-    std::vector<Outcome> merged;
-    for (Outcome &o : raw) {
-        const std::string k = o.state.key();
-        auto [it, fresh] = index.emplace(k, merged.size());
-        if (fresh)
-            merged.push_back(std::move(o));
-        else
-            merged[it->second].prob += o.prob;
-    }
-    return merged;
+    FiringExpander ex(net);
+    ex.load(start);
+    ex.expand();
+    std::vector<Outcome> out;
+    out.reserve(ex.numOutcomes());
+    for (std::size_t i = 0; i < ex.numOutcomes(); ++i)
+        out.push_back(Outcome{ex.decode(i), ex.prob(i)});
+    return out;
 }
 
 void
 sampleFirings(const PetriNet &net, NetState &state, Rng &rng)
 {
     std::vector<int> counts = firingCounts(net, state);
+    std::vector<Candidate> set;
     for (int depth = 0; ; ++depth) {
         if (depth > maxSelectionDepth)
             hsipc_panic("GTPN selection did not terminate (vanishing loop?)");
 
-        const auto cands = enabledCandidates(net, state.marking, counts);
-        if (cands.empty())
+        set.clear();
+        const double total =
+            appendConflictSet(net, state.marking, counts, set);
+        if (set.empty())
             break;
-        const auto set = conflictSet(net, cands);
-        double total = 0.0;
-        for (const Candidate &c : set)
-            total += c.freq;
 
         double pick = rng.uniform() * total;
         const Candidate *chosen = &set.back();
@@ -263,6 +249,146 @@ firingCounts(const PetriNet &net, const NetState &state)
     for (const Firing &f : state.firings)
         ++counts[static_cast<std::size_t>(f.trans)];
     return counts;
+}
+
+FiringExpander::FiringExpander(const PetriNet &n)
+    : net(n), counts(n.numTransitions(), 0), outStart{0}
+{}
+
+void
+FiringExpander::load(const NetState &state)
+{
+    hsipc_assert(state.marking.size() == net.numPlaces());
+    marking = state.marking;
+    firings = state.firings;
+    std::fill(counts.begin(), counts.end(), 0);
+    for (const Firing &f : firings)
+        ++counts[static_cast<std::size_t>(f.trans)];
+}
+
+int
+FiringExpander::loadAdvanced(const std::uint32_t *words, std::size_t len)
+{
+    const std::size_t places = net.numPlaces();
+    hsipc_assert(len > places && (len - places) % 2 == 0);
+    marking.assign(words, words + places);
+
+    std::uint32_t step = std::numeric_limits<std::uint32_t>::max();
+    for (std::size_t k = places + 1; k < len; k += 2)
+        step = std::min(step, words[k]);
+
+    firings.clear();
+    std::fill(counts.begin(), counts.end(), 0);
+    for (std::size_t k = places; k < len; k += 2) {
+        const auto t = static_cast<TransId>(words[k]);
+        const auto rest = static_cast<int>(words[k + 1] - step);
+        if (rest == 0) {
+            produceOutputs(net, marking, t);
+        } else {
+            firings.push_back(Firing{t, rest});
+            ++counts[static_cast<std::size_t>(t)];
+        }
+    }
+    return static_cast<int>(step);
+}
+
+void
+FiringExpander::expand()
+{
+    outWords.clear();
+    outStart.resize(1);
+    outHash.clear();
+    outProb.clear();
+    recurse(1.0, 0);
+}
+
+NetState
+FiringExpander::decode(std::size_t i) const
+{
+    const std::uint32_t *w = words(i);
+    const std::size_t len = length(i);
+    const std::size_t places = net.numPlaces();
+    NetState st;
+    st.marking.assign(w, w + places);
+    for (std::size_t k = places; k < len; k += 2) {
+        st.firings.push_back(Firing{static_cast<TransId>(w[k]),
+                                    static_cast<int>(w[k + 1])});
+    }
+    return st;
+}
+
+void
+FiringExpander::recurse(double prob, int depth)
+{
+    if (depth > maxSelectionDepth)
+        hsipc_panic("GTPN selection did not terminate (vanishing loop?)");
+
+    const std::size_t base = cands.size();
+    const double total = appendConflictSet(net, marking, counts, cands);
+    const std::size_t end = cands.size();
+    if (end == base) {
+        leaf(prob);
+        return;
+    }
+
+    // Deeper levels push onto cands (and may reallocate it), so each
+    // candidate is copied out before recursing.
+    for (std::size_t i = base; i < end; ++i) {
+        const Candidate c = cands[i];
+        const double p = prob * c.freq / total;
+        const EvalContext ctx(marking, counts);
+        const int delay = evalDelay(net, c.trans, ctx);
+        consumeInputs(net, marking, c.trans);
+        if (delay == 0) {
+            produceOutputs(net, marking, c.trans);
+            recurse(p, depth + 1);
+            withdrawOutputs(net, marking, c.trans);
+        } else {
+            firings.push_back(Firing{c.trans, delay});
+            ++counts[static_cast<std::size_t>(c.trans)];
+            recurse(p, depth + 1);
+            --counts[static_cast<std::size_t>(c.trans)];
+            firings.pop_back();
+        }
+        restoreInputs(net, marking, c.trans);
+    }
+    cands.resize(base);
+}
+
+void
+FiringExpander::leaf(double prob)
+{
+    sorted.assign(firings.begin(), firings.end());
+    std::sort(sorted.begin(), sorted.end());
+
+    // Encode after the previous outcomes; drop the words again if an
+    // earlier outcome holds the same state.
+    const std::size_t at = outWords.size();
+    std::uint64_t h = hashSeed;
+    for (int m : marking) {
+        outWords.push_back(stateWord(m));
+        h = mixWord(h, outWords.back());
+    }
+    for (const Firing &f : sorted) {
+        outWords.push_back(stateWord(f.trans));
+        h = mixWord(h, outWords.back());
+        outWords.push_back(stateWord(f.remaining));
+        h = mixWord(h, outWords.back());
+    }
+    const std::size_t len = outWords.size() - at;
+
+    for (std::size_t i = 0; i < outProb.size(); ++i) {
+        if (outHash[i] == h && length(i) == len &&
+            std::equal(outWords.begin() + static_cast<std::ptrdiff_t>(at),
+                       outWords.end(), words(i))) {
+            outProb[i] += prob;
+            outWords.resize(at);
+            return;
+        }
+    }
+    outStart.push_back(outWords.size());
+    outHash.push_back(h);
+    outProb.push_back(prob);
 }
 
 } // namespace hsipc::gtpn

@@ -17,15 +17,16 @@
  *     firings join the in-flight multiset.  Selection repeats until
  *     no transition is enabled, so firing is maximal.
  *
- * enumerateFirings() expands phase 2 into the complete probability
+ * FiringExpander expands phase 2 into the complete probability
  * distribution over successor tangible states (used by the exact
- * analyzer); sampleFirings() draws one path (used by the Monte Carlo
- * simulator).
+ * analyzer, and by enumerateFirings(), which decodes its outcomes);
+ * sampleFirings() draws one path (used by the Monte Carlo simulator).
  */
 
 #ifndef HSIPC_GTPN_TOKENGAME_HH
 #define HSIPC_GTPN_TOKENGAME_HH
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,7 +63,11 @@ struct NetState
     std::vector<int> marking;    //!< residual tokens per place
     std::vector<Firing> firings; //!< sorted in-flight multiset
 
-    /** Canonical byte-string key for hashing/deduplication. */
+    /**
+     * Canonical byte-string key for hashing/deduplication: four
+     * little-endian bytes per marking entry, a separator, then four
+     * per firing field, so no two states of one net share a key.
+     */
     std::string key() const;
 };
 
@@ -71,6 +76,13 @@ struct Outcome
 {
     NetState state;
     double prob;
+};
+
+/** An enabled transition with its evaluated frequency. */
+struct Candidate
+{
+    TransId trans;
+    double freq;
 };
 
 /** True when the residual marking satisfies all input arcs of @p t. */
@@ -87,7 +99,8 @@ int advanceTime(const PetriNet &net, NetState &state);
 /**
  * Run the firing-selection phase exhaustively, returning the
  * distribution of resulting tangible states.  Outcomes with identical
- * states are merged.
+ * states are merged into the first one's slot, in first-occurrence
+ * order.  A decoding wrapper over FiringExpander.
  */
 std::vector<Outcome> enumerateFirings(const PetriNet &net,
                                       const NetState &start);
@@ -97,6 +110,80 @@ void sampleFirings(const PetriNet &net, NetState &state, Rng &rng);
 
 /** Per-transition in-flight counts of a state (for EvalContext). */
 std::vector<int> firingCounts(const PetriNet &net, const NetState &state);
+
+/**
+ * The exhaustive selection phase on working buffers.
+ *
+ * Outcomes come out as state words: numPlaces() marking words, then
+ * one (trans, remaining) pair per in-flight firing in Firing order.
+ * Every word is a non-negative int, and a state with no firings (a
+ * deadlock) is exactly numPlaces() words long.
+ *
+ * expand() works on one marking, one count vector and one firing
+ * stack: each choice is applied, recursed into and undone, and each
+ * depth keeps its conflict set in one shared candidate stack.  A leaf
+ * encodes its sorted firings after the previous outcomes' words and
+ * merges into an equal earlier outcome by a linear scan (an expansion
+ * has a handful of outcomes, fewer than a hash table pays for).  Once
+ * its buffers have grown, an expander allocates nothing.
+ */
+class FiringExpander
+{
+  public:
+    explicit FiringExpander(const PetriNet &net);
+
+    /** Load @p state into the working buffers (firings in any order). */
+    void load(const NetState &state);
+
+    /**
+     * Load the @p len state words at @p words (at least one firing)
+     * and advance time on them as advanceTime() would.  Returns the
+     * elapsed time.
+     */
+    int loadAdvanced(const std::uint32_t *words, std::size_t len);
+
+    /** Expand the loaded state, replacing the previous outcomes. */
+    void expand();
+
+    std::size_t numOutcomes() const { return outProb.size(); }
+
+    const std::uint32_t *
+    words(std::size_t i) const
+    {
+        return outWords.data() + outStart[i];
+    }
+
+    std::size_t
+    length(std::size_t i) const
+    {
+        return outStart[i + 1] - outStart[i];
+    }
+
+    /** A 64-bit hash of outcome @p i's words. */
+    std::uint64_t hash(std::size_t i) const { return outHash[i]; }
+
+    /** Probability of outcome @p i, summed over its raw paths in order. */
+    double prob(std::size_t i) const { return outProb[i]; }
+
+    /** Outcome @p i as a NetState. */
+    NetState decode(std::size_t i) const;
+
+  private:
+    void recurse(double prob, int depth);
+    void leaf(double prob);
+
+    const PetriNet &net;
+    std::vector<int> marking;
+    std::vector<int> counts;
+    std::vector<Firing> firings;  //!< in-flight stack, unsorted
+    std::vector<Firing> sorted;   //!< leaf scratch
+    std::vector<Candidate> cands; //!< per-depth conflict sets, stacked
+
+    std::vector<std::uint32_t> outWords;
+    std::vector<std::size_t> outStart; //!< numOutcomes() + 1 offsets
+    std::vector<std::uint64_t> outHash;
+    std::vector<double> outProb;
+};
 
 } // namespace hsipc::gtpn
 

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <unordered_map>
 
 #include "core/gtpn/analyzer.hh"
 #include "core/gtpn/export.hh"
@@ -15,6 +17,8 @@
 #include "core/gtpn/simulator.hh"
 #include "core/gtpn/tokengame.hh"
 #include "core/models/local_model.hh"
+#include "core/models/nonlocal_model.hh"
+#include "core/models/solution.hh"
 
 namespace
 {
@@ -143,6 +147,53 @@ TEST(TokenGame, MultiTokenBinomialSplit)
     EXPECT_NEAR(p_by_exits[0], 0.75 * 0.75, 1e-12);
     EXPECT_NEAR(p_by_exits[1], 2 * 0.25 * 0.75, 1e-12);
     EXPECT_NEAR(p_by_exits[2], 0.25 * 0.25, 1e-12);
+}
+
+TEST(TokenGame, MergedOutcomesKeepFirstOccurrenceOrder)
+{
+    // Three tokens, each choosing exit or loop: eight selection paths
+    // reach four multisets.  Depth-first the paths run eee, eel, ele,
+    // ell, lee, lel, lle, lll, so each merged outcome sits where its
+    // first path ended and sums its paths' probabilities in path order.
+    PetriNet net;
+    const PlaceId p = net.addPlace("P", 3);
+    const PlaceId q = net.addPlace("Q");
+    const double fe = 0.1, fl = 0.7;
+    const TransId exit = net.addTransition("exit", 1.0, fe);
+    const TransId loop = net.addTransition("loop", 1.0, fl);
+    net.inputArc(p, exit);
+    net.outputArc(exit, q);
+    net.inputArc(p, loop);
+    net.outputArc(loop, p);
+
+    const double total = fe + fl;
+    auto path = [total](std::initializer_list<double> fs) {
+        double pr = 1.0;
+        for (double f : fs)
+            pr = pr * f / total;
+        return pr;
+    };
+
+    const auto outs = enumerateFirings(net, {net.initialMarking(), {}});
+    ASSERT_EQ(outs.size(), 4u);
+    const int exits[4] = {3, 2, 1, 0};
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+        ASSERT_EQ(outs[i].state.firings.size(), 3u);
+        EXPECT_EQ(std::count_if(outs[i].state.firings.begin(),
+                                outs[i].state.firings.end(),
+                                [&](const Firing &f) {
+                                    return f.trans == exit;
+                                }),
+                  exits[i]);
+        EXPECT_TRUE(std::is_sorted(outs[i].state.firings.begin(),
+                                   outs[i].state.firings.end()));
+    }
+    EXPECT_EQ(outs[0].prob, path({fe, fe, fe}));
+    EXPECT_EQ(outs[1].prob, path({fe, fe, fl}) + path({fe, fl, fe}) +
+                                path({fl, fe, fe}));
+    EXPECT_EQ(outs[2].prob, path({fe, fl, fl}) + path({fl, fe, fl}) +
+                                path({fl, fl, fe}));
+    EXPECT_EQ(outs[3].prob, path({fl, fl, fl}));
 }
 
 TEST(TokenGame, AdvanceTimeCompletesShortestFiring)
@@ -655,11 +706,14 @@ TEST(Markov, SolveOptionsRespectSweepCap)
     EXPECT_EQ(r.sweeps, 3);
 }
 
-TEST(Analyzer, Fig618LocalArchIISolvesInFewSweeps)
+/**
+ * The Fig 6.18 local Arch II net at n = 4, X = 1.71 ms, on the time
+ * scale solveLocal() picks: the smallest stage mean over 20 time
+ * units.
+ */
+models::LocalModel
+fig618LocalArchII()
 {
-    // The Fig 6.18 local Arch II net at n = 4, X = 1.71 ms, on the
-    // time scale solveLocal() picks: the smallest stage mean over 20
-    // time units.
     const models::LocalParams p = models::localParams(models::Arch::II);
     const double x = 1710.0;
     const double scale = std::max(
@@ -667,7 +721,12 @@ TEST(Analyzer, Fig618LocalArchIISolvesInFewSweeps)
                                   p.mpRecv, p.mpMatch,
                                   p.hostReplyBase + x, p.mpReply}) /
                         20.0));
-    const models::LocalModel m = models::buildLocalModel(p, 4, x, scale, 1);
+    return models::buildLocalModel(p, 4, x, scale, 1);
+}
+
+TEST(Analyzer, Fig618LocalArchIISolvesInFewSweeps)
+{
+    const models::LocalModel m = fig618LocalArchII();
     const AnalyzerResult r = analyze(m.net);
     ASSERT_TRUE(r.converged);
     ASSERT_EQ(r.numStates, 6336u);
@@ -676,6 +735,148 @@ TEST(Analyzer, Fig618LocalArchIISolvesInFewSweeps)
     EXPECT_LE(r.sweeps, 2000);
     const double thr = m.throughputPerUs(r.usage(models::lambdaResource));
     EXPECT_NEAR(thr, 0.000216416229756, 0.000216416229756 * 1e-6);
+}
+
+TEST(Analyzer, LongDelaysDoNotAliasStates)
+{
+    // A slow self-loop of delay 65537 beside a unit one: the slow
+    // firing's remaining time takes every value 65537 ... 1, one state
+    // each, and it completes once per 65537 time units.  A state key
+    // that keeps 16 bits of the remaining time folds 65537 onto 1.
+    PetriNet net;
+    const PlaceId ps = net.addPlace("Ps", 1);
+    const PlaceId pf = net.addPlace("Pf", 1);
+    const TransId slow = net.addTransition("slow", 65537.0, 1.0);
+    net.inputArc(ps, slow);
+    net.outputArc(slow, ps);
+    const TransId fast = net.addTransition("fast", 1.0, 1.0);
+    net.inputArc(pf, fast);
+    net.outputArc(fast, pf);
+
+    const AnalyzerResult r = analyze(net);
+    ASSERT_TRUE(r.converged);
+    EXPECT_EQ(r.numStates, 65537u);
+    const double exact = 1.0 / 65537.0;
+    EXPECT_NEAR(r.firingRate[static_cast<std::size_t>(slow)], exact,
+                exact * 1e-12);
+    EXPECT_NEAR(r.firingRate[static_cast<std::size_t>(fast)], 1.0, 1e-12);
+}
+
+/**
+ * analyze() re-driven through the public token-game API: the BFS over
+ * enumerateFirings() and advanceTime(), states interned by key(), the
+ * chain solved by MarkovChain, and the measures summed over the
+ * states in discovery order.
+ */
+AnalyzerResult
+redriveAnalyze(const PetriNet &net)
+{
+    std::unordered_map<std::string, std::size_t> index;
+    std::vector<NetState> states;
+    std::vector<std::size_t> frontier;
+    auto intern = [&](NetState st) {
+        auto [it, fresh] = index.emplace(st.key(), states.size());
+        if (fresh) {
+            states.push_back(std::move(st));
+            frontier.push_back(it->second);
+        }
+        return it->second;
+    };
+    for (Outcome &o : enumerateFirings(net, {net.initialMarking(), {}}))
+        intern(std::move(o.state));
+
+    AnalyzerResult res;
+    MarkovChain chain;
+    std::vector<int> sojourn;
+    while (!frontier.empty()) {
+        const std::size_t s = frontier.back();
+        frontier.pop_back();
+        sojourn.resize(states.size(), 1);
+        if (states[s].firings.empty()) {
+            res.deadlock = true;
+            chain.addEdge(s, s, 1.0);
+            chain.setSojourn(s, 1.0);
+            continue;
+        }
+        NetState advanced = states[s];
+        sojourn[s] = advanceTime(net, advanced);
+        chain.setSojourn(s, sojourn[s]);
+        for (Outcome &o : enumerateFirings(net, advanced))
+            chain.addEdge(s, intern(std::move(o.state)), o.prob);
+    }
+    sojourn.resize(states.size(), 1);
+
+    const SolveResult sol = chain.solve();
+    res.numStates = states.size();
+    res.converged = sol.converged;
+    res.sweeps = sol.sweeps;
+    res.placeOccupancy.assign(net.numPlaces(), 0.0);
+    res.firingRate.assign(net.numTransitions(), 0.0);
+    double mean_cycle = 0.0;
+    for (std::size_t s = 0; s < states.size(); ++s) {
+        for (const Firing &f : states[s].firings) {
+            const std::string &r = net.transition(f.trans).resource;
+            if (!r.empty())
+                res.resourceUsage[r] += sol.piTime[s];
+        }
+        for (std::size_t p = 0; p < net.numPlaces(); ++p) {
+            res.placeOccupancy[p] +=
+                sol.piTime[s] * static_cast<double>(states[s].marking[p]);
+        }
+        mean_cycle += sol.piEmbedded[s] * static_cast<double>(sojourn[s]);
+    }
+    for (std::size_t s = 0; s < states.size(); ++s) {
+        for (const Firing &f : states[s].firings) {
+            if (f.remaining == sojourn[s])
+                res.firingRate[static_cast<std::size_t>(f.trans)] +=
+                    sol.piEmbedded[s];
+        }
+    }
+    for (double &r : res.firingRate)
+        r /= mean_cycle;
+    return res;
+}
+
+TEST(Analyzer, MatchesPublicApiRedriveBitForBit)
+{
+    // The Fig 6.15 validation nets (Arch II, 2 hosts/node, extra copy)
+    // at n = 3, X = 2.85 ms, on the time scales solveNonlocalCustom()
+    // picks: the client with its initial surrogate server delay S_d,
+    // the server with a client wait C_d of 3 ms.
+    const models::NonlocalClientParams cp = models::validationClientParams();
+    const models::NonlocalServerParams sp = models::validationServerParams();
+    const double x = 2850.0;
+    const double sd = sp.receivePath() + sp.match + sp.replyBase + x +
+                      sp.mpReply + sp.dmaIn + sp.dmaOut;
+    const double cscale = std::max(
+        1.0, std::floor(std::min({cp.sendSyscall, cp.dmaOut, cp.dmaIn,
+                                  cp.intrService, sd,
+                                  cp.mpSend + cp.dispatch}) /
+                        20.0));
+    const double cd = 3000.0;
+    const double sscale = std::max(
+        1.0, std::floor(std::min({sp.recvSyscall, sp.match,
+                                  sp.replyBase + x, cd, sp.mpRecv,
+                                  sp.mpReply}) /
+                        20.0));
+
+    const models::LocalModel local = fig618LocalArchII();
+    const models::ClientModel client =
+        models::buildClientModel(cp, 3, sd, 2, cscale);
+    const models::ServerModel server =
+        models::buildServerModel(sp, 3, cd, x, 2, sscale);
+
+    for (const PetriNet *net : {&local.net, &client.net, &server.net}) {
+        const AnalyzerResult lib = analyze(*net);
+        const AnalyzerResult ref = redriveAnalyze(*net);
+        ASSERT_TRUE(lib.converged);
+        EXPECT_FALSE(lib.deadlock);
+        EXPECT_EQ(lib.numStates, ref.numStates);
+        EXPECT_EQ(lib.sweeps, ref.sweeps);
+        EXPECT_EQ(lib.resourceUsage, ref.resourceUsage);
+        EXPECT_EQ(lib.firingRate, ref.firingRate);
+        EXPECT_EQ(lib.placeOccupancy, ref.placeOccupancy);
+    }
 }
 
 TEST(Markov, HigherDampingStillConverges)
