@@ -11,8 +11,7 @@
 #include <deque>
 #include <string>
 
-#include "common/trace/critical_path.hh"
-#include "common/trace/tracer.hh"
+#include "common/obs/probe.hh"
 #include "sim/des/event_queue.hh"
 
 namespace hsipc::sim
@@ -27,36 +26,14 @@ class Resource
     {}
 
     /**
-     * Record this resource's holds (and queue depth) as a track in
-     * @p t.  Purely observational: tracing never alters grant order
-     * or timing.
+     * Report to the run's sinks: holds and queue depth on a trace
+     * track; a request carrying a msgId as Queue (wait for the grant)
+     * and Service (the hold) intervals on this resource's name; and
+     * release events plus a provenance edge per grant in the engine
+     * profile.  Observational only: grant order and timing never
+     * change.
      */
-    void
-    attachTracer(trace::Tracer *t)
-    {
-        tracer = t;
-        traceTrack = t ? t->track(name) : -1;
-    }
-
-    /**
-     * Report per-message queue/service intervals into @p log: a
-     * request carrying a msgId contributes its wait-for-grant time as
-     * Queue and its hold as Service on this resource's name.
-     * Observational only.
-     */
-    void attachCausalLog(trace::CausalLog *log) { causal = log; }
-
-    /**
-     * Attribute release events to this resource in @p p's wall-clock
-     * cost model and record a provenance edge (whoever is granting →
-     * this resource, delta = the hold) per grant.  Observational only.
-     */
-    void
-    attachProfiler(obs::EngineProfiler *p)
-    {
-        prof = p;
-        profOrigin = p ? p->origin(name) : 0;
-    }
+    void observe(const obs::Sinks &s) { probe = obs::Probe(s, name); }
 
     /**
      * Acquire the resource for @p hold ticks; @p done runs at release
@@ -70,9 +47,9 @@ class Resource
     {
         waiting.push_back(
             Request{priority, hold, msgId, eq.now(), std::move(done)});
-        if (tracer && tracer->enabled())
-            tracer->counter(traceTrack, "queued", eq.now(),
-                            static_cast<double>(waiting.size()));
+        if (probe.tracer)
+            probe.tracer->counter(probe.track, "queued", eq.now(),
+                                  static_cast<double>(waiting.size()));
         if (!busy)
             grantNext();
     }
@@ -105,14 +82,6 @@ class Resource
     /** Free, with nobody waiting: an acquire() now is granted at once. */
     bool quiet() const { return !busy && waiting.empty(); }
 
-    /** True while the tracer or the causal log records this resource. */
-    bool
-    recording() const
-    {
-        return (tracer && tracer->enabled()) ||
-               (causal && causal->enabled());
-    }
-
     /**
      * Book a hold of @p hold ticks granted at @p at, exactly as an
      * uncontended acquire() at @p at would, but with no release
@@ -128,6 +97,7 @@ class Resource
     }
 
     const std::string &resourceName() const { return name; }
+    const obs::Probe &observer() const { return probe; }
 
   private:
     struct Request
@@ -155,27 +125,28 @@ class Resource
 
         busy = true;
         bookHold(eq.now(), req.hold);
-        if (tracer && tracer->enabled()) {
-            tracer->complete(traceTrack, "access", eq.now(), req.hold,
-                             "bus", req.msgId);
-            tracer->counter(traceTrack, "queued", eq.now(),
-                            static_cast<double>(waiting.size()));
+        if (probe.tracer) {
+            probe.tracer->complete(probe.track, "access", eq.now(),
+                                   req.hold, "bus", req.msgId);
+            probe.tracer->counter(probe.track, "queued", eq.now(),
+                                  static_cast<double>(waiting.size()));
         }
-        if (causal && causal->enabled() && req.msgId != 0) {
-            causal->interval(req.msgId, name, trace::Component::Queue,
-                             req.enqueuedAt, eq.now());
-            causal->interval(req.msgId, name,
-                             trace::Component::Service, eq.now(),
-                             eq.now() + req.hold);
+        if (probe.causal && req.msgId != 0) {
+            probe.causal->interval(req.msgId, name,
+                                   trace::Component::Queue,
+                                   req.enqueuedAt, eq.now());
+            probe.causal->interval(req.msgId, name,
+                                   trace::Component::Service, eq.now(),
+                                   eq.now() + req.hold);
         }
-        if (prof)
-            prof->edge(profOrigin, req.hold);
+        if (probe.prof)
+            probe.prof->edge(probe.origin, req.hold);
         // One grant is outstanding at a time, so its continuation
         // waits in a member and the release captures only `this`:
         // the event stays within the callback's inline storage.
         heldDone = std::move(req.done);
         eq.scheduleAfter(req.hold, [this]() {
-            obs::EngineProfiler::Scope s(prof, profOrigin);
+            const auto s = probe.scope();
             busy = false;
             // Moved out first: the continuation may re-acquire.
             const EventQueue::Callback done = std::move(heldDone);
@@ -187,11 +158,7 @@ class Resource
 
     EventQueue &eq;
     std::string name;
-    trace::Tracer *tracer = nullptr;
-    trace::CausalLog *causal = nullptr;
-    obs::EngineProfiler *prof = nullptr;
-    int profOrigin = 0;
-    int traceTrack = -1;
+    obs::Probe probe;
     std::deque<Request> waiting;
     EventQueue::Callback heldDone; //!< the current grant's continuation
     bool busy = false;

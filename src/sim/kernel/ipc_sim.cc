@@ -12,6 +12,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/obs/probe.hh"
 #include "common/obs/trace_sample.hh"
 #include "common/rng.hh"
 #include "sim/check/test_hooks.hh"
@@ -61,8 +62,7 @@ struct QueueEntry
 struct Node
 {
     Node(EventQueue &eq, const std::string &prefix, int hosts,
-         bool coproc, bool split_bus, trace::Tracer *tracer,
-         trace::CausalLog *causal, obs::EngineProfiler *prof)
+         bool coproc, bool split_bus, const obs::Sinks &sinks)
         : busTcb(eq, prefix + ".busTcb"),
           busKb(eq, prefix + ".busKb"), nicIn(eq, prefix + ".nicIn"),
           nicOut(eq, prefix + ".nicOut"), splitBus(split_bus),
@@ -75,42 +75,20 @@ struct Node
         if (coproc)
             mp = std::make_unique<Processor>(eq, prefix + ".mp");
 
-        // Track registration order fixes the trace layout: hosts,
-        // MP, bus partitions, DMA engines, then the service queue.
-        if (tracer) {
-            for (auto &h : this->hosts)
-                h->attachTracer(tracer);
-            if (mp)
-                mp->attachTracer(tracer);
-            busTcb.attachTracer(tracer);
-            if (split_bus)
-                busKb.attachTracer(tracer);
-            nicIn.attachTracer(tracer);
-            nicOut.attachTracer(tracer);
-            svcTrack = tracer->track(prefix + ".svc");
-        }
-        if (causal) {
-            for (auto &h : this->hosts)
-                h->attachCausalLog(causal);
-            if (mp)
-                mp->attachCausalLog(causal);
-            busTcb.attachCausalLog(causal);
-            if (split_bus)
-                busKb.attachCausalLog(causal);
-            nicIn.attachCausalLog(causal);
-            nicOut.attachCausalLog(causal);
-        }
-        if (prof) {
-            for (auto &h : this->hosts)
-                h->attachProfiler(prof);
-            if (mp)
-                mp->attachProfiler(prof);
-            busTcb.attachProfiler(prof);
-            if (split_bus)
-                busKb.attachProfiler(prof);
-            nicIn.attachProfiler(prof);
-            nicOut.attachProfiler(prof);
-        }
+        // Registration order fixes the trace layout and the profile's
+        // origins: hosts, MP, bus partitions, DMA engines, then the
+        // service queue's track.
+        for (auto &h : this->hosts)
+            h->observe(sinks);
+        if (mp)
+            mp->observe(sinks);
+        busTcb.observe(sinks);
+        if (split_bus)
+            busKb.observe(sinks);
+        nicIn.observe(sinks);
+        nicOut.observe(sinks);
+        if (sinks.tracer)
+            svcTrack = sinks.tracer->track(prefix + ".svc");
     }
 
     /** The processor executing communication processing. */
@@ -170,13 +148,7 @@ class Sim
           robustRng(exp.seed ^ 0xB0B57EC0DEull),
           topology(effectiveTopology(exp)), nn(topology.nodes)
     {
-        // Resolve the observability sinks before anything registers a
-        // track: an external tracer (the caller enables it) or the
-        // owned one when the experiment names a trace file.  Metrics
-        // instruments exist only when somebody will read them.
-        tracer = extTracer ? extTracer : &ownTracer;
-        if (!exp.traceFile.empty())
-            tracer->setEnabled(true);
+        // Metrics instruments exist only when somebody will read them.
         metrics = extMetrics ? extMetrics
                              : (exp.metricsFile.empty() ? nullptr
                                                         : &ownMetrics);
@@ -194,22 +166,46 @@ class Sim
         // component exists so origin interning — which allocates —
         // all happens here, never on the event path.
         if (extEngProf)
-            engProf = extEngProf;
+            sinks.prof = extEngProf;
         else if (exp.engineProfile)
-            engProf = (ownEngProf =
-                           std::make_unique<obs::EngineProfiler>())
-                          .get();
-        if (engProf) {
-            engProf->beginRun();
-            eq.attachProfiler(engProf);
+            sinks.prof = (ownEngProf =
+                              std::make_unique<obs::EngineProfiler>())
+                             .get();
+        if (sinks.prof) {
+            sinks.prof->beginRun();
+            eq.attachProfiler(sinks.prof);
         }
+
+        // The rest of the sinks, resolved before anything registers a
+        // track.  This is the one place a sink is asked whether it
+        // records: `sinks` points only at those that do, and every
+        // component tests those pointers.  The tracer is the caller's
+        // (who enables it) or the owned one, on when the experiment
+        // names a trace file.
+        trace::Tracer *tr = extTracer ? extTracer : &ownTracer;
+        if (!exp.traceFile.empty())
+            tr->setEnabled(true);
+        sinks.tracer = tr->enabled() ? tr : nullptr;
+        // The causal log powering the critical-path decomposition is
+        // independent of the tracer (a decomposition needs no trace
+        // file) and equally observational.
+        if (exp.decomposeLatency) {
+            pathLog.setEnabled(true);
+            sinks.causal = &pathLog;
+        }
+        // Deterministic trace sampling: every recorder shares one
+        // pure (seed, id) decision, so a sampled message's causal
+        // chain stays complete.  Set on every run, rate 1 included:
+        // a caller's tracer must not keep an earlier run's thinning.
+        const obs::TraceSampler sampler(exp.traceSampleRate, exp.seed);
+        pathLog.setSampler(sampler);
+        tr->setMessageSampler(sampler);
 
         // The interconnect fabric for every node pair.  Built before
         // the nodes so its "wire" profiler origin sits right after
         // "sim", ahead of the node tracks.
         if (nn > 1)
-            net = std::make_unique<topo::Network>(eq, topology,
-                                                  tracer, engProf);
+            net = std::make_unique<topo::Network>(eq, topology, sinks);
 
         const bool coproc = exp.arch != Arch::I;
         const bool split = exp.arch == Arch::IV;
@@ -219,23 +215,13 @@ class Sim
         adjust(costsLocal);
         adjust(costsNonlocal);
 
-        // The causal log powering the critical-path decomposition is
-        // independent of the tracer (a decomposition needs no trace
-        // file) and equally observational.
-        if (exp.decomposeLatency)
-            pathLog.setEnabled(true);
-        trace::CausalLog *nodeCausal =
-            pathLog.enabled() ? &pathLog : nullptr;
-        trace::Tracer *nodeTracer =
-            tracer->enabled() ? tracer : nullptr;
         for (int i = 0; i < nn; ++i)
             nodes.push_back(std::make_unique<Node>(
                 eq, "n" + std::to_string(i), exp.hostsPerNode,
-                coproc, split, nodeTracer, nodeCausal, engProf));
+                coproc, split, sinks));
         for (auto &n : nodes)
             n->freeBuffers = exp.kernelBuffers;
-        if (tracer->enabled())
-            injector.attachTracer(tracer, &eq);
+        injector.observe(sinks, eq);
 
         // The reliability stack is strictly pay-for-use: it exists
         // only when the medium can fail (or when explicitly forced),
@@ -285,23 +271,12 @@ class Sim
                         };
                     chans[chanIndex(src, dst)] =
                         std::make_unique<ReliableChannel>(
-                            eq, rc, injector, h);
-                }
-            }
-            if (tracer->enabled()) {
-                for (int src = 0; src < nn; ++src) {
-                    for (int dst = 0; dst < nn; ++dst) {
-                        if (dst != src)
-                            chans[chanIndex(src, dst)]->attachTracer(
-                                tracer,
-                                "net.n" + std::to_string(src) +
-                                    "->n" + std::to_string(dst));
-                    }
+                            eq, rc, injector, h, sinks);
                 }
             }
         }
-        if (tracer->enabled())
-            simTrack = tracer->track("sim");
+        if (sinks.tracer)
+            simTrack = sinks.tracer->track("sim");
         for (const CrashWindow &w : exp.crashSchedule)
             recoveries.push_back(Recovery{w, -1});
 
@@ -341,17 +316,6 @@ class Sim
                 eq.schedule(usToTicks(w.startUs),
                             [this, node]() { crashFlush(node); });
             }
-        }
-
-        // Deterministic trace sampling: every recorder shares one
-        // pure (seed, id) decision, so a sampled message's causal
-        // chain stays complete.  Only wired when actually thinning;
-        // the default keeps the recorders untouched.
-        if (exp.traceSampleRate < 1) {
-            const obs::TraceSampler sampler(exp.traceSampleRate,
-                                            exp.seed);
-            pathLog.setSampler(sampler);
-            tracer->setMessageSampler(sampler);
         }
 
         // Time-resolved observability: windowed series over the whole
@@ -395,8 +359,8 @@ class Sim
                             tlAdd(tlNetAck, by);
                     });
             }
-            if (tracer->enabled())
-                tlTrack = tracer->track("timeline");
+            if (sinks.tracer)
+                tlTrack = sinks.tracer->track("timeline");
             const Tick horizon =
                 usToTicks(exp.warmupUs + exp.measureUs);
             if (tl.interval() <= horizon)
@@ -421,10 +385,11 @@ class Sim
         const auto [rpcHostBase, rpcMpBase] = prefixTicks("rpc");
         const long rpcOfferedBase = rpcTotals.offered;
         if (simTrack >= 0)
-            tracer->instant(simTrack, "measureStart", warm, "phase");
+            sinks.tracer->instant(simTrack, "measureStart", warm,
+                                  "phase");
         eq.runUntil(end);
         if (simTrack >= 0)
-            tracer->instant(simTrack, "measureEnd", end, "phase");
+            sinks.tracer->instant(simTrack, "measureEnd", end, "phase");
 
         Outcome out;
         out.roundTrips = completed;
@@ -650,9 +615,9 @@ class Sim
                 out.timeline.counters.at("ipc.rtSumUs"),
                 exp.timelineIntervalUs, exp.warmupUs);
         }
-        if (engProf) {
-            engProf->finishRun(eq.size());
-            out.engineProfile = engProf->profile();
+        if (sinks.prof) {
+            sinks.prof->finishRun(eq.size());
+            out.engineProfile = sinks.prof->profile();
         }
         finishObservability(out);
         return out;
@@ -903,12 +868,13 @@ class Sim
     void
     svcEvent(Node &node, const char *what)
     {
-        if (tracer->enabled() && node.svcTrack >= 0) {
-            tracer->instant(node.svcTrack, what, eq.now(), "queue");
-            tracer->counter(
+        if (sinks.tracer) {
+            sinks.tracer->instant(node.svcTrack, what, eq.now(),
+                                  "queue");
+            sinks.tracer->counter(
                 node.svcTrack, "pendingMsgs", eq.now(),
                 static_cast<double>(node.pendingMsgs.size()));
-            tracer->counter(
+            sinks.tracer->counter(
                 node.svcTrack, "waitingServers", eq.now(),
                 static_cast<double>(node.waitingServers.size()));
         }
@@ -1010,10 +976,10 @@ class Sim
         if (tlTrack >= 0) {
             for (const auto &[name, g] : tl.gaugeSeries()) {
                 if (bin < g.size())
-                    tracer->counter(tlTrack, name, now, g[bin]);
+                    sinks.tracer->counter(tlTrack, name, now, g[bin]);
             }
             for (const auto &[name, s] : tl.counterSeries())
-                tracer->counter(tlTrack, name, now,
+                sinks.tracer->counter(tlTrack, name, now,
                                 bin < s.bins.size() ? s.bins[bin]
                                                     : 0.0);
         }
@@ -1091,7 +1057,7 @@ class Sim
         if (!exp.metricsFile.empty())
             metrics->writeJson(exp.metricsFile);
         if (!exp.traceFile.empty())
-            tracer->writeChromeJson(exp.traceFile);
+            sinks.tracer->writeChromeJson(exp.traceFile);
         if (!exp.timelineFile.empty())
             writeTimelineFile(out);
         if (!exp.engineProfileFile.empty())
@@ -1130,7 +1096,7 @@ class Sim
     wire(int from, int to, long msg, EventQueue::Callback deliver)
     {
         EventQueue::Callback arrive = std::move(deliver);
-        if (pathLog.enabled() && msg != 0) {
+        if (sinks.causal && msg != 0) {
             const Tick sent = eq.now();
             arrive = [this, msg, sent,
                       inner = std::move(arrive)]() {
@@ -1167,9 +1133,9 @@ class Sim
             hsipc_warn_once("kernel buffer pool exhausted; sends now "
                             "stall until a reply frees a buffer "
                             "(counted in Outcome.bufferStalls)");
-            if (tracer->enabled() && cn.svcTrack >= 0)
-                tracer->instant(cn.svcTrack, "bufferStall", eq.now(),
-                                "queue");
+            if (sinks.tracer)
+                sinks.tracer->instant(cn.svcTrack, "bufferStall",
+                                      eq.now(), "queue");
             cn.buffersWaiting.push_back(conv);
             return;
         }
@@ -1185,11 +1151,11 @@ class Sim
             if (cv.retriesLeft > 0)
                 armAttemptTimer(conv);
         }
-        if (pathLog.enabled())
+        if (sinks.causal)
             pathLog.start(cv.msgId, eq.now());
-        if (tracer->enabled() && cn.svcTrack >= 0)
-            tracer->asyncBegin(cn.svcTrack, "roundTrip", eq.now(),
-                               cv.msgId);
+        if (sinks.tracer)
+            sinks.tracer->asyncBegin(cn.svcTrack, "roundTrip",
+                                     eq.now(), cv.msgId);
         // Every step of the attempt's chain carries the (msg, rid)
         // pair captured here: when a retry supersedes this attempt,
         // the chain keeps reporting against its own message id rather
@@ -1355,12 +1321,12 @@ class Sim
         if (cv.msgId == 0)
             return;
         Node &cn = cNode(conv);
-        if (pathLog.enabled())
+        if (sinks.causal)
             pathLog.abort(cv.msgId, eq.now(), why);
-        if (tracer->enabled() && cn.svcTrack >= 0) {
-            tracer->asyncEnd(cn.svcTrack, "roundTrip", eq.now(),
-                             cv.msgId);
-            tracer->instant(cn.svcTrack, event, eq.now(), "rpc");
+        if (sinks.tracer) {
+            sinks.tracer->asyncEnd(cn.svcTrack, "roundTrip", eq.now(),
+                                   cv.msgId);
+            sinks.tracer->instant(cn.svcTrack, event, eq.now(), "rpc");
         }
         cv.msgId = 0;
     }
@@ -1727,7 +1693,7 @@ class Sim
             // The request's stay in the service queue is time blocked
             // on the rendezvous: nobody was working on the message,
             // it was waiting for a server to become available.
-            if (pathLog.enabled() && entry.msg != 0)
+            if (sinks.causal && entry.msg != 0)
                 pathLog.interval(entry.msg, node.svcName,
                                  trace::Component::Blocked,
                                  entry.enqueueAt, eq.now());
@@ -1893,9 +1859,9 @@ class Sim
             ++rpcTotals.orphanedReplies;
             tlAdd(tlRpcOrphans);
             chargeRpc(cn, "rpcOrphan", rpcOrphanUs);
-            if (tracer->enabled() && cn.svcTrack >= 0)
-                tracer->instant(cn.svcTrack, "rpcOrphan", eq.now(),
-                                "rpc");
+            if (sinks.tracer)
+                sinks.tracer->instant(cn.svcTrack, "rpcOrphan",
+                                      eq.now(), "rpc");
             return;
         }
         // Without the robustness layer exactly one attempt exists per
@@ -1907,14 +1873,14 @@ class Sim
         // completes the request, the newest attempt is the one whose
         // record spans the measured sendStart.
         if (cv0.msgId != 0) {
-            if (pathLog.enabled())
+            if (sinks.causal)
                 pathLog.done(cv0.msgId, eq.now());
-            if (tracer->enabled() && cn.svcTrack >= 0)
-                tracer->asyncEnd(cn.svcTrack, "roundTrip", eq.now(),
-                                 cv0.msgId);
-            if (tracer->enabled())
-                tracer->flowEnd(clientHost(conv).traceTrackId(),
-                                "msg", eq.now(), cv0.msgId);
+            if (sinks.tracer) {
+                sinks.tracer->asyncEnd(cn.svcTrack, "roundTrip",
+                                       eq.now(), cv0.msgId);
+                sinks.tracer->flowEnd(clientHost(conv).observer().track,
+                                      "msg", eq.now(), cv0.msgId);
+            }
             cv0.msgId = 0;
         }
 
@@ -1991,13 +1957,13 @@ class Sim
     Rng robustRng;
     EventQueue eq;
 
-    // Observability sinks: caller-supplied or owned.  `tracer` is
-    // never null (a disabled owned tracer records nothing); `metrics`
-    // is null when metrics are off, and the histogram pointers are
-    // the hot-path handles into it.
+    // Observability sinks: caller-supplied or owned.  `sinks` holds
+    // the tracer, causal log and engine profiler that record (null
+    // when off); `metrics` is null when metrics are off, and the
+    // histogram pointers are the hot-path handles into it.
     trace::Tracer ownTracer;
     metrics::Registry ownMetrics;
-    trace::Tracer *tracer = nullptr;
+    obs::Sinks sinks;
     metrics::Registry *metrics = nullptr;
     metrics::Histogram *rtHist = nullptr;
     metrics::Histogram *pendingHist = nullptr;
@@ -2038,9 +2004,8 @@ class Sim
     Tick tlPrevBoundary = 0; //!< when that snapshot was taken
     int tlTrack = -1; //!< Perfetto counter track for the timeline
 
-    //! Engine self-profiler (null when off): external one wins,
-    //! otherwise owned when exp.engineProfile is set.
-    obs::EngineProfiler *engProf = nullptr;
+    //! The engine self-profiler when the run owns it: set by
+    //! exp.engineProfile unless the caller passed one.
     std::unique_ptr<obs::EngineProfiler> ownEngProf;
 
     const topo::Topology topology; //!< effectiveTopology(exp)

@@ -4,13 +4,14 @@ namespace hsipc::sim
 {
 
 void
-FaultInjector::attachTracer(trace::Tracer *t, const EventQueue *c)
+FaultInjector::observe(const obs::Sinks &sinks, const EventQueue &c)
 {
-    tracer = t;
-    clock = c;
-    traceTrack = t ? t->track("medium") : -1;
-    if (!t || !t->enabled())
+    trace::Tracer *t = sinks.tracer;
+    if (!t)
         return;
+    tracer = t;
+    clock = &c;
+    traceTrack = t->track("medium");
     // Crash windows are scheduled, not random: record their edges up
     // front so the timeline shows the outage before any packet hits it.
     for (const CrashWindow &w : plan.crashes) {
@@ -28,7 +29,7 @@ FaultInjector::attachTracer(trace::Tracer *t, const EventQueue *c)
 void
 FaultInjector::note(const char *event)
 {
-    if (tracer && tracer->enabled() && clock)
+    if (tracer)
         tracer->instant(traceTrack, event, clock->now(), "fault");
 }
 

@@ -24,9 +24,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/obs/probe.hh"
 #include "common/rng.hh"
 #include "common/time.hh"
-#include "common/trace/tracer.hh"
 #include "sim/des/event_queue.hh"
 
 namespace hsipc::sim
@@ -89,12 +89,13 @@ class FaultInjector
     {}
 
     /**
-     * Trace every injected fault as an instant on a "medium" track,
-     * timestamped from @p clock.  Scheduled crash windows are
-     * recorded up front (crash/recover instants).  Observational
-     * only: the injector's random draws are unchanged.
+     * With a tracer in @p sinks, trace every injected fault as an
+     * instant on a "medium" track, timestamped from @p clock.
+     * Scheduled crash windows are recorded up front (crash/recover
+     * instants).  Observational only: the injector's random draws are
+     * unchanged.
      */
-    void attachTracer(trace::Tracer *t, const EventQueue *clock);
+    void observe(const obs::Sinks &sinks, const EventQueue &clock);
 
     /**
      * Decide the fate of one packet entering the medium: each returned

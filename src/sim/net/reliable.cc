@@ -11,7 +11,7 @@ namespace hsipc::sim
 void
 ReliableChannel::note(const char *event, long msgId)
 {
-    if (tracer && tracer->enabled())
+    if (tracer)
         tracer->instant(traceTrack, event, eq.now(), "proto", msgId);
 }
 
@@ -33,7 +33,7 @@ ReliableChannel::pump()
         backlog.pop_front();
         transmit(seq, false);
     }
-    if (tracer && tracer->enabled())
+    if (tracer)
         tracer->counter(traceTrack, "inFlight", eq.now(),
                         static_cast<double>(inFlight()));
 }

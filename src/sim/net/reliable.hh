@@ -33,6 +33,7 @@
 #include <map>
 #include <set>
 
+#include "common/obs/probe.hh"
 #include "sim/des/event_queue.hh"
 #include "sim/net/faults.hh"
 
@@ -93,21 +94,22 @@ class ReliableChannel
         long acksSent = 0;
     };
 
-    ReliableChannel(EventQueue &eq, const Config &cfg,
-                    FaultInjector &faults, Hooks hooks)
-        : eq(eq), cfg(cfg), faults(faults), hooks(std::move(hooks))
-    {}
-
     /**
-     * Record this channel's protocol events (send/retransmit/timeout/
-     * ack/deliver/discard instants, window occupancy) as a track
-     * named @p trackName in @p t.  Observational only.
+     * With a tracer in @p sinks, the channel records its protocol
+     * events (send/retransmit/timeout/ack/deliver/discard instants,
+     * window occupancy) on a track named "net.nS->nD".  Observational
+     * only.
      */
-    void
-    attachTracer(trace::Tracer *t, const std::string &trackName)
+    ReliableChannel(EventQueue &eq, const Config &cfg,
+                    FaultInjector &faults, Hooks hooks,
+                    const obs::Sinks &sinks)
+        : eq(eq), cfg(cfg), faults(faults), hooks(std::move(hooks)),
+          tracer(sinks.tracer)
     {
-        tracer = t;
-        traceTrack = t ? t->track(trackName) : -1;
+        if (tracer)
+            traceTrack = tracer->track(
+                "net.n" + std::to_string(cfg.srcNode) + "->n" +
+                std::to_string(cfg.dstNode));
     }
 
     /**

@@ -22,21 +22,21 @@ Processor::charge(Tick at, Tick t, bool accessWait)
         running->ticks = &perActivity[running->act.name];
     *running->ticks += t;
     const long msg = running->act.msgId;
-    if (tracer && tracer->enabled() && t > 0) {
+    if (probe.tracer && t > 0) {
         // The first charge of a message-serving activity is where its
         // flow arrow lands: inside the span recorded just below.
         if (msg != 0 && !running->flowed) {
             running->flowed = true;
-            tracer->flowStep(traceTrack, "msg", at, msg);
+            probe.tracer->flowStep(probe.track, "msg", at, msg);
         }
-        tracer->complete(traceTrack, running->act.name, at, t,
-                         "activity", msg);
+        probe.tracer->complete(probe.track, running->act.name, at, t,
+                               "activity", msg);
     }
     // Access-wait charges stay off the causal log: the bus records
     // that microsecond as the message's service itself.
-    if (causal && causal->enabled() && msg != 0 && !accessWait)
-        causal->interval(msg, name, trace::Component::Service, at,
-                         at + t);
+    if (probe.causal && msg != 0 && !accessWait)
+        probe.causal->interval(msg, name, trace::Component::Service,
+                               at, at + t);
 }
 
 void
@@ -121,16 +121,16 @@ Processor::chargeChunk(Tick at)
 void
 Processor::scheduleNext(Tick at)
 {
-    if (prof)
-        prof->edge(profOrigin, at - eq.now());
+    if (probe.prof)
+        probe.prof->edge(probe.origin, at - eq.now());
     if (running->memLeft + running->memLeft2 > 0) {
         eq.schedule(at, [this]() {
-            obs::EngineProfiler::Scope s(prof, profOrigin);
+            const auto s = probe.scope();
             chunkEnd();
         });
     } else {
         eq.schedule(at, [this]() {
-            obs::EngineProfiler::Scope s(prof, profOrigin);
+            const auto s = probe.scope();
             finish();
         });
     }
@@ -157,7 +157,7 @@ Processor::chunkEnd()
     charge(eq.now(), tickUs, true); // the processor waits on its access
     bus->acquire(running->act.priority, tickUs,
                  [this]() {
-                     obs::EngineProfiler::Scope s(prof, profOrigin);
+                     const auto s = probe.scope();
                      segment();
                  },
                  running->act.msgId);
@@ -174,14 +174,14 @@ Processor::fastForward()
     if (at + tickUs > horizon)
         return false;
     // The tracer and the causal log record one span per access.
-    if ((tracer && tracer->enabled()) || (causal && causal->enabled()))
+    if (probe.perAccess())
         return false;
     Running &r = *running;
     // A more urgent activity preempts at the next boundary.
     if (!queue.empty() && queue.front().act.priority > r.act.priority)
         return false;
     const auto usable = [](const Resource *bus) {
-        return bus->quiet() && !bus->recording();
+        return bus->quiet() && !bus->observer().perAccess();
     };
     if ((r.memLeft > 0 && !usable(r.act.bus)) ||
         (r.memLeft2 > 0 && !usable(r.act.bus2)))

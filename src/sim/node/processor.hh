@@ -27,8 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "common/trace/critical_path.hh"
-#include "common/trace/tracer.hh"
+#include "common/obs/probe.hh"
 #include "sim/des/event_queue.hh"
 #include "sim/des/resource.hh"
 
@@ -69,45 +68,18 @@ class Processor
     void submit(Activity act);
 
     /**
-     * Record this processor's busy time as a track in @p t: one span
-     * per charged CPU chunk or memory-access wait, labelled with the
-     * activity name (the tracer merges abutting same-name spans, so
-     * uncontended activities appear as single spans).  Observational
-     * only — tracing never changes scheduling.
+     * Report to the run's sinks: one trace span per charged CPU chunk
+     * or access wait, labelled with the activity name (the tracer
+     * merges abutting same-name spans, so an uncontended activity is
+     * one span); every CPU chunk of an activity with a msgId as a
+     * Service interval on this processor's name (the access waits
+     * stay off the causal log: the bus attributes that microsecond
+     * itself); and its segment/finish events plus their provenance
+     * edges in the engine profile.  Observational only.
      */
-    void
-    attachTracer(trace::Tracer *t)
-    {
-        tracer = t;
-        traceTrack = t ? t->track(name) : -1;
-    }
+    void observe(const obs::Sinks &s) { probe = obs::Probe(s, name); }
 
-    /**
-     * Report per-message service intervals into @p log: every CPU
-     * chunk charged for an activity with a msgId becomes a Service
-     * interval on this processor's name.  (The 1-us charge a
-     * processor takes while waiting on a bus access is *not*
-     * reported — the bus attributes that microsecond itself, so the
-     * message's timeline has no double-covered instant.)
-     * Observational only.
-     */
-    void attachCausalLog(trace::CausalLog *log) { causal = log; }
-
-    /**
-     * Attribute this processor's segment/finish events to it in
-     * @p p's wall-clock cost model, and record provenance edges for
-     * its self-continuations (CPU chunks, the activity tail).
-     * Observational only.
-     */
-    void
-    attachProfiler(obs::EngineProfiler *p)
-    {
-        prof = p;
-        profOrigin = p ? p->origin(name) : 0;
-    }
-
-    /** Trace track id, -1 when no tracer is attached. */
-    int traceTrackId() const { return traceTrack; }
+    const obs::Probe &observer() const { return probe; }
 
     double
     utilization() const
@@ -174,7 +146,7 @@ class Processor
      * at or before the event queue's quiet horizon and schedule the
      * one event the per-access path would schedule at the last
      * release.  False (nothing booked) unless the buses are free, no
-     * more urgent work is queued and nothing records per access.
+     * more urgent work is queued and no probe records per access.
      */
     bool fastForward();
     Resource *takeAccess();
@@ -182,11 +154,7 @@ class Processor
 
     EventQueue &eq;
     std::string name;
-    trace::Tracer *tracer = nullptr;
-    trace::CausalLog *causal = nullptr;
-    obs::EngineProfiler *prof = nullptr;
-    int profOrigin = 0;
-    int traceTrack = -1;
+    obs::Probe probe;
     //! Test-only: ticks the fast-forward wrongly adds to the horizon.
     Tick fastForwardSlack;
     void charge(Tick at, Tick t, bool accessWait = false);

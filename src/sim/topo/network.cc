@@ -11,9 +11,8 @@ namespace hsipc::sim::topo
 {
 
 Network::Network(EventQueue &eq, const Topology &t,
-                 trace::Tracer *tr, obs::EngineProfiler *p)
-    : eq(eq), topo(t),
-      tracer(tr && tr->enabled() ? tr : nullptr), prof(p)
+                 const obs::Sinks &sinks)
+    : eq(eq), topo(t), tracer(sinks.tracer), prof(sinks.prof)
 {
     hsipc_assert(topo.nodes >= 2);
     if (prof)

@@ -51,8 +51,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/obs/engine_prof.hh"
-#include "common/trace/tracer.hh"
+#include "common/obs/probe.hh"
 #include "sim/des/event_queue.hh"
 #include "sim/node/token_ring.hh"
 #include "sim/topo/topology.hh"
@@ -65,12 +64,10 @@ class Network
 {
   public:
     /**
-     * @p tracer may be null (or disabled); @p prof may be null.
      * Every element the topology implies is built here — links,
      * routers, rings — so construction is the only allocation site.
      */
-    Network(EventQueue &eq, const Topology &t, trace::Tracer *tracer,
-            obs::EngineProfiler *prof);
+    Network(EventQueue &eq, const Topology &t, const obs::Sinks &sinks);
 
     /**
      * Route @p bytes from node @p src to node @p dst (src != dst);

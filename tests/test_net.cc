@@ -136,7 +136,8 @@ struct Harness
         };
         h.mediumToSrc = h.mediumToDst;
         chan = std::make_unique<ReliableChannel>(eq, cfg, faults,
-                                                 std::move(h));
+                                                 std::move(h),
+                                                 obs::Sinks{});
     }
 
     EventQueue eq;
@@ -329,7 +330,7 @@ TEST_P(RingMediumStations, ChannelDeliversExactlyOnceOverALossyRing)
     };
     ReliableChannel::Config cfg;
     cfg.rtoUs = 4000;
-    ReliableChannel chan(eq, cfg, faults, std::move(h));
+    ReliableChannel chan(eq, cfg, faults, std::move(h), obs::Sinks{});
 
     std::vector<int> delivered;
     for (int i = 0; i < 12; ++i)

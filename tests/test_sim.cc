@@ -286,24 +286,45 @@ enum class Drive
 {
     FastForward, //!< runUntil(), nothing recording
     Traced,      //!< runUntil() with a recording tracer: per access
+    Decomposed,  //!< runUntil() with a causal log only: per access
+    Profiled,    //!< runUntil() with the engine profiler only
     Stepwise,    //!< runOne() loop: no quiet horizon, per access
 };
 
+/** Every drive; only FastForward and Profiled may fast-forward. */
+constexpr Drive allDrives[] = {Drive::FastForward, Drive::Traced,
+                               Drive::Decomposed, Drive::Profiled,
+                               Drive::Stepwise};
+
 struct QuietBus
 {
+    static constexpr long msg = 1; //!< the task's message id
+
     EventQueue eq;
     Resource bus{eq, "bus"};
     Processor p{eq, "p"};
     trace::Tracer tracer;
+    trace::CausalLog causal;
+    obs::EngineProfiler prof;
     Tick taskDone = 0;
 
     explicit QuietBus(Drive d)
     {
+        obs::Sinks sinks;
         if (d == Drive::Traced) {
             tracer.setEnabled(true);
-            p.attachTracer(&tracer);
-            bus.attachTracer(&tracer);
+            sinks.tracer = &tracer;
+        } else if (d == Drive::Decomposed) {
+            causal.setEnabled(true);
+            causal.start(msg, 0);
+            sinks.causal = &causal;
+        } else if (d == Drive::Profiled) {
+            prof.beginRun();
+            eq.attachProfiler(&prof);
+            sinks.prof = &prof;
         }
+        p.observe(sinks);
+        bus.observe(sinks);
     }
 
     void
@@ -314,6 +335,7 @@ struct QuietBus
         a.processing = usToTicks(100);
         a.memAccesses = 9;
         a.bus = &bus;
+        a.msgId = msg;
         a.onDone = [this]() { taskDone = eq.now(); };
         p.submit(std::move(a));
     }
@@ -330,20 +352,40 @@ struct QuietBus
 
 TEST(FastForward, UncontendedActivityRunsInTwoEvents)
 {
-    for (Drive d : {Drive::FastForward, Drive::Traced, Drive::Stepwise}) {
+    for (Drive d : allDrives) {
         QuietBus s(d);
         s.submitTask();
         s.run(d, usToTicks(1000));
         SCOPED_TRACE(static_cast<int>(d));
         // The first chunk end books every access; the second event is
         // the finish.  Per access: 9 chunk ends + 9 releases + finish.
-        EXPECT_EQ(s.eq.eventsRun(), d == Drive::FastForward ? 2u : 19u);
+        // The profiler records per event, not per access, so it keeps
+        // the fast path; the tracer and the causal log do not.
+        const bool fast =
+            d == Drive::FastForward || d == Drive::Profiled;
+        EXPECT_EQ(s.eq.eventsRun(), fast ? 2u : 19u);
         EXPECT_EQ(s.taskDone, usToTicks(109));
         EXPECT_EQ(s.p.busyTime(), usToTicks(109));
         EXPECT_EQ(s.p.activityTicks().at("task"), usToTicks(109));
         EXPECT_EQ(s.bus.busyTime(), usToTicks(9));
         EXPECT_TRUE(s.p.idle());
         EXPECT_TRUE(s.bus.quiet());
+        if (d == Drive::Decomposed) {
+            // Access k is the message's service on the bus over
+            // [11k - 1, 11k) us.
+            std::vector<std::pair<Tick, Tick>> accesses;
+            for (const trace::PathInterval &iv :
+                 s.causal.records().at(QuietBus::msg).intervals) {
+                if (iv.resource == "bus" &&
+                    iv.comp == trace::Component::Service)
+                    accesses.emplace_back(iv.begin, iv.end);
+            }
+            ASSERT_EQ(accesses.size(), 9u);
+            for (int k = 1; k <= 9; ++k)
+                EXPECT_EQ(accesses[static_cast<std::size_t>(k - 1)],
+                          std::make_pair(usToTicks(11 * k - 1),
+                                         usToTicks(11 * k)));
+        }
     }
 }
 
@@ -354,7 +396,7 @@ TEST(FastForward, EventPendingAtAReleaseInstantStillWinsTheBus)
     // runs before the release, queues, and is granted at the release;
     // the task's third access (chunk end at 32 us) then waits until
     // 37 us, which pushes the task's finish out by 5 us.
-    for (Drive d : {Drive::FastForward, Drive::Traced, Drive::Stepwise}) {
+    for (Drive d : allDrives) {
         QuietBus s(d);
         Tick otherReleased = -1;
         s.eq.schedule(usToTicks(22), [&]() {
@@ -377,7 +419,7 @@ TEST(FastForward, EventPendingAtAReleaseInstantStillPreempts)
     // An interrupt submitted at exactly the second release instant
     // takes the processor at that boundary: it runs 22..72 us, and the
     // task's remaining 8 chunks and 7 accesses follow, to 159 us.
-    for (Drive d : {Drive::FastForward, Drive::Traced, Drive::Stepwise}) {
+    for (Drive d : allDrives) {
         QuietBus s(d);
         Tick intrDone = 0;
         s.eq.schedule(usToTicks(22), [&]() {
@@ -417,7 +459,8 @@ TEST(FastForward, RunUntilBoundSeesThePerAccessState)
         {54.5, 54.5, 55, 4.5}, // inside the fifth access
     };
     for (const Expect &c : cases) {
-        for (Drive d : {Drive::FastForward, Drive::Traced}) {
+        for (Drive d : {Drive::FastForward, Drive::Traced,
+                        Drive::Decomposed, Drive::Profiled}) {
             QuietBus s(d);
             s.submitTask();
             const Tick bound = usToTicks(c.boundUs);
@@ -455,9 +498,10 @@ TEST(FastForward, ArchIVStillAlternatesBusPartitions)
             trace::Tracer tracer;
             if (d == Drive::Traced) {
                 tracer.setEnabled(true);
-                p.attachTracer(&tracer);
-                busA.attachTracer(&tracer);
-                busB.attachTracer(&tracer);
+                const obs::Sinks sinks{&tracer};
+                p.observe(sinks);
+                busA.observe(sinks);
+                busB.observe(sinks);
             }
             Activity a;
             a.name = "split";
