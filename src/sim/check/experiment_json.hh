@@ -11,8 +11,10 @@
  * used for human-facing measurement output) and the seed travels as
  * a decimal string.
  *
- * Parsing is strict about unknown keys — a typo in a hand-edited
- * repro fails loudly instead of silently running the default knob.
+ * Both directions walk the knob table (sim/check/knobs.hh).  Parsing
+ * is strict about unknown keys at every level — a typo in a
+ * hand-edited repro fails loudly instead of silently running the
+ * default knob.
  * Missing keys keep their Experiment defaults, so old repro files
  * stay loadable as the Experiment struct grows.
  */

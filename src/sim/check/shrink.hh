@@ -4,11 +4,15 @@
  *
  * A fuzz failure usually arrives wearing a dozen knobs it does not
  * need.  shrinkExperiment() greedily simplifies a failing Experiment
- * toward baseExperiment(): every pass tries, knob by knob in a fixed
- * order, to reset the knob to its base value outright, and for
- * numeric knobs that refuse, bisects between the base value and the
- * current one for the closest-to-base value that still fails.  Crash
- * schedules shrink by dropping windows.  A candidate is accepted only
+ * toward baseExperiment(): every pass walks the knob table
+ * (sim/check/knobs.hh) and tries to reset each knob to its base
+ * value outright, and for numeric knobs that refuse, bisects between
+ * the base value and the current one for the closest-to-base value
+ * that still fails.  Crash schedules and topology links shrink by
+ * dropping entries.  The order is fixed: crash windows, the topology
+ * (whole, links, then its ints and doubles), then the rest kind by
+ * kind — arch, bools, seed, strings, ints, doubles — each kind in
+ * table order.  A candidate is accepted only
  * when the caller's predicate confirms it still fails, so the result
  * — while not globally minimal (greedy, single-knob moves) — is a
  * locally minimal repro: resetting any single knob further makes the

@@ -43,7 +43,11 @@
 namespace hsipc::sim
 {
 
-/** Configuration of one simulated experiment. */
+/**
+ * Configuration of one simulated experiment.  Every field has a row
+ * in the knob table (sim/check/knobs.hh), through which fuzz repros
+ * serialize, parse and shrink it.
+ */
 struct Experiment
 {
     models::Arch arch = models::Arch::II;

@@ -309,6 +309,22 @@ TEST(Shrink, MinimizesToTheDecidingKnobs)
     EXPECT_TRUE(res.minimal == expect);
 }
 
+TEST(Shrink, ResetsEveryFileKnob)
+{
+    // Only the loss rate decides this failure, so every other knob
+    // knobDiff() counts, output paths included, must be reset.
+    Experiment noisy = baseExperiment();
+    noisy.timelineIntervalUs = 500;
+    noisy.timelineFile = "timeline.json";
+    noisy.engineProfile = true;
+    noisy.engineProfileFile = "profile.json";
+    noisy.lossRate = 0.02;
+    const ShrinkResult res = shrinkExperiment(
+        noisy, [](const Experiment &cand) { return cand.lossRate > 0; });
+    EXPECT_EQ(knobDiff(res.minimal),
+              std::vector<std::string>{"lossRate"});
+}
+
 TEST(Fuzz, InjectedRetransmissionBugIsCaughtShrunkAndReplayable)
 {
     // A two-node lossy config that forces retransmissions.
