@@ -157,6 +157,128 @@ TEST(EventQueue, NestedScheduling)
     EXPECT_EQ(eq.now(), 10);
 }
 
+// --- The pinned pop order -----------------------------------------
+//
+// A seeded branching process over one queue: each executed event
+// folds (when, id) into an FNV-1a digest and schedules 0-3 children
+// 0-7 ticks out, so simultaneous events are common and the FIFO
+// tie-break decides most pops.  Captures alternate between inline
+// and spilled, and one event schedules a burst of more than the
+// queue's reserved capacity from inside its own body, so the
+// backing storage grows while that callback is still running.
+// fire() reads the id through a reference into the running
+// callback's own capture, so a callback that the queue moved or
+// overwrote under itself shows in the digest (or under ASan).
+
+struct PopOrderRun
+{
+    static constexpr std::uint64_t budget = 200000; //!< events created
+    static constexpr std::uint64_t burstAt = 5000;  //!< id that bursts
+    static constexpr int burstSize = 1500;
+
+    EventQueue eq;
+    std::uint64_t rngState = 1987;
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    std::uint64_t created = 0;
+
+    /** splitmix64: portable, unlike the std distributions. */
+    std::uint64_t
+    draw()
+    {
+        std::uint64_t z = (rngState += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
+
+    void
+    fold(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            digest ^= (v >> (8 * i)) & 0xff;
+            digest *= 0x100000001b3ull;
+        }
+    }
+
+    void spawn();
+    void fire(const std::uint64_t &id);
+};
+
+struct InlineFire
+{
+    PopOrderRun *run;
+    std::uint64_t id;
+    void operator()() const { run->fire(id); }
+};
+
+struct SpilledFire
+{
+    PopOrderRun *run;
+    std::uint64_t id;
+    unsigned char pad[72] = {};
+    void operator()() const { run->fire(id); }
+};
+
+static_assert(sizeof(InlineFire) <= EventCallback::inlineCapacity);
+static_assert(sizeof(SpilledFire) == 88);
+
+void
+PopOrderRun::spawn()
+{
+    const std::uint64_t r = draw();
+    const std::uint64_t id = created++;
+    const Tick delay = static_cast<Tick>(r & 7);
+    // The bursting event stays inline, so its capture lives in the
+    // queue's own storage rather than in a pool block.
+    if ((r & 8) && id != burstAt)
+        eq.scheduleAfter(delay, SpilledFire{this, id});
+    else
+        eq.scheduleAfter(delay, InlineFire{this, id});
+}
+
+void
+PopOrderRun::fire(const std::uint64_t &id)
+{
+    fold(static_cast<std::uint64_t>(eq.now()));
+    fold(id);
+    if (id == burstAt) {
+        for (int i = 0; i < burstSize; ++i)
+            spawn();
+        // Still running after the burst: the captured `this` and id
+        // must have survived any growth of the queue's storage.
+        fold(id);
+        return;
+    }
+    // Mean 9/8 children: the population drifts up until the budget
+    // runs out, then drains.
+    static constexpr int children[8] = {0, 0, 0, 1, 1, 2, 2, 3};
+    for (int n = children[draw() & 7]; n > 0 && created < budget; --n)
+        spawn();
+}
+
+TEST(EventQueue, PopOrderIsPinned)
+{
+    // The unprofiled and profiled run loops must execute the same
+    // sequence; both runOne() and runUntil() drive it.
+    for (bool profiled : {false, true}) {
+        SCOPED_TRACE(profiled ? "profiled" : "unprofiled");
+        PopOrderRun run;
+        obs::EngineProfiler prof;
+        if (profiled) {
+            prof.beginRun();
+            run.eq.attachProfiler(&prof);
+        }
+        for (int i = 0; i < 64; ++i)
+            run.spawn();
+        for (int i = 0; i < 20000 && run.eq.runOne(); ++i) {}
+        while (!run.eq.empty())
+            run.eq.runUntil(run.eq.now() + 100);
+        EXPECT_EQ(run.created, PopOrderRun::budget);
+        EXPECT_EQ(run.eq.eventsRun(), 200000u);
+        EXPECT_EQ(run.digest, 0xcb7d81c87159b897ull);
+    }
+}
+
 TEST(Resource, SerializesHolders)
 {
     EventQueue eq;
@@ -1313,6 +1435,8 @@ TEST(EventQueue, InlineCapturesNeverAllocateInSteadyState)
     static_assert(sizeof(SelfSched<8>) <=
                   EventCallback::inlineCapacity);
     EXPECT_EQ(allocationsDuringSteadyState<8>(32, 1000, 20000), 0u);
+    // 64 pending: the depth the 16- and 32-node fleets reach.
+    EXPECT_EQ(allocationsDuringSteadyState<8>(64, 1000, 20000), 0u);
 }
 
 TEST(EventQueue, MaxInlineCapturesNeverAllocateInSteadyState)
@@ -1321,6 +1445,7 @@ TEST(EventQueue, MaxInlineCapturesNeverAllocateInSteadyState)
     static_assert(sizeof(SelfSched<32>) ==
                   EventCallback::inlineCapacity);
     EXPECT_EQ(allocationsDuringSteadyState<32>(32, 1000, 20000), 0u);
+    EXPECT_EQ(allocationsDuringSteadyState<32>(64, 1000, 20000), 0u);
 }
 
 TEST(EventQueue, SpilledCapturesReusePooledBlocksWithoutAllocating)
@@ -1332,6 +1457,7 @@ TEST(EventQueue, SpilledCapturesReusePooledBlocksWithoutAllocating)
     static_assert(sizeof(SelfSched<64>) <=
                   detail::SpillPool::blockSize);
     EXPECT_EQ(allocationsDuringSteadyState<64>(32, 1000, 20000), 0u);
+    EXPECT_EQ(allocationsDuringSteadyState<64>(64, 1000, 20000), 0u);
     EXPECT_GT(detail::SpillPool::instance().freeBlocks(), 0u);
 }
 
