@@ -251,7 +251,7 @@ BENCHMARK(BM_EventQueueScheduleRunProfiled)->Arg(16)->Arg(256);
 
 /**
  * The engine at thousands of concurrently pending events, where the
- * heap pays an O(log n) sift of 80-byte events per operation.  Same
+ * heap pays an O(log n) sift of 16-byte keys per operation.  Same
  * self-rescheduling workload as above at fanouts 4096..65536 — far
  * past the few dozen pending events any shipped workload reaches
  * (docs/performance.md, "Why one heap").

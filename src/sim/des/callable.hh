@@ -143,8 +143,9 @@ class EventCallback
     /**
      * Type-erased operations; one static instance per target type.
      * relocate/destroy are null when the operation reduces to a
-     * memcpy/no-op: heap sifts move events constantly, and an
-     * indirect call per move costs more than the move itself for the
+     * memcpy/no-op: a callback is moved on its way into the event
+     * queue's slot arena and again out of it, and an indirect call
+     * per move costs more than the move itself for the
      * pointer-plus-ints captures that dominate the simulator.
      */
     struct Ops

@@ -3,15 +3,22 @@
  * Discrete-event simulation core: a time-ordered event queue with
  * stable FIFO ordering among simultaneous events.
  *
- * The pending-event set is an explicit binary min-heap over
- * (when, seq) rather than a std::priority_queue: priority_queue's
- * top() returns a const reference, so popping a move-only event out
- * of it needs a const_cast (mutating a container element through
- * top() — UB-bait), and its pop() cannot be fused with the
- * inspection the run loop just did.  The explicit heap moves the root
- * out legitimately and lets runUntil() do exactly one heap inspection
- * per executed event.  O(log n) per operation; the simulator keeps a
- * few dozen pending events (docs/performance.md, "Why one heap").
+ * The pending-event set is an indirect binary min-heap.  The heap
+ * holds only 16-byte keys, (when, seq << slotBits | slot), so
+ * comparing the second word compares seq; the callbacks sit still
+ * in a slot arena beside it, reused through a LIFO free list.  Each
+ * sift level therefore moves one key, where it used to move a whole
+ * 80-byte event through EventCallback's move (docs/performance.md,
+ * "The DES event-loop fast path").  A push moves its callback into a
+ * slot once; a pop moves it out once, frees the slot, and only then
+ * invokes it, because the callback may schedule events and grow the
+ * arena under itself.
+ *
+ * The heap is explicit rather than a std::priority_queue so that
+ * runUntil() does exactly one heap inspection per executed event:
+ * the bounds check reads the root in place and the same read feeds
+ * the pop.  O(log n) per operation; the simulator keeps a few dozen
+ * pending events (docs/performance.md, "Why one heap").
  *
  * Backing storage is reserved up front so the steady state never
  * reallocates.  Callbacks are EventCallback (see callable.hh): 48
@@ -42,7 +49,12 @@ class EventQueue
   public:
     using Callback = EventCallback;
 
-    EventQueue() { heap.reserve(reservedCapacity); }
+    EventQueue()
+    {
+        heap.reserve(reservedCapacity);
+        slots.reserve(reservedCapacity);
+        freeSlots.reserve(reservedCapacity);
+    }
 
     Tick now() const { return current; }
 
@@ -147,18 +159,32 @@ class EventQueue
     }
 
   private:
-    struct Event
+    /** Low bits of Key::order that name the callback's slot. */
+    static constexpr unsigned slotBits = 24;
+    static constexpr std::uint64_t slotMask = (1ull << slotBits) - 1;
+
+    /** A heap entry: the event's time and seq << slotBits | slot. */
+    struct Key
     {
         Tick when;
-        std::uint64_t seq;
-        Callback cb;
+        std::uint64_t order;
+
+        std::uint64_t seq() const { return order >> slotBits; }
+        std::uint32_t
+        slot() const
+        {
+            return static_cast<std::uint32_t>(order & slotMask);
+        }
     };
 
-    /** Heap order: earlier time first, FIFO (seq) among equals. */
+    /**
+     * Heap order: earlier time first, FIFO (seq) among equals.  seq
+     * is unique, so the slot bits below it never decide.
+     */
     static bool
-    before(const Event &a, const Event &b)
+    before(const Key &a, const Key &b)
     {
-        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+        return a.when != b.when ? a.when < b.when : a.order < b.order;
     }
 
     /**
@@ -181,32 +207,46 @@ class EventQueue
             if ((nextSeq & profMask) == 0) [[unlikely]]
                 prof->observePush(when - current, depth);
         }
-        heap.push_back(Event{when, nextSeq++, std::move(cb)});
+        hsipc_assert(nextSeq >> (64 - slotBits) == 0);
+        std::uint32_t slot;
+        if (freeSlots.empty()) {
+            hsipc_assert(slots.size() <= slotMask);
+            slot = static_cast<std::uint32_t>(slots.size());
+            slots.push_back(std::move(cb));
+        } else {
+            slot = freeSlots.back();
+            freeSlots.pop_back();
+            slots[slot] = std::move(cb);
+        }
+        heap.push_back(Key{when, nextSeq++ << slotBits | slot});
         siftUpT<Prof>(heap.size() - 1);
     }
 
     /**
-     * Pop and execute the earliest event.  The Prof=true
-     * instantiation counts the pop, and for the deterministic 1-in-N
-     * subsample brackets the event body with a steady_clock pair; the
-     * Prof=false instantiation is byte-for-byte the pre-profiler hot
-     * loop body.
+     * Pop and execute the earliest event.  The callback leaves its
+     * slot, and the slot returns to the free list, before it runs:
+     * it may schedule events, and so grow the arena, while running.
+     * The Prof=true instantiation counts the pop, and for the
+     * deterministic 1-in-N subsample (keyed on seq, as at push)
+     * brackets the event body with a steady_clock pair.
      */
     template <bool Prof>
     void
     execOne()
     {
-        Event ev = popTop<Prof>();
-        current = ev.when;
+        const Key top = popTop<Prof>();
+        Callback cb = std::move(slots[top.slot()]);
+        freeSlots.push_back(top.slot());
+        current = top.when;
         ++executed;
         if constexpr (Prof) {
             prof->notePop();
-            if ((ev.seq & profMask) == 0) [[unlikely]]
-                execSampled(ev);
+            if ((top.seq() & profMask) == 0) [[unlikely]]
+                execSampled(cb);
             else
-                ev.cb();
+                cb();
         } else {
-            ev.cb();
+            cb();
         }
     }
 
@@ -216,10 +256,10 @@ class EventQueue
      * the hot run loop's code.
      */
     __attribute__((noinline, cold)) void
-    execSampled(Event &ev)
+    execSampled(const Callback &cb)
     {
         prof->beginEvent();
-        ev.cb();
+        cb();
         prof->endEvent();
     }
 
@@ -256,24 +296,21 @@ class EventQueue
         profCmps = 0;
     }
 
-    /** Remove and return the root, restoring the heap invariant. */
+    /** Remove and return the root key, restoring the heap invariant. */
     template <bool Prof>
-    Event
+    Key
     popTop()
     {
-        Event top = std::move(heap.front());
-        if (heap.size() > 1) {
-            heap.front() = std::move(heap.back());
-            heap.pop_back();
+        const Key top = heap.front();
+        heap.front() = heap.back();
+        heap.pop_back();
+        if (heap.size() > 1)
             siftDownT<Prof>(0);
-        } else {
-            heap.pop_back();
-        }
         return top;
     }
 
     /**
-     * Bubble the element at @p i up, hole-style (one move per level).
+     * Bubble the key at @p i up, hole-style (one move per level).
      * The Prof=true instantiation counts heap-order comparisons into
      * the profiler; Prof=false compiles to the original sift.
      */
@@ -282,28 +319,28 @@ class EventQueue
     siftUpT(std::size_t i)
     {
         std::uint64_t cmps = 0;
-        Event e = std::move(heap[i]);
+        const Key e = heap[i];
         while (i > 0) {
             const std::size_t parent = (i - 1) / 2;
             if constexpr (Prof)
                 ++cmps;
             if (!before(e, heap[parent]))
                 break;
-            heap[i] = std::move(heap[parent]);
+            heap[i] = heap[parent];
             i = parent;
         }
-        heap[i] = std::move(e);
+        heap[i] = e;
         if constexpr (Prof)
             profCmps += cmps;
     }
 
-    /** Push the element at @p i down, hole-style. */
+    /** Push the key at @p i down, hole-style. */
     template <bool Prof>
     void
     siftDownT(std::size_t i)
     {
         std::uint64_t cmps = 0;
-        Event e = std::move(heap[i]);
+        const Key e = heap[i];
         const std::size_t n = heap.size();
         for (;;) {
             std::size_t child = 2 * i + 1;
@@ -319,25 +356,28 @@ class EventQueue
                 ++cmps;
             if (!before(heap[child], e))
                 break;
-            heap[i] = std::move(heap[child]);
+            heap[i] = heap[child];
             i = child;
         }
-        heap[i] = std::move(e);
+        heap[i] = e;
         if constexpr (Prof)
             profCmps += cmps;
     }
 
     /**
-     * The pre-sized backing store: the kernel simulator keeps a few
-     * dozen to a few hundred events in flight, so a page of headroom
-     * removes every steady-state reallocation.
+     * The pre-sized backing stores (heap, slots, free list): the
+     * kernel simulator keeps a few dozen to a few hundred events in
+     * flight, so this headroom removes every steady-state
+     * reallocation.
      */
     static constexpr std::size_t reservedCapacity = 1024;
 
     /** quietHorizon() outside runUntil(): before every tick. */
     static constexpr Tick noHorizon = std::numeric_limits<Tick>::min();
 
-    std::vector<Event> heap;
+    std::vector<Key> heap;
+    std::vector<Callback> slots;           //!< pending callbacks by slot
+    std::vector<std::uint32_t> freeSlots; //!< LIFO: last freed, first reused
     Tick current = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t executed = 0;
