@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 
 #include "core/gtpn/analyzer.hh"
@@ -866,17 +869,212 @@ TEST(Analyzer, MatchesPublicApiRedriveBitForBit)
     const models::ServerModel server =
         models::buildServerModel(sp, 3, cd, x, 2, sscale);
 
-    for (const PetriNet *net : {&local.net, &client.net, &server.net}) {
+    // Three small nets for the corners of the state space: firings
+    // that outlive a time advance (delays 3, 5 and 2 over a shared
+    // server), a reachable deadlock whose absorbing row sits among the
+    // transient ones, and frequencies read off the marking while the
+    // selection phase is consuming it.
+    PetriNet multiTick;
+    {
+        const PlaceId a = multiTick.addPlace("A", 2);
+        const PlaceId b = multiTick.addPlace("B");
+        const PlaceId srv = multiTick.addPlace("Server", 1);
+        const TransId think = multiTick.addTransition("think", 3.0, 1.0);
+        multiTick.inputArc(a, think);
+        multiTick.outputArc(think, b);
+        for (auto [name, delay, freq] :
+             {std::tuple{"long", 5.0, 0.3}, std::tuple{"short", 2.0, 0.7}}) {
+            const TransId t =
+                multiTick.addTransition(name, delay, freq, "Busy");
+            multiTick.inputArc(b, t);
+            multiTick.inputArc(srv, t);
+            multiTick.outputArc(t, a);
+            multiTick.outputArc(t, srv);
+        }
+    }
+    PetriNet drains;
+    {
+        const PlaceId p = drains.addPlace("P", 4);
+        const PlaceId q = drains.addPlace("Q");
+        for (auto [name, delay, freq] :
+             {std::tuple{"a", 2.0, 0.5}, std::tuple{"b", 3.0, 0.5}}) {
+            const TransId t = drains.addTransition(name, delay, freq, name);
+            drains.inputArc(p, t);
+            drains.outputArc(t, q);
+        }
+    }
+    PetriNet weighted;
+    {
+        const PlaceId a = weighted.addPlace("A", 3);
+        const PlaceId b = weighted.addPlace("B");
+        const TransId move = weighted.addTransition(
+            "move", constant(1.0), tokens(a), "Move");
+        weighted.inputArc(a, move);
+        weighted.outputArc(move, b);
+        const TransId stay = weighted.addTransition(
+            "stay", constant(2.0),
+            [b](const EvalContext &ctx) { return 1.0 + ctx.marking(b); });
+        weighted.inputArc(a, stay);
+        weighted.outputArc(stay, a);
+        const TransId back = weighted.addTransition("back", 3.0, 1.0);
+        weighted.inputArc(b, back);
+        weighted.outputArc(back, a);
+    }
+
+    const PetriNet *nets[] = {&local.net, &client.net, &server.net,
+                              &multiTick, &drains, &weighted};
+    for (const PetriNet *net : nets) {
         const AnalyzerResult lib = analyze(*net);
         const AnalyzerResult ref = redriveAnalyze(*net);
         ASSERT_TRUE(lib.converged);
-        EXPECT_FALSE(lib.deadlock);
+        EXPECT_EQ(lib.deadlock, net == &drains);
+        EXPECT_EQ(ref.deadlock, lib.deadlock);
         EXPECT_EQ(lib.numStates, ref.numStates);
         EXPECT_EQ(lib.sweeps, ref.sweeps);
         EXPECT_EQ(lib.resourceUsage, ref.resourceUsage);
         EXPECT_EQ(lib.firingRate, ref.firingRate);
         EXPECT_EQ(lib.placeOccupancy, ref.placeOccupancy);
     }
+}
+
+/** FNV-1a over the %.17g text of each number fed to it. */
+struct ResultDigest
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    bytes(const std::string &s)
+    {
+        for (unsigned char c : s)
+            h = (h ^ c) * 0x100000001b3ULL;
+        h = (h ^ '\n') * 0x100000001b3ULL;
+    }
+
+    void
+    num(double v)
+    {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+        bytes(buf);
+    }
+
+    void
+    result(const AnalyzerResult &r)
+    {
+        num(static_cast<double>(r.numStates));
+        num(r.converged);
+        num(r.deadlock);
+        num(r.sweeps);
+        for (const auto &[name, u] : r.resourceUsage) {
+            bytes(name);
+            num(u);
+        }
+        for (double v : r.firingRate)
+            num(v);
+        for (double v : r.placeOccupancy)
+            num(v);
+    }
+};
+
+/** solution.cc's time scale: >= 20 model units in the smallest mean. */
+double
+pinScale(double min_mean)
+{
+    return std::max(1.0, std::floor(min_mean / 20.0));
+}
+
+TEST(Analyzer, ResultsArePinned)
+{
+    // The first fixed-point iteration of every model_solve perfbench
+    // cell, analyzed field by field, then the solutions of those cells
+    // and of the 20 Fig 6.15 validation cells.  The redrive test above
+    // solves both of its sides with the same MarkovChain; this one
+    // catches any change to the bits the solver produces.
+    using models::Arch;
+    constexpr double figX = 1710.0;
+    ResultDigest nets;
+    for (Arch a : {Arch::I, Arch::II, Arch::III}) {
+        const models::LocalParams p = models::localParams(a);
+        const double min_mean =
+            a == Arch::I
+                ? std::min({p.uniSend, p.uniRecv, p.uniMatchReply + figX})
+                : std::min({p.sendSyscall, p.recvSyscall, p.mpSend,
+                            p.mpRecv, p.mpMatch, p.hostReplyBase + figX,
+                            p.mpReply});
+        nets.result(analyze(
+            models::buildLocalModel(p, 4, figX, pinScale(min_mean), 1).net));
+    }
+
+    struct NonlocalCell
+    {
+        models::NonlocalClientParams cp;
+        models::NonlocalServerParams sp;
+        int n;
+        double x;
+        int hosts;
+    };
+    std::vector<NonlocalCell> cells = {
+        {models::validationClientParams(), models::validationServerParams(),
+         3, 2850.0, 2},
+        {models::validationClientParams(), models::validationServerParams(),
+         4, 2850.0, 2}};
+    for (Arch a : {Arch::I, Arch::II, Arch::III}) {
+        cells.push_back({models::nonlocalClientParams(a),
+                         models::nonlocalServerParams(a), 4, figX, 1});
+    }
+    for (const NonlocalCell &c : cells) {
+        const auto &cp = c.cp;
+        const auto &sp = c.sp;
+        const double sd = sp.receivePath() + sp.match + sp.replyBase + c.x +
+                          sp.mpReply + sp.dmaIn + sp.dmaOut;
+        double cmin = std::min({cp.sendSyscall, cp.dmaOut, cp.dmaIn,
+                                cp.intrService, sd});
+        if (cp.arch != Arch::I)
+            cmin = std::min(cmin, cp.mpSend + cp.dispatch);
+        const models::ClientModel cm = models::buildClientModel(
+            cp, c.n, sd, c.hosts, pinScale(cmin));
+        const AnalyzerResult cr = analyze(cm.net);
+        nets.result(cr);
+
+        const double lambda =
+            cm.throughputPerUs(cr.usage(models::lambdaResource));
+        double cd = c.n / lambda - sd - sp.receivePath();
+        double smin = std::min({sp.recvSyscall, sp.match,
+                                sp.replyBase + c.x, std::max(cd, 1.0)});
+        if (sp.arch != Arch::I)
+            smin = std::min({smin, sp.mpRecv, sp.mpReply});
+        const double floor = pinScale(smin);
+        cd = std::max(cd, floor);
+        nets.result(analyze(
+            models::buildServerModel(sp, c.n, cd, c.x, c.hosts, floor).net));
+    }
+
+    ResultDigest solutions;
+    for (Arch a : {Arch::I, Arch::II, Arch::III}) {
+        solutions.num(models::solveLocalCustom(models::localParams(a), 4,
+                                               figX, 1)
+                          .throughputPerUs);
+    }
+    for (const NonlocalCell &c : cells) {
+        const models::NonlocalSolution s =
+            models::solveNonlocalCustom(c.cp, c.sp, c.n, c.x, c.hosts);
+        solutions.num(s.throughputPerUs);
+        solutions.num(s.serverDelay);
+        solutions.num(s.iterations);
+    }
+    for (int n = 1; n <= 4; ++n) {
+        for (double x : {0.0, 1140.0, 2850.0, 5700.0, 11400.0}) {
+            const models::NonlocalSolution s = models::solveNonlocalCustom(
+                models::validationClientParams(),
+                models::validationServerParams(), n, x, 2);
+            solutions.num(s.throughputPerUs);
+            solutions.num(s.serverDelay);
+            solutions.num(s.iterations);
+        }
+    }
+
+    EXPECT_EQ(nets.h, 0xcbd57d67b55e071aULL);
+    EXPECT_EQ(solutions.h, 0x942e8eab8524a07aULL);
 }
 
 TEST(Markov, HigherDampingStillConverges)
