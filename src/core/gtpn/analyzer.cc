@@ -13,10 +13,10 @@ namespace
 {
 
 /**
- * The tangible states found so far: their words (FiringExpander's
- * encoding) back to back in one arena, one start offset per state,
- * and an open-addressing table of state ids keyed by the words' hash.
- * Ids are dense and assigned in insertion order.
+ * A set of states: their words (FiringExpander's encoding) back to
+ * back in one arena, one start offset per state, and an
+ * open-addressing table of state ids keyed by the words' hash.  Ids
+ * are dense and assigned in insertion order.
  */
 class StateStore
 {
@@ -103,6 +103,16 @@ analyze(const PetriNet &net, const AnalyzerOptions &opts)
     std::vector<int> sojourn;
     FiringExpander ex(net);
 
+    // The selection phase is a function of the post-advance state
+    // alone, and many tangible states advance into the same one, so
+    // each post-advance state is expanded once.  Entry a of `advanced`
+    // keeps its outcomes' state ids and probabilities at
+    // [succEnd[a], succEnd[a + 1]) of succ/succProb.
+    StateStore advanced;
+    std::vector<std::uint32_t> succ;
+    std::vector<double> succProb;
+    std::vector<std::size_t> succEnd{0};
+
     // Intern outcome i of the last expansion, queueing it if new.
     auto intern = [&](std::size_t i) {
         bool fresh = false;
@@ -143,13 +153,27 @@ analyze(const PetriNet &net, const AnalyzerOptions &opts)
             continue;
         }
 
-        const int step = ex.loadAdvanced(states.words(s), states.length(s));
+        const int step = ex.advance(states.words(s), states.length(s));
         sojourn[s] = step;
         chain.setSojourn(s, static_cast<double>(step));
 
-        ex.expand();
-        for (std::size_t i = 0; i < ex.numOutcomes(); ++i)
-            chain.addEdge(s, intern(i), ex.prob(i));
+        // A repeat gets the recorded outcomes.  Each was interned
+        // when first recorded, so interning it again would change
+        // nothing: ids, discovery order and edges match a re-expansion.
+        bool fresh = false;
+        const std::size_t a =
+            advanced.intern(ex.advancedWords(), ex.advancedLength(),
+                            ex.advancedHash(), fresh);
+        if (fresh) {
+            ex.expand();
+            for (std::size_t i = 0; i < ex.numOutcomes(); ++i) {
+                succ.push_back(static_cast<std::uint32_t>(intern(i)));
+                succProb.push_back(ex.prob(i));
+            }
+            succEnd.push_back(succ.size());
+        }
+        for (std::size_t k = succEnd[a]; k < succEnd[a + 1]; ++k)
+            chain.addEdge(s, succ[k], succProb[k]);
     }
 
     const std::size_t n = states.size();

@@ -131,6 +131,29 @@ mixWord(std::uint64_t h, std::uint32_t w)
     return h ^ (h >> 32);
 }
 
+/**
+ * Append the state words of @p marking and @p firings (already in
+ * Firing order) to @p out, returning their hash.
+ */
+std::uint64_t
+encodeState(const std::vector<int> &marking,
+            const std::vector<Firing> &firings,
+            std::vector<std::uint32_t> &out)
+{
+    std::uint64_t h = hashSeed;
+    for (int m : marking) {
+        out.push_back(stateWord(m));
+        h = mixWord(h, out.back());
+    }
+    for (const Firing &f : firings) {
+        out.push_back(stateWord(f.trans));
+        h = mixWord(h, out.back());
+        out.push_back(stateWord(f.remaining));
+        h = mixWord(h, out.back());
+    }
+    return h;
+}
+
 /** Append the four little-endian bytes of @p v to @p k. */
 void
 appendBytes(std::string &k, int v)
@@ -267,7 +290,7 @@ FiringExpander::load(const NetState &state)
 }
 
 int
-FiringExpander::loadAdvanced(const std::uint32_t *words, std::size_t len)
+FiringExpander::advance(const std::uint32_t *words, std::size_t len)
 {
     const std::size_t places = net.numPlaces();
     hsipc_assert(len > places && (len - places) % 2 == 0);
@@ -289,6 +312,10 @@ FiringExpander::loadAdvanced(const std::uint32_t *words, std::size_t len)
             ++counts[static_cast<std::size_t>(t)];
         }
     }
+    // Every firing's remaining time dropped by the same step, so the
+    // survivors keep the sorted order of the words they came from.
+    advWords.clear();
+    advHash = encodeState(marking, firings, advWords);
     return static_cast<int>(step);
 }
 
@@ -364,17 +391,7 @@ FiringExpander::leaf(double prob)
     // Encode after the previous outcomes; drop the words again if an
     // earlier outcome holds the same state.
     const std::size_t at = outWords.size();
-    std::uint64_t h = hashSeed;
-    for (int m : marking) {
-        outWords.push_back(stateWord(m));
-        h = mixWord(h, outWords.back());
-    }
-    for (const Firing &f : sorted) {
-        outWords.push_back(stateWord(f.trans));
-        h = mixWord(h, outWords.back());
-        outWords.push_back(stateWord(f.remaining));
-        h = mixWord(h, outWords.back());
-    }
+    const std::uint64_t h = encodeState(marking, sorted, outWords);
     const std::size_t len = outWords.size() - at;
 
     for (std::size_t i = 0; i < outProb.size(); ++i) {

@@ -137,10 +137,19 @@ class FiringExpander
 
     /**
      * Load the @p len state words at @p words (at least one firing)
-     * and advance time on them as advanceTime() would.  Returns the
-     * elapsed time.
+     * and advance time on them as advanceTime() would, ready for
+     * expand().  The post-advance state is also kept as words (the
+     * marking after deposits, then the still-running firings in
+     * Firing order), which with the net alone decide what expand()
+     * yields.  Returns the elapsed time.
      */
-    int loadAdvanced(const std::uint32_t *words, std::size_t len);
+    int advance(const std::uint32_t *words, std::size_t len);
+
+    const std::uint32_t *advancedWords() const { return advWords.data(); }
+    std::size_t advancedLength() const { return advWords.size(); }
+
+    /** The hash of advancedWords(), as hash() hashes an outcome. */
+    std::uint64_t advancedHash() const { return advHash; }
 
     /** Expand the loaded state, replacing the previous outcomes. */
     void expand();
@@ -178,6 +187,9 @@ class FiringExpander
     std::vector<Firing> firings;  //!< in-flight stack, unsorted
     std::vector<Firing> sorted;   //!< leaf scratch
     std::vector<Candidate> cands; //!< per-depth conflict sets, stacked
+
+    std::vector<std::uint32_t> advWords;
+    std::uint64_t advHash = 0;
 
     std::vector<std::uint32_t> outWords;
     std::vector<std::size_t> outStart; //!< numOutcomes() + 1 offsets
