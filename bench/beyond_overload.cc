@@ -23,9 +23,10 @@
  * table shows windowed goodput — the unguarded run decaying as its
  * backlog builds, the guarded plateau holding flat, and the crash
  * run's outage dip and recovery ramp.  When `--json` is given, the
- * Architecture I crash run also writes its full timeline document
- * next to the bench document (`<name>_timeline.json`) for
- * tools/report.py; bench_compare.py never gates timeline files.
+ * Architecture I crash run also writes its run report (experiment,
+ * outcome, timeline, metrics, and the engine profile under
+ * `--profile`) next to the bench document (`<name>_report.json`) for
+ * tools/report.py.
  *
  * All simulations are one sweep through the runner (`--jobs N`);
  * outcomes land by input index and the tables render afterwards,
@@ -114,11 +115,11 @@ constexpr double kTimelineBinUs = 10000;
 constexpr std::size_t kWindowBins = 5;
 
 /**
- * Sibling path for the committed timeline artifact: the `--json`
- * path with a `_timeline` stem suffix ("" when --json was absent).
+ * Sibling path for the crash run's report: the `--json` path with a
+ * `_report` stem suffix ("" when --json was absent).
  */
 std::string
-timelinePath()
+reportPath()
 {
     const std::string &jp = hsipc::bench::jsonPath();
     if (jp.empty())
@@ -126,7 +127,7 @@ timelinePath()
     const std::size_t dot = jp.rfind(".json");
     const std::string stem =
         dot == std::string::npos ? jp : jp.substr(0, dot);
-    return stem + "_timeline.json";
+    return stem + "_report.json";
 }
 
 /** Events/sec of counter @p name over timeline bins [b0, b1). */
@@ -190,7 +191,7 @@ main(int argc, char **argv)
         e.crashSchedule.push_back({1, 100000, 130000});
         e.timelineIntervalUs = kTimelineBinUs;
         if (a == Arch::I)
-            e.timelineFile = timelinePath(); // "" = don't write
+            e.reportFile = reportPath(); // "" = don't write
         exps.push_back(e);
     }
 
@@ -323,11 +324,10 @@ main(int argc, char **argv)
                      "timeline missing from the crash run\n");
         return 1;
     }
-    const std::string tlFile = timelinePath();
-    if (!tlFile.empty())
-        std::printf("\n  timeline document: %s "
-                    "(render with tools/report.py)\n",
-                    tlFile.c_str());
+    const std::string report = reportPath();
+    if (!report.empty())
+        std::printf("\n  run report: %s (render with tools/report.py)\n",
+                    report.c_str());
 
     return hsipc::bench::finish();
 }

@@ -139,10 +139,7 @@ main(int argc, char **argv)
                            static_cast<double>(agreements));
     }
 
-    if (hsipc::bench::profile()) {
-        engMerged.writeFile(hsipc::bench::profilePath());
-        std::printf("engine profile: %s\n",
-                    hsipc::bench::profilePath().c_str());
-    }
+    if (hsipc::bench::profile())
+        sim::writeProfileReport(engMerged);
     return hsipc::bench::finish();
 }

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "common/bench_main.hh"
 #include "common/metrics/metrics.hh"
@@ -153,16 +154,23 @@ main(int argc, char **argv)
         hsipc::bench::record(t);
     }
 
-    // The registry's headline numbers for the same run.
+    // The headline numbers for the same run: the Outcome's counters,
+    // the registry's event count and round-trip histogram.
     {
         TextTable t("Metrics registry highlights");
         t.header({"Metric", "Value"});
-        for (const char *c :
-             {"ipc.roundTrips", "net.retransmissions",
-              "net.timeoutsFired", "net.faultDrops",
-              "net.duplicatesDropped", "net.corruptDiscarded",
-              "des.eventsRun"})
-            t.row({c, std::to_string(reg.counter(c).value())});
+        for (const auto &[name, value] :
+             {std::pair<const char *, long>{"ipc.roundTrips",
+                                            o.roundTrips},
+              {"net.retransmissions", o.retransmissions},
+              {"net.timeoutsFired", o.timeoutsFired},
+              {"net.faultDrops", o.faultDrops},
+              {"net.duplicatesDropped", o.duplicatesDropped},
+              {"net.corruptDiscarded", o.corruptDiscarded},
+              {"des.eventsRun", static_cast<long>(
+                                    reg.counter("des.eventsRun")
+                                        .value())}})
+            t.row({name, std::to_string(value)});
         metrics::Histogram &h = reg.histogram("ipc.roundTripUs");
         t.row({"ipc.roundTripUs mean", TextTable::num(h.mean(), 1)});
         t.row({"ipc.roundTripUs p95 (bucket ub)",

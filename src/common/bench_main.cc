@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/file.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parallel/parallel.hh"
@@ -135,9 +136,6 @@ finish()
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - s.start)
             .count();
-    std::FILE *f = std::fopen(s.jsonPath.c_str(), "w");
-    if (!f)
-        hsipc_fatal("cannot open JSON output file " + s.jsonPath);
     std::string doc = "{\"bench\": " + jsonString(s.name) +
                       ",\n \"wall_ms\": " + jsonNumber(wall_ms) +
                       ",\n \"tables\": [";
@@ -150,8 +148,7 @@ finish()
                ": " + jsonNumber(s.scalars[i].second);
     }
     doc += "}\n}\n";
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
+    writeFileOrDie(s.jsonPath, doc);
     return 0;
 }
 

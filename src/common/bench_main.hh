@@ -60,7 +60,7 @@ int jobs();
 
 /**
  * The `--json` output path ("" when absent).  Benches that emit
- * sibling artifacts (e.g. a timeline document for tools/report.py)
+ * sibling artifacts (e.g. a run report for tools/report.py)
  * derive their paths from it so everything lands in the same results
  * directory.
  */
@@ -69,17 +69,18 @@ const std::string &jsonPath();
 /**
  * True when the binary was invoked with `--profile`: the bench should
  * run its sweep with the engine self-profiler on and write the merged
- * profile document next to its other outputs (see profilePath()).
- * Defaults to false — the pay-for-use contract keeps unprofiled runs
+ * profile next to its other outputs (see profilePath()).  Defaults to
+ * false — the pay-for-use contract keeps unprofiled runs
  * byte-identical.
  */
 bool profile();
 
 /**
- * Where a `--profile` run should write its engine-profile document:
- * the --json path with its ".json" suffix replaced by
- * "_engine_profile.json" (or with that suffix appended when the path
- * does not end in ".json").  Without --json, falls back to
+ * Where a `--profile` run should write its merged profile, a run
+ * report whose only section is "engineProfile" (tools/report.py
+ * renders it like any other report): the --json path with its
+ * ".json" suffix replaced by "_engine_profile.json" (or with that
+ * suffix appended when the path does not end in ".json").  Without --json, falls back to
  * "<bench>_engine_profile.json" in the working directory.
  * tools/bench_compare.py skips *engine_profile* files, so committing
  * one next to a baseline never gates a regression run.

@@ -1,8 +1,8 @@
 /**
  * @file
  * Minimal JSON writing helpers shared by the trace emitter, the
- * metrics registry, and the bench --json output.  Writing only — the
- * library never consumes JSON, so there is no parser here.
+ * metrics registry, the run report and the bench --json output.
+ * Writing only; the parser is json_value.hh.
  */
 
 #ifndef HSIPC_COMMON_JSON_HH
@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace hsipc
 {
@@ -69,6 +71,28 @@ jsonNumber(double v)
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.12g", v);
     return buf;
+}
+
+/**
+ * One JSON object whose members are whole documents rendered
+ * elsewhere, in the given order.  Each is embedded verbatim minus its
+ * trailing newlines, so a member's text is exactly the document it
+ * would be on its own — the layout of a run report.
+ */
+inline std::string
+jsonSections(
+    const std::vector<std::pair<std::string, std::string>> &sections)
+{
+    std::string doc = "{";
+    for (const auto &[name, body] : sections) {
+        std::size_t n = body.size();
+        while (n > 0 && body[n - 1] == '\n')
+            --n;
+        doc += doc.size() > 1 ? ",\n" : "\n";
+        doc += jsonString(name) + ": ";
+        doc.append(body, 0, n);
+    }
+    return doc + "\n}\n";
 }
 
 } // namespace hsipc

@@ -1,6 +1,7 @@
 #include "common/json_value.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -211,6 +212,10 @@ struct Parser
         const double v = std::strtod(tok.c_str(), &end);
         if (end == tok.c_str() || *end != '\0')
             fail("bad number '" + tok + "'", start);
+        // The grammar cannot spell infinity, so an infinite result
+        // is a literal too large for a double (strtod's HUGE_VAL).
+        if (std::isinf(v))
+            fail("number '" + tok + "' overflows a double", start);
         return JsonValue::makeNumber(v);
     }
 };

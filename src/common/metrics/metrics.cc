@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "common/json.hh"
@@ -94,14 +93,7 @@ Registry::toJson() const
             << ": " << c.value();
         first = false;
     }
-    out << (counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
-    first = true;
-    for (const auto &[name, g] : gauges) {
-        out << (first ? "" : ",") << "\n    " << jsonString(name)
-            << ": " << jsonNumber(g.value());
-        first = false;
-    }
-    out << (gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
+    out << (counters.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
     first = true;
     for (const auto &[name, h] : histograms) {
         out << (first ? "" : ",") << "\n    " << jsonString(name)
@@ -156,13 +148,6 @@ Registry::toTable() const
             t.row({name, std::to_string(c.value())});
         out << t.render();
     }
-    if (!gauges.empty()) {
-        TextTable t("Gauges");
-        t.header({"name", "value"});
-        for (const auto &[name, g] : gauges)
-            t.row({name, TextTable::num(g.value(), 4)});
-        out << t.render();
-    }
     if (!histograms.empty()) {
         TextTable t("Histograms");
         t.header({"name", "count", "mean", "min", "max", "~p50",
@@ -178,17 +163,6 @@ Registry::toTable() const
         out << t.render();
     }
     return out.str();
-}
-
-void
-Registry::writeJson(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        hsipc_fatal("cannot open metrics file " + path);
-    const std::string doc = toJson();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
 }
 
 } // namespace hsipc::metrics

@@ -1,6 +1,7 @@
 /**
  * @file
- * A registry of named counters, gauges, and log2-bucket histograms.
+ * A registry of named counters, log2-bucket histograms and quantile
+ * sketches.
  *
  * Any component can register an instrument by name and update it at
  * simulation speed; at end of run the registry renders every
@@ -13,8 +14,9 @@
  * Updates are a map lookup amortized to a held reference: callers
  * fetch `Counter &` once and bump it in the hot loop.  A Registry
  * that is never dumped costs nothing beyond those updates, and the
- * simulator only instantiates instruments when a metrics file was
- * requested, keeping the disabled path free.
+ * simulator only instantiates instruments when a run report was
+ * requested, keeping the disabled path free.  Whole-run values the
+ * simulator's Outcome already carries are not copied in here.
  */
 
 #ifndef HSIPC_COMMON_METRICS_METRICS_HH
@@ -38,17 +40,6 @@ class Counter
 
   private:
     std::int64_t total = 0;
-};
-
-/** A point-in-time value, overwritten on every set. */
-class Gauge
-{
-  public:
-    void set(double v) { val = v; }
-    double value() const { return val; }
-
-  private:
-    double val = 0;
 };
 
 /**
@@ -100,7 +91,6 @@ class Registry
 {
   public:
     Counter &counter(const std::string &name) { return counters[name]; }
-    Gauge &gauge(const std::string &name) { return gauges[name]; }
 
     Histogram &
     histogram(const std::string &name)
@@ -125,8 +115,8 @@ class Registry
     bool
     empty() const
     {
-        return counters.empty() && gauges.empty() &&
-               histograms.empty() && sketches.empty();
+        return counters.empty() && histograms.empty() &&
+               sketches.empty();
     }
 
     const std::map<std::string, Histogram> &
@@ -149,18 +139,14 @@ class Registry
     double histogramQuantile(const std::string &name,
                              const Histogram &h, double q) const;
 
-    /** One JSON object: {"counters":{...},"gauges":{...},...}. */
+    /** One JSON object: {"counters":{...},"histograms":{...},...}. */
     std::string toJson() const;
 
     /** Human-readable tables (one per instrument kind). */
     std::string toTable() const;
 
-    /** Write toJson() to @p path (fatal on I/O failure). */
-    void writeJson(const std::string &path) const;
-
   private:
     std::map<std::string, Counter> counters;
-    std::map<std::string, Gauge> gauges;
     std::map<std::string, Histogram> histograms;
     std::map<std::string, obs::QuantileSketch> sketches;
 };

@@ -1,7 +1,6 @@
 #include "common/obs/engine_prof.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -152,17 +151,6 @@ std::string
 EngineProfile::toJson() const
 {
     return render(*this, true);
-}
-
-void
-EngineProfile::writeFile(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        hsipc_fatal("cannot open engine-profile output file " + path);
-    const std::string doc = toJson();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
 }
 
 void

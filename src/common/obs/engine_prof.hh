@@ -113,9 +113,6 @@ struct EngineProfile
 
     /** The full document: deterministic subset + wall-time sketches. */
     std::string toJson() const;
-
-    /** Write toJson() to @p path (fatal on I/O failure). */
-    void writeFile(const std::string &path) const;
 };
 
 /**

@@ -54,7 +54,7 @@ struct Timeline
      * Compact JSON object.  @p extraSections, when non-empty, is a
      * raw `"key": value, ...` fragment spliced in before the series —
      * the simulator uses it to embed steady-state stats and the
-     * latency decomposition into the timeline file.
+     * latency decomposition into the run report's timeline section.
      */
     std::string toJson(const std::string &extraSections = "") const;
 

@@ -248,17 +248,6 @@ Tracer::chromeJson() const
     return out.str();
 }
 
-void
-Tracer::writeChromeJson(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        hsipc_fatal("cannot open trace file " + path);
-    const std::string doc = chromeJson();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-}
-
 std::map<std::string, Tick>
 Tracer::busyByTrack(Tick from, Tick to) const
 {

@@ -157,9 +157,6 @@ class Tracer
      */
     std::string chromeJson() const;
 
-    /** Write chromeJson() to @p path (fatal on I/O failure). */
-    void writeChromeJson(const std::string &path) const;
-
     /**
      * Busy ticks per track: Complete spans clipped to
      * [from, to).  Dividing by (to - from) gives the per-resource

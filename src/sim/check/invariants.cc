@@ -1078,7 +1078,6 @@ checkedRun(const Experiment &exp, const OracleOptions &opts)
         // itself never enters outcomeJson.
         Experiment flipped = exp;
         flipped.engineProfile = !flipped.engineProfile;
-        flipped.engineProfileFile.clear();
         if (fullJson(runExperiment(flipped)) != baseJson)
             res.violations.push_back(
                 {"engprof.payForUse",

@@ -70,7 +70,7 @@ inline constexpr Knob<Experiment> knobs<Experiment>[] = {
     {"reliableProtocol", &Experiment::reliableProtocol},
     {"crashSchedule", &Experiment::crashSchedule},
     {"traceFile", &Experiment::traceFile},
-    {"metricsFile", &Experiment::metricsFile},
+    {"reportFile", &Experiment::reportFile},
     {"decomposeLatency", &Experiment::decomposeLatency},
     {"arrivalMode", &Experiment::arrivalMode},
     {"arrivalRatePerSec", &Experiment::arrivalRatePerSec},
@@ -84,10 +84,8 @@ inline constexpr Knob<Experiment> knobs<Experiment>[] = {
     {"shedPolicy", &Experiment::shedPolicy},
     {"rtoMaxUs", &Experiment::rtoMaxUs},
     {"timelineIntervalUs", &Experiment::timelineIntervalUs},
-    {"timelineFile", &Experiment::timelineFile},
     {"traceSampleRate", &Experiment::traceSampleRate},
     {"engineProfile", &Experiment::engineProfile},
-    {"engineProfileFile", &Experiment::engineProfileFile},
     // Rendered only when configured, so pre-topology documents keep
     // their bytes.
     {"topology", &Experiment::topo},

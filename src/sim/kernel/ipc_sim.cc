@@ -7,14 +7,18 @@
 #include <deque>
 #include <limits>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/file.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/obs/probe.hh"
 #include "common/obs/trace_sample.hh"
 #include "common/rng.hh"
+#include "sim/check/experiment_json.hh"
+#include "sim/check/knobs.hh"
 #include "sim/check/test_hooks.hh"
 #include "sim/des/event_queue.hh"
 #include "sim/des/resource.hh"
@@ -22,6 +26,7 @@
 #include "sim/net/reliable.hh"
 #include "sim/node/costs.hh"
 #include "sim/node/processor.hh"
+#include "sim/runner/sweep_runner.hh"
 #include "sim/topo/network.hh"
 
 namespace hsipc::sim
@@ -150,8 +155,8 @@ class Sim
     {
         // Metrics instruments exist only when somebody will read them.
         metrics = extMetrics ? extMetrics
-                             : (exp.metricsFile.empty() ? nullptr
-                                                        : &ownMetrics);
+                             : (exp.reportFile.empty() ? nullptr
+                                                       : &ownMetrics);
         if (metrics) {
             rtHist = &metrics->histogram("ipc.roundTripUs");
             pendingHist =
@@ -986,8 +991,8 @@ class Sim
     }
 
     /** The timeline document: series plus stats (and decomposition). */
-    void
-    writeTimelineFile(const Outcome &out) const
+    std::string
+    timelineJson(const Outcome &out) const
     {
         std::string extra =
             "\"stats\": {\"enabled\": " +
@@ -1013,55 +1018,34 @@ class Sim
                      ", \"bottleneck\": " +
                      jsonString(d.bottleneck) + "}";
         }
-        const std::string doc = out.timeline.toJson(extra);
-        std::FILE *f = std::fopen(exp.timelineFile.c_str(), "w");
-        if (!f)
-            hsipc_fatal("cannot open timeline file " +
-                        exp.timelineFile);
-        std::fwrite(doc.data(), 1, doc.size(), f);
-        std::fclose(f);
+        return out.timeline.toJson(extra);
     }
 
-    /** End of run: fill the registry and write any requested files. */
+    /**
+     * End of run: count the events into the registry (the one
+     * registry value Outcome does not carry) and write the requested
+     * files.  A report section whose recorder is off is absent.
+     */
     void
     finishObservability(const Outcome &out)
     {
-        if (metrics) {
+        if (metrics)
             metrics->counter("des.eventsRun")
                 .inc(static_cast<std::int64_t>(eq.eventsRun()));
-            metrics->counter("ipc.roundTrips").inc(out.roundTrips);
-            metrics->counter("ipc.bufferStalls")
-                .inc(out.bufferStalls);
-            metrics->counter("net.retransmissions")
-                .inc(out.retransmissions);
-            metrics->counter("net.timeoutsFired")
-                .inc(out.timeoutsFired);
-            metrics->counter("net.duplicatesDropped")
-                .inc(out.duplicatesDropped);
-            metrics->counter("net.corruptDiscarded")
-                .inc(out.corruptDiscarded);
-            metrics->counter("net.faultDrops").inc(out.faultDrops);
-            metrics->counter("net.crashDrops").inc(out.crashDrops);
-            metrics->gauge("ipc.throughputPerSec")
-                .set(out.throughputPerSec);
-            metrics->gauge("ipc.meanRoundTripUs")
-                .set(out.meanRoundTripUs);
-            for (const auto &[name, util] : out.resourceUtilization)
-                metrics->gauge("util." + name).set(util);
-            // The Table 3-style breakdown: microseconds each kernel
-            // activity charges per completed round trip.
-            for (const auto &[name, us] : out.activityUsPerRoundTrip)
-                metrics->gauge("activity." + name + ".usPerRt")
-                    .set(us);
-        }
-        if (!exp.metricsFile.empty())
-            metrics->writeJson(exp.metricsFile);
         if (!exp.traceFile.empty())
-            sinks.tracer->writeChromeJson(exp.traceFile);
-        if (!exp.timelineFile.empty())
-            writeTimelineFile(out);
-        if (!exp.engineProfileFile.empty())
-            out.engineProfile.writeFile(exp.engineProfileFile);
+            writeFileOrDie(exp.traceFile, sinks.tracer->chromeJson());
+        if (exp.reportFile.empty())
+            return;
+        std::vector<std::pair<std::string, std::string>> sections = {
+            {"experiment", check::experimentToJson(exp)},
+            {"outcome", outcomeJson(out)}};
+        if (out.timeline.enabled())
+            sections.emplace_back("timeline", timelineJson(out));
+        if (sinks.prof)
+            sections.emplace_back("engineProfile",
+                                  out.engineProfile.toJson());
+        sections.emplace_back("metrics", metrics->toJson());
+        writeFileOrDie(exp.reportFile, jsonSections(sections));
     }
 
     /** Sum per-activity busy time over every processor. */
@@ -2032,19 +2016,6 @@ class Sim
 } // namespace
 
 Outcome
-runExperiment(const Experiment &exp)
-{
-    return runExperiment(exp, nullptr, nullptr);
-}
-
-Outcome
-runExperiment(const Experiment &exp, trace::Tracer *tracer,
-              metrics::Registry *metrics)
-{
-    return runExperiment(exp, tracer, metrics, nullptr);
-}
-
-Outcome
 runExperiment(const Experiment &exp, trace::Tracer *tracer,
               metrics::Registry *metrics,
               obs::EngineProfiler *engineProf)
@@ -2056,7 +2027,23 @@ runExperiment(const Experiment &exp, trace::Tracer *tracer,
 
     // Reject impossible configurations up front, with the offending
     // condition in the message, instead of producing silent nonsense
-    // downstream.
+    // downstream.  Every real-valued knob is finite first: an
+    // infinite time would overflow the tick conversion and render as
+    // a repro document the parser rejects.
+    const auto requireFinite = [](const auto &record) {
+        using R = std::decay_t<decltype(record)>;
+        check::forEachKnob<double, R>(
+            [&record](const char *name, double R::*field) {
+                if (!std::isfinite(record.*field))
+                    hsipc_panic(std::string(name) + " must be finite");
+            });
+    };
+    requireFinite(exp);
+    requireFinite(exp.topo);
+    for (const topo::TopoLink &l : exp.topo.links)
+        requireFinite(l);
+    for (const CrashWindow &w : exp.crashSchedule)
+        requireFinite(w);
     hsipc_assert(exp.conversations >= 1 || exp.mixedLocal > 0 ||
                  exp.mixedRemote > 0);
     hsipc_assert(exp.mixedLocal >= 0 && exp.mixedRemote >= 0);
@@ -2068,6 +2055,12 @@ runExperiment(const Experiment &exp, trace::Tracer *tracer,
     hsipc_assert(exp.mpSpeedFactor > 0 &&
                  "mpSpeedFactor must be positive");
     hsipc_assert(exp.warmupUs >= 0 && exp.measureUs > 0);
+    hsipc_assert(exp.warmupUs + exp.measureUs <
+                     static_cast<double>(
+                         std::numeric_limits<Tick>::max() / tickUs) &&
+                 "warmupUs + measureUs overflows the tick clock");
+    hsipc_assert(usToTicks(exp.measureUs) > 0 &&
+                 "measureUs rounds to a zero-tick window");
     for (double rate : {exp.lossRate, exp.corruptRate,
                         exp.duplicateRate, exp.reorderRate})
         hsipc_assert(rate >= 0 && rate <= 1 &&
@@ -2121,15 +2114,9 @@ runExperiment(const Experiment &exp, trace::Tracer *tracer,
                              exp.timelineIntervalUs <=
                          4e6 &&
                      "timeline bin count is unreasonably large");
-    hsipc_assert((exp.timelineFile.empty() ||
-                  exp.timelineIntervalUs > 0) &&
-                 "timelineFile needs a positive timelineIntervalUs");
     hsipc_assert(exp.traceSampleRate >= 0 &&
                  exp.traceSampleRate <= 1 &&
                  "traceSampleRate is a probability");
-    hsipc_assert((exp.engineProfileFile.empty() ||
-                  exp.engineProfile) &&
-                 "engineProfileFile needs engineProfile");
     hsipc_assert((exp.topo.nodes == 0 ||
                   (exp.topo.nodes >= 2 && exp.topo.nodes <= 1024)) &&
                  "topology nodes is 0 (off) or in [2, 1024]");

@@ -95,14 +95,19 @@ struct Experiment
     /**
      * Observability (see docs/observability.md).  A nonempty
      * traceFile enables the tracer and writes a Chrome trace_event
-     * JSON timeline (one track per simulated resource) at end of run;
-     * a nonempty metricsFile enables the metrics registry and writes
-     * its JSON dump.  Both are strictly observational: enabling them
-     * leaves every Outcome field bit-identical (pinned by
+     * JSON timeline (one track per simulated resource) at end of run.
+     * A nonempty reportFile enables the metrics registry and writes
+     * the run report there: one JSON object whose sections are the
+     * "experiment" (its repro document), the "outcome"
+     * (outcomeJson()), the "timeline" document when
+     * timelineIntervalUs is positive, the "engineProfile" document
+     * when the run is profiled, and the registry's "metrics".  Both
+     * are strictly observational: enabling them leaves every Outcome
+     * field bit-identical (pinned by
      * Observability.TracingDoesNotPerturbOutcome).
      */
     std::string traceFile;
-    std::string metricsFile;
+    std::string reportFile;
 
     /**
      * Record every message's causal intervals and fill
@@ -118,13 +123,12 @@ struct Experiment
      * A positive timelineIntervalUs records windowed series over the
      * whole run (counter deltas binned by event timestamp, gauges
      * sampled at bin boundaries) into Outcome::timeline, runs the
-     * MSER-5 steady-state analysis into Outcome::stats, and — when
-     * timelineFile names a path — writes the timeline document
-     * there.  Strictly observational: the sampler events only read
-     * state, so every other Outcome field stays bit-identical.
+     * MSER-5 steady-state analysis into Outcome::stats, and adds
+     * the "timeline" section to the run report.  Strictly
+     * observational: the sampler events only read state, so every
+     * other Outcome field stays bit-identical.
      */
     double timelineIntervalUs = 0; //!< bin width; 0 = no timeline
-    std::string timelineFile;      //!< optional timeline JSON path
 
     /**
      * Deterministic trace sampling: record causal chains (and the
@@ -186,14 +190,13 @@ struct Experiment
      * fills Outcome::engineProfile with the simulator's own cost
      * model: event-queue telemetry, dwell/heap-depth distributions,
      * per-component wall-clock sketches, and the scheduling-provenance
-     * lookahead graph; engineProfileFile (requires engineProfile)
-     * additionally writes the profile document there.  Strictly
-     * observational: every other Outcome field — and every trace,
-     * metrics, and timeline artifact — stays byte-identical, and the
-     * profile itself never enters outcomeJson().
+     * lookahead graph, and adds the "engineProfile" section to the
+     * run report.  Strictly observational: every other Outcome field
+     * — and every trace, metrics, and timeline artifact — stays
+     * byte-identical, and the profile itself never enters
+     * outcomeJson().
      */
     bool engineProfile = false;
-    std::string engineProfileFile;
 
     /**
      * The interconnect, the only network medium (see
@@ -419,30 +422,23 @@ struct Outcome
     topo::Ledger topo;
 };
 
-/** Run the experiment to completion and return the measurements. */
-Outcome runExperiment(const Experiment &exp);
-
 /**
- * As above, but record into caller-supplied sinks: @p tracer (enable
- * it first) receives the event timeline for in-process inspection —
- * busyByTrack()/busyByName() turn it into utilization and activity
- * breakdowns — and @p metrics receives the counters/gauges/histograms.
- * Either may be null.  `traceFile`/`metricsFile` still write files
- * when set.
+ * Run the experiment to completion and return the measurements,
+ * optionally recording into caller-supplied sinks (each may be null).
+ * @p tracer (enable it first) receives the event timeline for
+ * in-process inspection — busyByTrack()/busyByName() turn it into
+ * utilization and activity breakdowns.  @p metrics receives the
+ * histograms and sketches (and des.eventsRun).  A non-null
+ * @p engineProf profiles the run whether or not exp.engineProfile is
+ * set, and can be inspected afterwards — the per-run isolation hook
+ * SweepRunner::runWithSinks uses; Outcome::engineProfile receives a
+ * copy either way.  `traceFile`/`reportFile` still write files when
+ * set.
  */
-Outcome runExperiment(const Experiment &exp, trace::Tracer *tracer,
-                      metrics::Registry *metrics);
-
-/**
- * As above with an engine-profiler sink: a non-null @p engineProf
- * profiles the run (whether or not exp.engineProfile is set) and can
- * be inspected by the caller afterwards — the per-run isolation hook
- * SweepRunner::runWithSinks uses.  Outcome::engineProfile receives a
- * copy either way.
- */
-Outcome runExperiment(const Experiment &exp, trace::Tracer *tracer,
-                      metrics::Registry *metrics,
-                      obs::EngineProfiler *engineProf);
+Outcome runExperiment(const Experiment &exp,
+                      trace::Tracer *tracer = nullptr,
+                      metrics::Registry *metrics = nullptr,
+                      obs::EngineProfiler *engineProf = nullptr);
 
 } // namespace hsipc::sim
 

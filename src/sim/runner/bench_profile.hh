@@ -4,7 +4,8 @@
  *
  * Every bench parses `--profile` through bench::init(); a sweep bench
  * opts its experiments in with applyBenchProfile() before running and
- * publishes the merged engine profile with writeBenchProfile() after.
+ * publishes the merged engine profile with writeBenchProfile() after,
+ * as a run report whose only section is "engineProfile".
  * With the flag absent both helpers are no-ops, preserving the
  * pay-for-use contract: an unprofiled bench run stays byte-identical.
  */
@@ -16,6 +17,8 @@
 #include <vector>
 
 #include "common/bench_main.hh"
+#include "common/file.hh"
+#include "common/json.hh"
 #include "sim/kernel/ipc_sim.hh"
 
 namespace hsipc::sim
@@ -32,8 +35,20 @@ applyBenchProfile(std::vector<Experiment> &exps)
 }
 
 /**
+ * Write @p merged to bench::profilePath() as a run report whose only
+ * section is "engineProfile".
+ */
+inline void
+writeProfileReport(const obs::EngineProfile &merged)
+{
+    writeFileOrDie(bench::profilePath(),
+                   jsonSections({{"engineProfile", merged.toJson()}}));
+    std::printf("engine profile: %s\n", bench::profilePath().c_str());
+}
+
+/**
  * Merge the per-run profiles of @p outcomes and write the combined
- * document to bench::profilePath().  Merging is exact (counters add,
+ * report (writeProfileReport()).  Merging is exact (counters add,
  * sketches merge associatively), so the aggregate cost model reflects
  * the whole sweep regardless of --jobs.
  */
@@ -45,8 +60,7 @@ writeBenchProfile(const std::vector<Outcome> &outcomes)
     obs::EngineProfile merged;
     for (const Outcome &o : outcomes)
         merged.merge(o.engineProfile);
-    merged.writeFile(bench::profilePath());
-    std::printf("engine profile: %s\n", bench::profilePath().c_str());
+    writeProfileReport(merged);
 }
 
 } // namespace hsipc::sim

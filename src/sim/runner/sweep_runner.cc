@@ -46,15 +46,6 @@ std::vector<Outcome>
 SweepRunner::runWithSinks(
     std::vector<Experiment> exps,
     const std::vector<trace::Tracer *> *tracers,
-    const std::vector<metrics::Registry *> *metrics) const
-{
-    return runWithSinks(std::move(exps), tracers, metrics, nullptr);
-}
-
-std::vector<Outcome>
-SweepRunner::runWithSinks(
-    std::vector<Experiment> exps,
-    const std::vector<trace::Tracer *> *tracers,
     const std::vector<metrics::Registry *> *metrics,
     const std::vector<obs::EngineProfiler *> *profilers) const
 {

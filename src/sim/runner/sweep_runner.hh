@@ -13,10 +13,10 @@
  * metrics registry — and results land by input index, never by
  * completion order.
  *
- * Observability isolation: a run that names traceFile/metricsFile
+ * Observability isolation: a run that names traceFile/reportFile
  * writes its own files exactly as it would serially; runs never share
- * a Tracer or Registry.  For in-process sinks, runWithSinks() gives
- * every run its own caller-constructed Tracer/Registry pair.
+ * a Tracer, Registry or EngineProfiler.  For in-process sinks,
+ * runWithSinks() gives every run its own caller-constructed ones.
  */
 
 #ifndef HSIPC_SIM_SWEEP_RUNNER_HH
@@ -63,32 +63,22 @@ class SweepRunner
 
     /**
      * As run(), but give run i the caller-supplied sinks
-     * (*tracers)[i] / (*metrics)[i] — per-run isolation the caller
-     * can inspect afterwards.  Either vector pointer may be null;
-     * non-null vectors must match exps in length (entries may be
-     * null to skip a run).
-     */
-    std::vector<Outcome>
-    runWithSinks(std::vector<Experiment> exps,
-                 const std::vector<trace::Tracer *> *tracers,
-                 const std::vector<metrics::Registry *> *metrics) const;
-
-    /**
-     * As runWithSinks(), additionally giving run i the engine
-     * profiler (*profilers)[i] — its own instance, never shared, so
-     * parallel sweeps profile without cross-run interference.  A
-     * non-null profiler is attached whether or not the Experiment
-     * sets engineProfile (it is the caller's isolation hook); null
-     * entries fall back to the knob.  The resulting per-run profiles
-     * land in each Outcome and merge associatively via
+     * (*tracers)[i] / (*metrics)[i] / (*profilers)[i] — per-run
+     * isolation the caller can inspect afterwards, never shared, so
+     * parallel sweeps record without cross-run interference.  Any
+     * vector pointer may be null; non-null vectors must match exps in
+     * length (entries may be null to skip a run).  A non-null
+     * profiler is attached whether or not the Experiment sets
+     * engineProfile; null entries fall back to the knob.  The per-run
+     * profiles land in each Outcome and merge associatively via
      * obs::EngineProfile::merge().
      */
-    std::vector<Outcome>
-    runWithSinks(
+    std::vector<Outcome> runWithSinks(
         std::vector<Experiment> exps,
         const std::vector<trace::Tracer *> *tracers,
         const std::vector<metrics::Registry *> *metrics,
-        const std::vector<obs::EngineProfiler *> *profilers) const;
+        const std::vector<obs::EngineProfiler *> *profilers =
+            nullptr) const;
 
     const SweepOptions &options() const { return opts; }
 

@@ -4,11 +4,13 @@
  */
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/file.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -185,6 +187,44 @@ TEST(Json, EscapeAndNumber)
     EXPECT_EQ(jsonNumber(0.5), "0.5");
     EXPECT_EQ(jsonNumber(std::nan("")), "null");
     EXPECT_EQ(jsonNumber(INFINITY), "null");
+}
+
+TEST(Json, SectionsEmbedDocumentsVerbatim)
+{
+    EXPECT_EQ(jsonSections({}), "{\n}\n");
+    EXPECT_EQ(jsonSections({{"a", "{\n  \"x\": 1\n}\n"}, {"b", "[2]"}}),
+              "{\n\"a\": {\n  \"x\": 1\n},\n\"b\": [2]\n}\n");
+}
+
+// --- The checked file writer -----------------------------------------
+
+TEST(File, WriteFileOrDieRoundTrips)
+{
+    const std::string path = testing::TempDir() + "hsipc_file_test.txt";
+    writeFileOrDie(path, "hello\n");
+    std::FILE *f = std::fopen(path.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    char buf[16] = {};
+    EXPECT_EQ(std::fread(buf, 1, sizeof(buf), f), 6u);
+    std::fclose(f);
+    EXPECT_STREQ(buf, "hello\n");
+    std::remove(path.c_str());
+}
+
+TEST(File, WriteFileOrDieFailsLoudlyOnAFullDevice)
+{
+    // /dev/full accepts the open and fails the write (ENOSPC), which
+    // stdio reports only when the buffer is flushed at fclose.
+    if (std::FILE *probe = std::fopen("/dev/full", "w"))
+        std::fclose(probe);
+    else
+        GTEST_SKIP() << "no /dev/full on this system";
+    EXPECT_EXIT(writeFileOrDie("/dev/full", "{}\n"),
+                testing::ExitedWithCode(1),
+                "cannot write /dev/full: No space left on device");
+    EXPECT_EXIT(writeFileOrDie("/nonexistent-dir/x.json", "{}\n"),
+                testing::ExitedWithCode(1),
+                "cannot open /nonexistent-dir/x.json");
 }
 
 // --- Warning hook and rate-limited warnings --------------------------

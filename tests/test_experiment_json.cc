@@ -58,7 +58,7 @@ everyFieldChanged()
     e.reliableProtocol = true;
     e.crashSchedule = {{0, 100.5, 200.25}, {1, 5000, 6000.75}};
     e.traceFile = "trace \"quoted\"\n.json";
-    e.metricsFile = "metrics\\path.json";
+    e.reportFile = "report\\path\tfile.json";
     e.decomposeLatency = true;
     e.arrivalMode = 2;
     e.arrivalRatePerSec = 12345.6789;
@@ -72,10 +72,8 @@ everyFieldChanged()
     e.shedPolicy = 2;
     e.rtoMaxUs = 123456.789;
     e.timelineIntervalUs = 2500.0625;
-    e.timelineFile = "timeline\tfile.json";
     e.traceSampleRate = 0.7;
     e.engineProfile = true;
-    e.engineProfileFile = "engine/profile.json";
     e.topo.nodes = 6;
     e.topo.kind = 2;
     e.topo.linkLatencyUs = 55.5;
@@ -165,14 +163,14 @@ TEST(ExperimentJson, DocumentBytesArePinned)
     // Repro files are artifacts: the bytes a given Experiment renders
     // to must not move, whatever the serializer's internals.
     EXPECT_EQ(fnv1a(experimentToJson(Experiment{})),
-              0x64c2e45f9466b6baull);
+              0x4ac4fd7e77776b79ull);
     EXPECT_EQ(fnv1a(experimentToJson(everyFieldChanged())),
-              0x0bdbf289e26a3121ull);
+              0x605fc8794c4d88c8ull);
     const ExperimentGenerator gen(1987);
     std::uint64_t corpus = fnv1a("");
     for (std::uint64_t i = 0; i < 200; ++i)
         corpus = fnv1a(experimentToJson(gen.generate(i)), corpus);
-    EXPECT_EQ(corpus, 0x0912e80f9ac15430ull);
+    EXPECT_EQ(corpus, 0x18a856a220aaa17aull);
 }
 
 TEST(Shrink, CandidateSequenceIsPinned)
@@ -182,9 +180,7 @@ TEST(Shrink, CandidateSequenceIsPinned)
     // the shrinker proposes candidates, and where it ends, is pinned.
     Experiment noisy = everyFieldChanged();
     noisy.traceFile.clear();
-    noisy.metricsFile.clear();
-    noisy.timelineFile.clear();
-    noisy.engineProfileFile.clear();
+    noisy.reportFile.clear();
     std::uint64_t sequence = fnv1a("");
     const ShrinkResult res = shrinkExperiment(
         noisy, [&sequence](const Experiment &cand) {
@@ -195,9 +191,9 @@ TEST(Shrink, CandidateSequenceIsPinned)
                    !cand.crashSchedule.empty() &&
                    cand.reliableProtocol && cand.retryBudget >= 2;
         });
-    EXPECT_EQ(sequence, 0xc5ade484366e5777ull);
+    EXPECT_EQ(sequence, 0x7149e2f5a6d33902ull);
     EXPECT_EQ(res.runsUsed, 171);
-    EXPECT_EQ(fnv1a(experimentToJson(res.minimal)), 0x40975b19129767eaull);
+    EXPECT_EQ(fnv1a(experimentToJson(res.minimal)), 0x5927043753593477ull);
 }
 
 TEST(ExperimentJson, MissingFieldsKeepDefaults)
@@ -250,6 +246,19 @@ TEST(ExperimentJson, RejectsUnknownAndIllTyped)
                       "\"startUs\": 10}]}"),
               "crash window entries need 'node', 'startUs' and "
               "'endUs'");
+    // A literal past the double range is an error, not infinity
+    // (which would print back as "inf", a document the parser
+    // rejects).  Finite but unrunnable times (1e300 overflows the
+    // tick clock, 1e-300 is a zero-tick window) parse, and
+    // runExperiment rejects them (IpcSimValidation.
+    // RejectsUnrepresentableTimes).
+    EXPECT_EQ(message("{\"measureUs\": 1e400}"),
+              "number '1e400' overflows a double at byte 14");
+    EXPECT_EQ(message("{\"warmupUs\": -1e400}"),
+              "number '-1e400' overflows a double at byte 13");
+    EXPECT_EQ(message("{\"crashSchedule\": [{\"node\": 1, "
+                      "\"startUs\": 10, \"endUs\": 1e400}]}"),
+              "number '1e400' overflows a double at byte 55");
     // Removed knobs are unknown fields: an old repro naming them
     // fails loudly instead of running without them (the network
     // knobs' spellings are topology fields now).
@@ -339,7 +348,8 @@ TEST(JsonValue, RejectsMalformedDocuments)
 {
     for (const char *bad :
          {"", "{", "[1,]", "{\"a\" 1}", "{\"a\": 1,}", "nul",
-          "\"unterminated", "1 2", "{\"a\": --1}", "\"\\x\""}) {
+          "\"unterminated", "1 2", "{\"a\": --1}", "\"\\x\"", "1e999",
+          "[-2e308]"}) {
         EXPECT_THROW(parseJson(bad), JsonParseError) << bad;
     }
 }

@@ -315,9 +315,9 @@ TEST(Shrink, ResetsEveryFileKnob)
     // knobDiff() counts, output paths included, must be reset.
     Experiment noisy = baseExperiment();
     noisy.timelineIntervalUs = 500;
-    noisy.timelineFile = "timeline.json";
+    noisy.traceFile = "trace.json";
+    noisy.reportFile = "report.json";
     noisy.engineProfile = true;
-    noisy.engineProfileFile = "profile.json";
     noisy.lossRate = 0.02;
     const ShrinkResult res = shrinkExperiment(
         noisy, [](const Experiment &cand) { return cand.lossRate > 0; });

@@ -4,7 +4,7 @@
  * runner (sim/runner): deterministic result placement, seed
  * derivation, exception propagation — and the invariant every
  * converted bench relies on, pinned at the byte level: the same
- * experiments produce bit-identical Outcomes, metrics dumps and trace
+ * experiments produce bit-identical Outcomes, run reports and trace
  * files at `jobs = 1`, 2 and 8.
  */
 
@@ -205,35 +205,33 @@ TEST(SweepRunner, TimelineAndTraceSamplingBitIdenticalAcrossJobs)
 
 TEST(SweepRunner, SinkFilesBitIdenticalAcrossJobLevels)
 {
+    // The same experiments, file paths included (a report carries its
+    // experiment), run serially and then on eight workers.
     const std::string dir = testing::TempDir();
-    auto withFiles = [&dir](int jobs) {
-        std::vector<sim::Experiment> exps = mixedExperiments();
-        for (std::size_t i = 0; i < exps.size(); ++i) {
-            const std::string tag =
-                "hsipc_pr_j" + std::to_string(jobs) + "_" +
-                std::to_string(i);
-            exps[i].traceFile = dir + tag + ".trace.json";
-            exps[i].metricsFile = dir + tag + ".metrics.json";
+    std::vector<sim::Experiment> exps = mixedExperiments();
+    for (std::size_t i = 0; i < exps.size(); ++i) {
+        const std::string tag = "hsipc_pr_" + std::to_string(i);
+        exps[i].traceFile = dir + tag + ".trace.json";
+        exps[i].reportFile = dir + tag + ".report.json";
+    }
+    auto files = [&exps](int jobs) {
+        sim::runSweep(exps, jobs);
+        std::vector<std::string> docs;
+        for (const sim::Experiment &e : exps) {
+            docs.push_back(readFile(e.traceFile));
+            docs.push_back(readFile(e.reportFile));
+            std::remove(e.traceFile.c_str());
+            std::remove(e.reportFile.c_str());
         }
-        return exps;
+        return docs;
     };
 
-    const std::vector<sim::Experiment> serial = withFiles(1);
-    const std::vector<sim::Experiment> parallel8 = withFiles(8);
-    sim::runSweep(serial, 1);
-    sim::runSweep(parallel8, 8);
-
+    const std::vector<std::string> serial = files(1);
+    const std::vector<std::string> parallel8 = files(8);
+    ASSERT_EQ(serial.size(), parallel8.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        const std::string st = readFile(serial[i].traceFile);
-        ASSERT_FALSE(st.empty()) << serial[i].traceFile;
-        EXPECT_EQ(st, readFile(parallel8[i].traceFile)) << i;
-        const std::string sm = readFile(serial[i].metricsFile);
-        ASSERT_FALSE(sm.empty()) << serial[i].metricsFile;
-        EXPECT_EQ(sm, readFile(parallel8[i].metricsFile)) << i;
-        for (const sim::Experiment &e : {serial[i], parallel8[i]}) {
-            std::remove(e.traceFile.c_str());
-            std::remove(e.metricsFile.c_str());
-        }
+        ASSERT_FALSE(serial[i].empty()) << i;
+        EXPECT_EQ(serial[i], parallel8[i]) << i;
     }
 }
 

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <new>
 #include <string>
@@ -1173,6 +1174,41 @@ TEST(IpcSimValidation, RejectsImpossibleConfigurations)
     e = Experiment{};
     e.crashSchedule.push_back({0, 500, 100}); // ends before it starts
     EXPECT_DEATH(runExperiment(e), "well-formed");
+}
+
+TEST(IpcSimValidation, RejectsUnrepresentableTimes)
+{
+    // Every real-valued knob, nested records included, is finite.
+    Experiment e;
+    e.measureUs = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(runExperiment(e), "measureUs must be finite");
+    e = Experiment{};
+    e.computeUs = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(runExperiment(e), "computeUs must be finite");
+    e = Experiment{};
+    e.crashSchedule.push_back(
+        {1, 100, std::numeric_limits<double>::infinity()});
+    EXPECT_DEATH(runExperiment(e), "endUs must be finite");
+    e = Experiment{};
+    e.topo.nodes = 2;
+    e.topo.links.push_back(
+        {0, 1, std::numeric_limits<double>::infinity(), 0});
+    EXPECT_DEATH(runExperiment(e), "latencyUs must be finite");
+    // A horizon past the 64-bit tick clock (~292 years).
+    e = Experiment{};
+    e.measureUs = 1e300;
+    EXPECT_DEATH(runExperiment(e), "overflows the tick clock");
+    e = Experiment{};
+    e.warmupUs = 9.3e15;
+    e.measureUs = 1;
+    EXPECT_DEATH(runExperiment(e), "overflows the tick clock");
+    // A window that rounds to no tick at all.
+    e = Experiment{};
+    e.measureUs = 1e-300;
+    EXPECT_DEATH(runExperiment(e), "zero-tick window");
+    e = Experiment{};
+    e.measureUs = 0.0004;
+    EXPECT_DEATH(runExperiment(e), "zero-tick window");
 }
 
 

@@ -21,13 +21,15 @@ wall-clock self-timing.  Wall time depends on the machine, its load
 and --jobs, so it is reported for information only and never gates
 the comparison.
 
-Timeline documents (written via `Experiment.timelineFile`, rendered
-with tools/report.py) are dense per-bin series, not bench summaries:
-cell-by-cell gating them would make every intentional change a
-baseline churn.  Directory mode therefore skips any *.json whose name
-contains "timeline" or "engine_profile" on either side — they are
-committed for reference and rendering only, never compared (an engine
-profile additionally carries machine-dependent wall-clock sketches).
+Timeline and engine-profile documents (sections of a run report,
+written via `Experiment.reportFile` or a bench's --profile flag and
+rendered with tools/report.py) are not bench summaries: a timeline
+holds dense per-bin series, so cell-by-cell gating would make every
+intentional change a baseline churn, and an engine profile carries
+machine-dependent wall-clock sketches.  Directory mode therefore skips
+any *.json whose name contains "timeline" or "engine_profile" on
+either side — they are committed for reference and rendering only,
+never compared.
 
 Usage:
     bench_compare.py BASELINE.json CURRENT.json [--tolerance 0.10]
@@ -47,9 +49,9 @@ import sys
 
 def is_timeline_name(name):
     """Timeline and engine-profile artifacts ride along in bench
-    directories but are rendered (tools/report.py, with --profile for
-    the latter), never gated: the profile's wall-clock sketches are
-    machine-dependent by construction.  Matching "engine_profile", not
+    directories but are rendered (tools/report.py), never gated: the
+    profile's wall-clock sketches are machine-dependent by
+    construction.  Matching "engine_profile", not
     "profile", keeps the table3_profiling bench gated."""
     base = os.path.basename(name).lower()
     return "timeline" in base or "engine_profile" in base

@@ -1,44 +1,52 @@
 #!/usr/bin/env python3
-"""Render a simulation timeline document as a dashboard.
+"""Render simulation run reports as a dashboard.
 
-The simulator, run with `Experiment.timeline{IntervalUs,File}`, writes
-a JSON document of windowed series (see docs/observability.md):
+A run that names `Experiment.reportFile` writes one JSON document, its
+run report (see docs/observability.md).  Each section is present only
+when the run recorded it:
 
-    {"intervalUs": ..., "horizonUs": ..., "warmupUs": ...,
-     "stats": {... MSER-5 steady-state analysis ...},
-     "decomposition": {...},          # when decomposeLatency was on
-     "counters": {name: [per-bin deltas]},
-     "gauges":   {name: [per-bin samples]}}
+    {"experiment": {...},        # the knob values (a repro document)
+     "outcome": {...},           # outcomeJson(): the measurements
+     "timeline": {               # when timelineIntervalUs > 0
+         "intervalUs": ..., "horizonUs": ..., "warmupUs": ...,
+         "stats": {... MSER-5 steady-state analysis ...},
+         "decomposition": {...}, # when decomposeLatency was on
+         "counters": {name: [per-bin deltas]},
+         "gauges":   {name: [per-bin samples]}},
+     "engineProfile": {...},     # when the engine profiler ran
+     "metrics": {"counters": ..., "histograms": ..., "sketches": ...}}
 
-This tool renders that document two ways:
+A bench's `--profile` flag writes a report whose only section is
+"engineProfile" (the profile merged over the bench's sweep).
 
-  *terminal* (default): one unicode sparkline per series with
-  min/mean/max and, for counters, the integral (which equals the
-  whole-run Outcome counter exactly), plus the steady-state verdict —
-  the transient/knee/recovery shapes that whole-run aggregates hide.
+This tool renders every section it finds, so one document answers
+where simulated time went (outcome, timeline, latency histograms)
+and where host time went (the engine profile):
+
+  *terminal* (default): the outcome's headline numbers; one unicode
+  sparkline per timeline series with min/mean/max and, for counters,
+  the integral (which equals the whole-run Outcome counter exactly),
+  plus the steady-state verdict; the engine profile's event-queue
+  telemetry, per-track wall-clock cost table and scheduling-provenance
+  (lookahead/LP) graph, flagging edges whose deltas are all zero
+  (they would force null lookahead on a conservative parallel
+  partition); and the registry's histograms.
 
   *HTML* (`--html out.html`): a self-contained dashboard (inline SVG,
-  no external assets) with one chart per series, the warmup boundary
-  and detected truncation point marked, grouped by series prefix.
-
-With `--profile`, the inputs are instead engine-profile documents
-(`Experiment.engineProfile{,File}` or a bench's `--profile` flag): the
-tool prints the event-queue telemetry, the per-track wall-clock cost
-table, and the scheduling-provenance (lookahead/LP) graph with each
-edge's measured minimum positive delta — edges whose deltas are all
-zero are flagged, since they would force null lookahead on a
-conservative parallel partition.
+  no external assets) with one chart per timeline series, the warmup
+  boundary and detected truncation point marked, and the other
+  sections as preformatted text.
 
 Usage:
-    report.py TIMELINE.json [TIMELINE2.json ...] [--html out.html]
+    report.py REPORT.json [REPORT2.json ...] [--html out.html]
               [--only PREFIX] [--width N]
-    report.py --profile PROFILE.json [PROFILE2.json ...]
 
 Exit status: 0 on success, 1 on a malformed document.
 """
 
 import argparse
 import html
+import io
 import json
 import sys
 
@@ -82,70 +90,82 @@ def fmt(v):
     return f"{v:.4g}"
 
 
-def _require(doc, path, keys, kind):
+SECTIONS = ("experiment", "outcome", "timeline", "engineProfile",
+            "metrics")
+
+
+def _require(doc, where, keys, kind):
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: top level is not an object — not "
-                         f"a {kind} document")
+        raise ValueError(f"{where}: not an object — truncated or "
+                         f"corrupt {kind} section")
     for key in keys:
         if key not in doc:
-            raise ValueError(f"{path}: missing '{key}' — not a "
-                             f"{kind} document")
+            raise ValueError(f"{where}: missing '{key}' — truncated "
+                             f"or corrupt {kind} section")
 
 
-def _number_list(values, path, name):
+def _number_list(values, where, name):
     if not isinstance(values, list) or any(
             not isinstance(v, (int, float)) or isinstance(v, bool)
             for v in values):
-        raise ValueError(f"{path}: series '{name}' is not a list of "
+        raise ValueError(f"{where}: series '{name}' is not a list of "
                          "numbers — truncated or corrupt document")
 
 
-def load(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if isinstance(doc, dict) and doc.get("engineProfile") == 1:
-        raise ValueError(f"{path}: this is an engine-profile "
-                         "document — render it with --profile")
-    _require(doc, path,
+def _check_timeline(doc, where):
+    _require(doc, where,
              ("intervalUs", "horizonUs", "counters", "gauges"),
              "timeline")
     for kind in ("counters", "gauges"):
         if not isinstance(doc[kind], dict):
-            raise ValueError(f"{path}: '{kind}' is not an object — "
+            raise ValueError(f"{where}: '{kind}' is not an object — "
                              "truncated or corrupt document")
         for name, values in doc[kind].items():
-            _number_list(values, path, f"{kind}.{name}")
-    return doc
+            _number_list(values, where, f"{kind}.{name}")
 
 
-def load_profile(path):
-    with open(path) as f:
-        doc = json.load(f)
-    _require(doc, path, ("engineProfile", "queue", "tracks", "edges"),
+def _check_profile(doc, where):
+    _require(doc, where, ("engineProfile", "queue", "tracks", "edges"),
              "engine-profile")
     if doc["engineProfile"] != 1:
-        raise ValueError(f"{path}: unsupported engine-profile schema "
+        raise ValueError(f"{where}: unsupported engine-profile schema "
                          f"version {doc['engineProfile']!r}")
     if not isinstance(doc["queue"], dict):
-        raise ValueError(f"{path}: 'queue' is not an object — "
+        raise ValueError(f"{where}: 'queue' is not an object — "
                          "truncated or corrupt document")
     for key in ("pushes", "pops", "comparisons", "maxHeapSize",
                 "remainingAtEnd"):
         if not isinstance(doc["queue"].get(key), (int, float)):
-            raise ValueError(f"{path}: queue.{key} missing or not a "
+            raise ValueError(f"{where}: queue.{key} missing or not a "
                              "number — truncated or corrupt document")
     for section, keys in (("tracks", ("name", "events", "sampled")),
                           ("edges", ("src", "dst", "count",
                                      "zeroDelta",
                                      "minPositiveDeltaUs"))):
         if not isinstance(doc[section], list):
-            raise ValueError(f"{path}: '{section}' is not an array — "
+            raise ValueError(f"{where}: '{section}' is not an array — "
                              "truncated or corrupt document")
         for item in doc[section]:
             if not isinstance(item, dict) or any(k not in item
                                                  for k in keys):
                 raise ValueError(
-                    f"{path}: malformed {section} entry {item!r}")
+                    f"{where}: malformed {section} entry {item!r}")
+
+
+def load(path):
+    """Read a run report and check every section it carries."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict) or not any(k in doc for k in SECTIONS):
+        raise ValueError(f"{path}: none of the sections "
+                         f"{', '.join(SECTIONS)} — not a run report")
+    for name in ("experiment", "outcome", "metrics"):
+        if name in doc:
+            _require(doc[name], f"{path}: {name}", (), name)
+    if "timeline" in doc:
+        _check_timeline(doc["timeline"], f"{path}: timeline")
+    if "engineProfile" in doc:
+        _check_profile(doc["engineProfile"], f"{path}: engineProfile")
     return doc
 
 
@@ -195,28 +215,59 @@ def render_decomposition_text(doc, out):
                d.get("bottleneck", "?")))
 
 
-def render_text(paths, docs, only, width, out=sys.stdout):
-    for path, doc in zip(paths, docs):
-        bins = 0
-        for _, _, values in series_items(doc, None):
-            bins = max(bins, len(values))
-        out.write("%s: %s bins x %s us (warmup %s us)\n" %
-                  (path, bins, fmt(doc["intervalUs"]),
-                   fmt(doc["warmupUs"])))
-        render_stats_text(doc, out)
-        render_decomposition_text(doc, out)
-        name_w = max((len(n) for _, n, _ in series_items(doc, only)),
-                     default=0)
-        for kind, name, values in series_items(doc, only):
-            line = sparkline(resample(values, width))
-            if kind == "counters":
-                tail = "integral %s" % fmt(sum(values))
-            else:
-                tail = "last %s" % fmt(values[-1] if values else 0)
-            out.write("  %-*s |%s| min %s max %s %s\n" %
-                      (name_w, name, line, fmt(min(values, default=0)),
-                       fmt(max(values, default=0)), tail))
-        out.write("\n")
+def render_outcome_text(o, out):
+    """The headline measurements: where simulated time went."""
+    out.write("  outcome: %s round trips/s over %s round trips, mean "
+              "%s us (p50 %s, p95 %s)\n" %
+              (fmt(o.get("throughputPerSec", 0)),
+               fmt(o.get("roundTrips", 0)),
+               fmt(o.get("meanRoundTripUs", 0)),
+               fmt(o.get("rtP50Us", 0)), fmt(o.get("rtP95Us", 0))))
+    util = o.get("resourceUtilization") or {}
+    if util:
+        busiest = max(util, key=lambda k: util[k])
+        out.write("  busiest resource: %s at %s utilization\n" %
+                  (busiest, fmt(util[busiest])))
+    d = o.get("decomposition") or {}
+    if d.get("messages"):
+        out.write("  critical path: %s messages, bottleneck %s "
+                  "(%s of the round trip)\n" %
+                  (fmt(d["messages"]), d.get("bottleneck", "?"),
+                   fmt(d.get("bottleneckShare", 0))))
+
+
+def render_timeline_text(doc, only, width, out):
+    bins = 0
+    for _, _, values in series_items(doc, None):
+        bins = max(bins, len(values))
+    out.write("  timeline: %s bins x %s us (warmup %s us)\n" %
+              (bins, fmt(doc["intervalUs"]), fmt(doc["warmupUs"])))
+    render_stats_text(doc, out)
+    render_decomposition_text(doc, out)
+    name_w = max((len(n) for _, n, _ in series_items(doc, only)),
+                 default=0)
+    for kind, name, values in series_items(doc, only):
+        line = sparkline(resample(values, width))
+        if kind == "counters":
+            tail = "integral %s" % fmt(sum(values))
+        else:
+            tail = "last %s" % fmt(values[-1] if values else 0)
+        out.write("  %-*s |%s| min %s max %s %s\n" %
+                  (name_w, name, line, fmt(min(values, default=0)),
+                   fmt(max(values, default=0)), tail))
+
+
+def render_metrics_text(doc, out):
+    """The registry's counters and histograms (whose quantiles come
+    from the same-named sketch when the run kept one)."""
+    counters = doc.get("counters") or {}
+    out.write("  metrics: %s\n" % ", ".join(
+        "%s %s" % (name, fmt(counters[name])) for name in sorted(counters)))
+    hists = doc.get("histograms") or {}
+    name_w = max((len(n) for n in hists), default=0)
+    for name in sorted(hists):
+        out.write("    %-*s %s\n" % (name_w, name,
+                                     _sketch_line(hists[name])))
 
 
 # --- engine-profile rendering ----------------------------------------
@@ -230,79 +281,92 @@ def _sketch_line(s):
                   ("count", "min", "p50", "p95", "p99", "max")))
 
 
-def render_profile_text(paths, docs, out=None):
+def render_profile_text(doc, out):
+    """The engine's self-profile: where host time went."""
+    q = doc["queue"]
+    out.write("  engine profile: 1-in-%s wall sampling, %s sampled "
+              "events\n" %
+              (fmt(doc.get("sampleEvery", 1)),
+               fmt(doc.get("sampledEvents", 0))))
+    per_pop = (q["comparisons"] / q["pops"]) if q["pops"] else 0.0
+    out.write("  queue: %s pushes, %s pops, %s remaining, "
+              "max depth %s, %.2f comparisons/pop\n" %
+              (fmt(q["pushes"]), fmt(q["pops"]),
+               fmt(q["remainingAtEnd"]), fmt(q["maxHeapSize"]),
+               per_pop))
+    cb = doc.get("callbacks", {})
+    if isinstance(cb, dict) and cb:
+        out.write("  callbacks: %s pooled spills, %s oversize"
+                  "%s\n" %
+                  (fmt(cb.get("spillConstructs", 0)),
+                   fmt(cb.get("oversizeConstructs", 0)),
+                   ", %s fresh pool blocks" %
+                   fmt(cb["freshPoolBlocks"])
+                   if "freshPoolBlocks" in cb else ""))
+    out.write("  dwell (us):  %s\n" %
+              _sketch_line(doc.get("dwellUs")))
+    out.write("  heap depth:  %s\n" %
+              _sketch_line(doc.get("heapDepth")))
+
+    out.write("  tracks (events by origin):\n")
+    name_w = max((len(str(t["name"])) for t in doc["tracks"]),
+                 default=4)
+    for t in sorted(doc["tracks"], key=lambda t: -t["events"]):
+        wall = t.get("wallNs")
+        out.write("    %-*s %10s events  %8s sampled%s\n" %
+                  (name_w, t["name"], fmt(t["events"]),
+                   fmt(t["sampled"]),
+                   "  wall(ns) " + _sketch_line(wall)
+                   if isinstance(wall, dict) and wall.get("count")
+                   else ""))
+
+    out.write("  lookahead graph (src -> dst, min positive "
+              "delta):\n")
+    edges = sorted(doc["edges"],
+                   key=lambda e: (e["minPositiveDeltaUs"] == 0,
+                                  e["minPositiveDeltaUs"],
+                                  e["src"], e["dst"]))
+    zero_edges = 0
+    for e in edges:
+        if e["minPositiveDeltaUs"] > 0:
+            bound = "lookahead %s us" % fmt(e["minPositiveDeltaUs"])
+            if e.get("meanDeltaUs"):
+                bound += " (mean %s)" % fmt(e["meanDeltaUs"])
+            if e["zeroDelta"]:
+                bound += ", %s zero-delta!" % fmt(e["zeroDelta"])
+                zero_edges += 1
+        else:
+            bound = "NO LOOKAHEAD (all deltas zero)"
+            zero_edges += 1
+        out.write("    %s -> %s: %s schedules, %s\n" %
+                  (e["src"], e["dst"], fmt(e["count"]), bound))
+    if not edges:
+        out.write("    (none recorded)\n")
+    if zero_edges:
+        out.write("  warning: %d edge(s) carry zero-delta "
+                  "schedules; a conservative parallel partition "
+                  "cut on them would stall\n" % zero_edges)
+
+
+def render_text(paths, docs, only, width, out=None):
     out = out if out is not None else sys.stdout
     for path, doc in zip(paths, docs):
-        q = doc["queue"]
-        out.write("%s: engine profile (1-in-%s wall sampling, %s "
-                  "sampled events)\n" %
-                  (path, fmt(doc.get("sampleEvery", 1)),
-                   fmt(doc.get("sampledEvents", 0))))
-        per_pop = (q["comparisons"] / q["pops"]) if q["pops"] else 0.0
-        out.write("  queue: %s pushes, %s pops, %s remaining, "
-                  "max depth %s, %.2f comparisons/pop\n" %
-                  (fmt(q["pushes"]), fmt(q["pops"]),
-                   fmt(q["remainingAtEnd"]), fmt(q["maxHeapSize"]),
-                   per_pop))
-        cb = doc.get("callbacks", {})
-        if isinstance(cb, dict) and cb:
-            out.write("  callbacks: %s pooled spills, %s oversize"
-                      "%s\n" %
-                      (fmt(cb.get("spillConstructs", 0)),
-                       fmt(cb.get("oversizeConstructs", 0)),
-                       ", %s fresh pool blocks" %
-                       fmt(cb["freshPoolBlocks"])
-                       if "freshPoolBlocks" in cb else ""))
-        out.write("  dwell (us):  %s\n" %
-                  _sketch_line(doc.get("dwellUs")))
-        out.write("  heap depth:  %s\n" %
-                  _sketch_line(doc.get("heapDepth")))
-
-        out.write("  tracks (events by origin):\n")
-        name_w = max((len(str(t["name"])) for t in doc["tracks"]),
-                     default=4)
-        for t in sorted(doc["tracks"], key=lambda t: -t["events"]):
-            wall = t.get("wallNs")
-            out.write("    %-*s %10s events  %8s sampled%s\n" %
-                      (name_w, t["name"], fmt(t["events"]),
-                       fmt(t["sampled"]),
-                       "  wall(ns) " + _sketch_line(wall)
-                       if isinstance(wall, dict) and wall.get("count")
-                       else ""))
-
-        out.write("  lookahead graph (src -> dst, min positive "
-                  "delta):\n")
-        edges = sorted(doc["edges"],
-                       key=lambda e: (e["minPositiveDeltaUs"] == 0,
-                                      e["minPositiveDeltaUs"],
-                                      e["src"], e["dst"]))
-        zero_edges = 0
-        for e in edges:
-            if e["minPositiveDeltaUs"] > 0:
-                bound = "lookahead %s us" % fmt(e["minPositiveDeltaUs"])
-                if e.get("meanDeltaUs"):
-                    bound += " (mean %s)" % fmt(e["meanDeltaUs"])
-                if e["zeroDelta"]:
-                    bound += ", %s zero-delta!" % fmt(e["zeroDelta"])
-                    zero_edges += 1
-            else:
-                bound = "NO LOOKAHEAD (all deltas zero)"
-                zero_edges += 1
-            out.write("    %s -> %s: %s schedules, %s\n" %
-                      (e["src"], e["dst"], fmt(e["count"]), bound))
-        if not edges:
-            out.write("    (none recorded)\n")
-        if zero_edges:
-            out.write("  warning: %d edge(s) carry zero-delta "
-                      "schedules; a conservative parallel partition "
-                      "cut on them would stall\n" % zero_edges)
+        out.write("%s:\n" % path)
+        if "outcome" in doc:
+            render_outcome_text(doc["outcome"], out)
+        if "timeline" in doc:
+            render_timeline_text(doc["timeline"], only, width, out)
+        if "engineProfile" in doc:
+            render_profile_text(doc["engineProfile"], out)
+        if "metrics" in doc:
+            render_metrics_text(doc["metrics"], out)
         out.write("\n")
 
 
 # --- HTML rendering --------------------------------------------------
 
 HTML_HEAD = """<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>timeline report</title>
+<html><head><meta charset="utf-8"><title>run report</title>
 <style>
  body { font: 14px/1.5 system-ui, sans-serif; margin: 2em auto;
         max-width: 72em; color: #1a1a1a; }
@@ -314,6 +378,7 @@ HTML_HEAD = """<!DOCTYPE html>
  .chart .name { font-family: ui-monospace, monospace;
                 font-size: 12px; color: #444; }
  .meta { color: #666; font-size: 12px; }
+ pre { font: 12px/1.4 ui-monospace, monospace; }
  svg { background: #fafafa; border: 1px solid #e0e0e0; }
  svg polyline { fill: none; stroke: #2a6fb0; stroke-width: 1.2; }
  svg .warmup { stroke: #bbb; stroke-dasharray: 3 2; }
@@ -346,51 +411,71 @@ def svg_chart(values, interval_us, warmup_us, trunc_us, w=640, h=80):
             '</svg>' % (w, h, "".join(rules), " ".join(coords)))
 
 
+def timeline_html(doc, only):
+    """The timeline section as a verdict plus one chart per series."""
+    parts = ['<p class="meta">timeline: interval %s us, horizon %s us, '
+             'warmup %s us</p>' %
+             (fmt(doc["intervalUs"]), fmt(doc["horizonUs"]),
+              fmt(doc["warmupUs"]))]
+    stats = doc.get("stats") or {}
+    trunc = stats.get("truncationUs", 0)
+    if stats.get("enabled"):
+        if stats.get("insufficientData"):
+            parts.append('<p class="verdict">run too short for a '
+                         'steady-state verdict</p>')
+        elif stats.get("transientPolluted"):
+            parts.append('<p class="verdict bad">transient '
+                         'polluted: warmup %s us &lt; truncation '
+                         '%s us</p>' %
+                         (fmt(doc["warmupUs"]), fmt(trunc)))
+        else:
+            parts.append('<p class="verdict">steady after %s us; '
+                         'throughput %s /s &plusmn; %s</p>' %
+                         (fmt(trunc),
+                          fmt(stats.get("throughputPerSec", 0)),
+                          fmt(stats.get("throughputCi95PerSec", 0))))
+    d = doc.get("decomposition")
+    if d:
+        parts.append('<p class="meta">decomposition: %s messages, '
+                     'mean round trip %s us, bottleneck %s</p>' %
+                     (fmt(d.get("messages", 0)),
+                      fmt(d.get("meanRoundTripUs", 0)),
+                      html.escape(str(d.get("bottleneck", "?")))))
+    for kind, name, values in series_items(doc, only):
+        tail = ("integral %s" % fmt(sum(values))
+                if kind == "counters" else
+                "last %s" % fmt(values[-1] if values else 0))
+        parts.append('<div class="chart"><div class="name">%s '
+                     '<span class="meta">(%s, min %s, max %s, '
+                     '%s)</span></div>%s</div>' %
+                     (html.escape(name), kind[:-1],
+                      fmt(min(values, default=0)),
+                      fmt(max(values, default=0)), tail,
+                      svg_chart(values, doc["intervalUs"],
+                                doc["warmupUs"], trunc)))
+    return parts
+
+
+def text_html(render, section):
+    """A section's terminal rendering as preformatted HTML."""
+    buf = io.StringIO()
+    render(section, buf)
+    return "<pre>%s</pre>" % html.escape(buf.getvalue())
+
+
 def render_html(paths, docs, only, path_out):
-    parts = [HTML_HEAD, "<h1>Timeline report</h1>"]
+    parts = [HTML_HEAD, "<h1>Run report</h1>"]
     for path, doc in zip(paths, docs):
         parts.append("<h2>%s</h2>" % html.escape(path))
-        parts.append('<p class="meta">interval %s us, horizon %s us, '
-                     'warmup %s us</p>' %
-                     (fmt(doc["intervalUs"]), fmt(doc["horizonUs"]),
-                      fmt(doc["warmupUs"])))
-        stats = doc.get("stats") or {}
-        trunc = stats.get("truncationUs", 0)
-        if stats.get("enabled"):
-            if stats.get("insufficientData"):
-                parts.append('<p class="verdict">run too short for a '
-                             'steady-state verdict</p>')
-            elif stats.get("transientPolluted"):
-                parts.append('<p class="verdict bad">transient '
-                             'polluted: warmup %s us &lt; truncation '
-                             '%s us</p>' %
-                             (fmt(doc["warmupUs"]), fmt(trunc)))
-            else:
-                parts.append('<p class="verdict">steady after %s us; '
-                             'throughput %s /s &plusmn; %s</p>' %
-                             (fmt(trunc),
-                              fmt(stats.get("throughputPerSec", 0)),
-                              fmt(stats.get("throughputCi95PerSec",
-                                            0))))
-        d = doc.get("decomposition")
-        if d:
-            parts.append('<p class="meta">decomposition: %s messages, '
-                         'mean round trip %s us, bottleneck %s</p>' %
-                         (fmt(d.get("messages", 0)),
-                          fmt(d.get("meanRoundTripUs", 0)),
-                          html.escape(str(d.get("bottleneck", "?")))))
-        for kind, name, values in series_items(doc, only):
-            tail = ("integral %s" % fmt(sum(values))
-                    if kind == "counters" else
-                    "last %s" % fmt(values[-1] if values else 0))
-            parts.append('<div class="chart"><div class="name">%s '
-                         '<span class="meta">(%s, min %s, max %s, '
-                         '%s)</span></div>%s</div>' %
-                         (html.escape(name), kind[:-1],
-                          fmt(min(values, default=0)),
-                          fmt(max(values, default=0)), tail,
-                          svg_chart(values, doc["intervalUs"],
-                                    doc["warmupUs"], trunc)))
+        if "outcome" in doc:
+            parts.append(text_html(render_outcome_text, doc["outcome"]))
+        if "timeline" in doc:
+            parts.extend(timeline_html(doc["timeline"], only))
+        if "engineProfile" in doc:
+            parts.append(text_html(render_profile_text,
+                                   doc["engineProfile"]))
+        if "metrics" in doc:
+            parts.append(text_html(render_metrics_text, doc["metrics"]))
     parts.append("</body></html>\n")
     with open(path_out, "w") as f:
         f.write("\n".join(parts))
@@ -398,38 +483,29 @@ def render_html(paths, docs, only, path_out):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
-        description="Render timeline JSON as a dashboard")
-    ap.add_argument("timelines", nargs="+",
-                    help="timeline JSON files from the simulator")
-    ap.add_argument("--profile", action="store_true",
-                    help="inputs are engine-profile documents")
+        description="Render simulation run reports as a dashboard")
+    ap.add_argument("reports", nargs="+",
+                    help="run report JSON files from the simulator")
     ap.add_argument("--html", metavar="OUT",
                     help="write a self-contained HTML dashboard")
     ap.add_argument("--only", metavar="PREFIX",
-                    help="render only series with this name prefix")
+                    help="render only timeline series with this name "
+                         "prefix")
     ap.add_argument("--width", type=int, default=72,
                     help="terminal sparkline width (default 72)")
     args = ap.parse_args(argv)
 
     try:
-        if args.profile:
-            if args.html:
-                raise ValueError(
-                    "--html does not apply to --profile documents")
-            docs = [load_profile(p) for p in args.timelines]
-        else:
-            docs = [load(p) for p in args.timelines]
+        docs = [load(p) for p in args.reports]
     except (OSError, ValueError, json.JSONDecodeError) as e:
         print("report: %s" % e, file=sys.stderr)
         return 1
 
-    if args.profile:
-        render_profile_text(args.timelines, docs)
-    elif args.html:
-        render_html(args.timelines, docs, args.only, args.html)
+    if args.html:
+        render_html(args.reports, docs, args.only, args.html)
         print("report: wrote %s" % args.html)
     else:
-        render_text(args.timelines, docs, args.only, args.width)
+        render_text(args.reports, docs, args.only, args.width)
     return 0
 
 

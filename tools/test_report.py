@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Unit tests for report.py (registered as ctest `report_unit`).
 
-Covers the resampling/sparkline primitives at their edges, timeline
-document validation, the steady-state verdict wording for each of the
-three outcomes, and end-to-end rendering of both the terminal and the
-self-contained HTML dashboard (via main(), exercising exit codes).
+Covers the resampling/sparkline primitives at their edges, run-report
+validation section by section, the steady-state verdict wording for
+each of the three outcomes, the per-section renderers, and end-to-end
+rendering of both the terminal and the self-contained HTML dashboard
+(via main(), exercising exit codes).
 """
 
 import io
@@ -19,7 +20,13 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import report  # noqa: E402
 
 
+def make_report(**sections):
+    """A run report carrying exactly @p sections."""
+    return sections
+
+
 def doc(**overrides):
+    """A timeline section."""
     d = {
         "intervalUs": 5000.0,
         "horizonUs": 20000.0,
@@ -58,6 +65,22 @@ class PrimitivesTest(unittest.TestCase):
     def test_fmt_integers_and_reals(self):
         self.assertEqual(report.fmt(14.0), "14")
         self.assertEqual(report.fmt(0.1020384), "0.102")
+
+
+def outcome_doc():
+    return {"throughputPerSec": 950.0, "meanRoundTripUs": 2670.0,
+            "rtP50Us": 2600.0, "rtP95Us": 3100.0, "roundTrips": 1425,
+            "resourceUtilization": {"n0.host0": 0.4, "n1.mp": 0.9},
+            "decomposition": {"messages": 12, "bottleneck": "n1.mp",
+                              "bottleneckShare": 0.41}}
+
+
+def metrics_doc():
+    return {"counters": {"des.eventsRun": 13473}, "gauges": {},
+            "histograms": {"ipc.roundTripUs": {
+                "count": 13, "sum": 207246.0, "min": 5374.0,
+                "max": 24676.0, "p50": 16384.0, "p95": 32768.0,
+                "p99": 32768.0, "buckets": {"4096": 2}}}}
 
 
 def profile_doc(**overrides):
@@ -106,60 +129,54 @@ def write_json(d, path, payload):
 
 
 class LoadTest(unittest.TestCase):
-    def test_rejects_non_timeline_documents(self):
-        with tempfile.TemporaryDirectory() as d:
-            path = write_json(d, "bench.json",
-                              {"bench": "b", "scalars": {}})
-            with self.assertRaises(ValueError):
-                report.load(path)
-
-    def test_rejects_profile_document_without_flag(self):
-        with tempfile.TemporaryDirectory() as d:
-            path = write_json(d, "prof.json", profile_doc())
-            with self.assertRaisesRegex(ValueError, "--profile"):
-                report.load(path)
-
-    def test_rejects_truncated_series(self):
-        with tempfile.TemporaryDirectory() as d:
-            bad = doc()
-            bad["counters"]["ipc.allTrips"] = [0.0, None, 4.0]
-            path = write_json(d, "t.json", bad)
-            with self.assertRaisesRegex(ValueError, "ipc.allTrips"):
-                report.load(path)
-            bad["counters"] = "oops"
-            path = write_json(d, "t2.json", bad)
-            with self.assertRaisesRegex(ValueError, "counters"):
-                report.load(path)
-            path = write_json(d, "t3.json", [1, 2, 3])
-            with self.assertRaisesRegex(ValueError, "not an object"):
-                report.load(path)
-
-
-class LoadProfileTest(unittest.TestCase):
     def check_raises(self, payload, pattern):
         with tempfile.TemporaryDirectory() as d:
-            path = write_json(d, "p.json", payload)
+            path = write_json(d, "r.json", payload)
             with self.assertRaisesRegex(ValueError, pattern):
-                report.load_profile(path)
+                report.load(path)
 
-    def test_accepts_well_formed_profile(self):
+    def test_accepts_each_section_alone_and_all_together(self):
+        full = make_report(experiment={"arch": 1}, outcome=outcome_doc(),
+                      timeline=doc(), engineProfile=profile_doc(),
+                      metrics=metrics_doc())
         with tempfile.TemporaryDirectory() as d:
-            path = write_json(d, "p.json", profile_doc())
-            self.assertEqual(report.load_profile(path)["sampleEvery"],
-                             256)
+            for name, section in full.items():
+                path = write_json(d, name + ".json", {name: section})
+                self.assertEqual(report.load(path), {name: section})
+            path = write_json(d, "full.json", full)
+            self.assertEqual(report.load(path)["engineProfile"]
+                             ["sampleEvery"], 256)
 
-    def test_rejects_timeline_and_wrong_schema(self):
-        self.check_raises(doc(), "engineProfile")
-        self.check_raises(profile_doc(engineProfile=2),
-                          "schema version")
+    def test_rejects_documents_without_a_report_section(self):
+        self.check_raises({"bench": "b", "scalars": {}},
+                          "not a run report")
+        self.check_raises([1, 2, 3], "not a run report")
+        # A bare timeline or profile document is not a report either
+        # (the latter's schema marker is not a profile section).
+        self.check_raises(doc(), "not a run report")
+        self.check_raises(profile_doc(), "engineProfile: not an object")
 
-    def test_rejects_truncated_sections(self):
-        self.check_raises(profile_doc(queue={"pushes": 1}),
-                          "queue.pops")
-        self.check_raises(profile_doc(tracks=[{"name": "sim"}]),
-                          "tracks")
-        self.check_raises(profile_doc(edges=[{"src": "a"}]), "edges")
-        self.check_raises(profile_doc(edges="oops"), "edges")
+    def test_rejects_truncated_timeline_series(self):
+        bad = doc()
+        bad["counters"]["ipc.allTrips"] = [0.0, None, 4.0]
+        self.check_raises(make_report(timeline=bad), "ipc.allTrips")
+        bad["counters"] = "oops"
+        self.check_raises(make_report(timeline=bad), "counters")
+        self.check_raises(make_report(timeline=[1]), "timeline: not an object")
+        self.check_raises(make_report(outcome="oops"), "outcome: not an object")
+
+    def test_rejects_wrong_profile_schema(self):
+        self.check_raises(make_report(engineProfile=doc()), "engineProfile")
+        self.check_raises(make_report(engineProfile=profile_doc(
+            engineProfile=2)), "schema version")
+
+    def test_rejects_truncated_profile_sections(self):
+        for bad, pattern in (
+                (profile_doc(queue={"pushes": 1}), "queue.pops"),
+                (profile_doc(tracks=[{"name": "sim"}]), "tracks"),
+                (profile_doc(edges=[{"src": "a"}]), "edges"),
+                (profile_doc(edges="oops"), "edges")):
+            self.check_raises(make_report(engineProfile=bad), pattern)
 
 
 class VerdictTest(unittest.TestCase):
@@ -196,7 +213,8 @@ class VerdictTest(unittest.TestCase):
 class RenderTest(unittest.TestCase):
     def test_terminal_render_lists_every_series_with_integral(self):
         out = io.StringIO()
-        report.render_text(["t.json"], [doc()], None, 72, out)
+        report.render_text(["t.json"], [make_report(timeline=doc())], None,
+                           72, out)
         text = out.getvalue()
         self.assertIn("ipc.allTrips", text)
         self.assertIn("util.n0.busTcb", text)
@@ -205,7 +223,8 @@ class RenderTest(unittest.TestCase):
 
     def test_only_prefix_filters_series(self):
         out = io.StringIO()
-        report.render_text(["t.json"], [doc()], "net.", 72, out)
+        report.render_text(["t.json"], [make_report(timeline=doc())], "net.",
+                           72, out)
         text = out.getvalue()
         self.assertIn("net.retransmissions", text)
         self.assertNotIn("ipc.allTrips", text)
@@ -221,10 +240,29 @@ class RenderTest(unittest.TestCase):
         self.assertNotIn("<line", bare)
 
 
+class SectionRenderTest(unittest.TestCase):
+    def render(self, fn, section):
+        out = io.StringIO()
+        fn(section, out)
+        return out.getvalue()
+
+    def test_outcome_headline_and_bottleneck(self):
+        text = self.render(report.render_outcome_text, outcome_doc())
+        self.assertIn("950 round trips/s over 1425 round trips", text)
+        self.assertIn("busiest resource: n1.mp at 0.9", text)
+        self.assertIn("bottleneck n1.mp", text)
+
+    def test_metrics_counters_and_histograms(self):
+        text = self.render(report.render_metrics_text, metrics_doc())
+        self.assertIn("des.eventsRun 13473", text)
+        self.assertIn("ipc.roundTripUs", text)
+        self.assertIn("p95 32768", text)
+
+
 class ProfileRenderTest(unittest.TestCase):
     def render(self, d):
         out = io.StringIO()
-        report.render_profile_text(["p.json"], [d], out)
+        report.render_profile_text(d, out)
         return out.getvalue()
 
     def test_renders_queue_tracks_and_lookahead(self):
@@ -250,62 +288,64 @@ class ProfileRenderTest(unittest.TestCase):
 
 
 class MainTest(unittest.TestCase):
+    def run_main(self, argv):
+        old_out, old_err = sys.stdout, sys.stderr
+        sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+        try:
+            status = report.main(argv)
+            return status, sys.stdout.getvalue(), sys.stderr.getvalue()
+        finally:
+            sys.stdout, sys.stderr = old_out, old_err
+
     def test_end_to_end_terminal_and_html(self):
+        full = make_report(experiment={"arch": 1}, outcome=outcome_doc(),
+                      timeline=doc(), engineProfile=profile_doc(),
+                      metrics=metrics_doc())
         with tempfile.TemporaryDirectory() as d:
-            src = os.path.join(d, "timeline.json")
-            with open(src, "w") as f:
-                json.dump(doc(), f)
-            self.assertEqual(report.main([src]), 0)
+            src = write_json(d, "report.json", full)
+            prof = write_json(d, "prof.json",
+                              make_report(engineProfile=profile_doc()))
+            status, text, _ = self.run_main([src, prof])
+            self.assertEqual(status, 0)
+            # Both halves of one report, then the profile-only one.
+            self.assertIn("950 round trips/s", text)
+            self.assertIn("steady after 5000 us", text)
+            self.assertIn("lookahead 100 us", text)
+            self.assertIn("des.eventsRun 13473", text)
+            self.assertEqual(text.count("1-in-256 wall sampling"), 2)
             html_out = os.path.join(d, "dash.html")
-            self.assertEqual(report.main([src, "--html", html_out]), 0)
+            status, _, _ = self.run_main([src, prof, "--html", html_out])
+            self.assertEqual(status, 0)
             with open(html_out) as f:
                 page = f.read()
             self.assertIn("<svg", page)
             self.assertIn("ipc.allTrips", page)
             self.assertIn("steady after 5000 us", page)
+            self.assertIn("n0.cpu0 -&gt; wire: 500 schedules", page)
             # Self-contained: no external scripts or stylesheets.
             self.assertNotIn("http://", page.replace("http://www.w3", ""))
             self.assertNotIn("<script", page)
             self.assertNotIn("<link", page)
 
-    def test_profile_mode_end_to_end(self):
-        with tempfile.TemporaryDirectory() as d:
-            src = write_json(d, "prof.json", profile_doc())
-            old = sys.stdout
-            sys.stdout = io.StringIO()
-            try:
-                self.assertEqual(report.main([src, "--profile"]), 0)
-                text = sys.stdout.getvalue()
-            finally:
-                sys.stdout = old
-            self.assertIn("lookahead 100 us", text)
-
     def test_malformed_input_exits_nonzero(self):
         with tempfile.TemporaryDirectory() as d:
             bad = write_json(d, "bad.json", "{not json")
             truncated = write_json(d, "trunc.json",
-                                   json.dumps(doc())[:80])
-            old = sys.stderr
-            sys.stderr = io.StringIO()
-            try:
-                self.assertEqual(report.main([bad]), 1)
-                self.assertEqual(report.main([truncated]), 1)
-                self.assertEqual(
-                    report.main([os.path.join(d, "absent.json")]), 1)
-                # Wrong mode for the document type: clear message,
-                # no traceback, in both directions.
-                prof = write_json(d, "p.json", profile_doc())
-                tl = write_json(d, "t.json", doc())
-                self.assertEqual(report.main([prof]), 1)
-                self.assertEqual(report.main([tl, "--profile"]), 1)
-                self.assertEqual(
-                    report.main([prof, "--profile", "--html",
-                                 os.path.join(d, "x.html")]), 1)
-                err = sys.stderr.getvalue()
-            finally:
-                sys.stderr = old
-            self.assertIn("--profile", err)
-            self.assertNotIn("Traceback", err)
+                                   json.dumps(make_report(timeline=doc()))[:80])
+            bare = write_json(d, "bare.json", doc())
+            for path in (bad, truncated, bare,
+                         os.path.join(d, "absent.json")):
+                status, _, err = self.run_main([path])
+                self.assertEqual(status, 1, path)
+                self.assertNotIn("Traceback", err)
+                self.assertTrue(err.startswith("report: "), err)
+
+    def test_there_is_no_profile_mode(self):
+        with tempfile.TemporaryDirectory() as d:
+            prof = write_json(d, "p.json",
+                              make_report(engineProfile=profile_doc()))
+            with self.assertRaises(SystemExit):
+                self.run_main([prof, "--profile"])
 
 
 if __name__ == "__main__":
