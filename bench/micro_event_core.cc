@@ -13,10 +13,14 @@
  * The workload is the engine's steady-state shape: `fanout` pending
  * self-rescheduling events (initial stagger over a compact tick span,
  * then a fixed +100-tick cycle).  Per fanout the table reports
- * pushes/pops, heap sift comparisons, and the heap allocations
- * observed across the measured half of the run — the committed
- * baseline pins the last column to zero, which is the allocation-free
- * steady state the EventQueue tests also enforce.
+ * pushes/pops, heap sift comparisons, the heap allocations observed
+ * across the measured half of the run — the committed baseline pins
+ * that column to zero, which is the allocation-free steady state the
+ * EventQueue tests also enforce — and the callback relocations per
+ * executed event.  The events count their own moves: in the steady
+ * state each event pops once and pushes its successor once, so a
+ * push that builds its callback in its slot and a pop that moves it
+ * out once make 2.000.
  */
 
 #include <atomic>
@@ -36,6 +40,7 @@ namespace
 {
 
 std::atomic<std::uint64_t> g_allocs{0};
+std::uint64_t g_relocations = 0; //!< SelfSched move constructions
 
 } // namespace
 
@@ -88,6 +93,17 @@ struct SelfSched
     EventQueue *q;
     std::uint64_t *remaining;
 
+    SelfSched(EventQueue *q, std::uint64_t *remaining)
+        : q(q), remaining(remaining)
+    {}
+    SelfSched(const SelfSched &) = default;
+    // Counted, and so not trivially copyable: every relocation of a
+    // callback holding a SelfSched runs this constructor.
+    SelfSched(SelfSched &&o) noexcept : q(o.q), remaining(o.remaining)
+    {
+        ++g_relocations;
+    }
+
     void
     operator()()
     {
@@ -105,6 +121,7 @@ struct CoreRow
     std::uint64_t pops;
     std::uint64_t comparisons;
     std::uint64_t steadyAllocs;
+    double relocationsPerEvent;
 };
 
 CoreRow
@@ -147,13 +164,19 @@ runCore(int fanout)
     std::uint64_t remaining = static_cast<std::uint64_t>(fanout) * 8;
     for (int i = 0; i < fanout; ++i)
         q.scheduleAfter(i % 512, SelfSched{&q, &remaining});
+    // Counted from here: the seeding pushes grow the slot arena, and
+    // its reallocations relocate every callback already in it.
+    g_relocations = 0;
     while (remaining > 0)
         q.runOne();
     const std::uint64_t events = q.eventsRun();
+    const std::uint64_t relocations = g_relocations;
     q.runUntil(std::numeric_limits<Tick>::max());
     prof.finishRun(q.size());
     const obs::EngineProfile &p = prof.profile();
-    return {events, p.pushes, p.pops, p.comparisons, steadyAllocs};
+    return {events, p.pushes, p.pops, p.comparisons, steadyAllocs,
+            static_cast<double>(relocations) /
+                static_cast<double>(events)};
 }
 
 } // namespace
@@ -166,13 +189,14 @@ main(int argc, char **argv)
     TextTable t("Event-core structural ledger: binary heap "
                 "(self-rescheduling steady state, 8x fanout events)");
     t.header({"policy", "pending", "events", "pushes", "pops",
-              "heap cmps", "steady allocs"});
+              "heap cmps", "steady allocs", "relocations/event"});
     for (int fanout : {4096, 16384, 65536}) {
         const CoreRow r = runCore(fanout);
         t.row({"heap", std::to_string(fanout),
                std::to_string(r.events), std::to_string(r.pushes),
                std::to_string(r.pops), std::to_string(r.comparisons),
-               std::to_string(r.steadyAllocs)});
+               std::to_string(r.steadyAllocs),
+               TextTable::num(r.relocationsPerEvent, 3)});
     }
     bench::emit(t);
     return bench::finish();

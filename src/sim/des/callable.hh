@@ -17,6 +17,11 @@
  * re-introduce allocation when copied).  Moves are pointer-sized for
  * spilled targets and delegate to the target's (required noexcept)
  * move constructor for inline ones.
+ *
+ * emplace() builds a new target in an existing callback.  The event
+ * queue builds each scheduled callable in its slot that way, and the
+ * bus builds a grant's continuation where it waits, so a target moves
+ * once on the way in and once on the way out of the queue.
  */
 
 #ifndef HSIPC_SIM_CALLABLE_HH
@@ -129,6 +134,28 @@ class EventCallback
 
     ~EventCallback() { reset(); }
 
+    /**
+     * Replace the target with @p f, built directly in this callback's
+     * storage: the one move (or copy) of the target that construction
+     * makes, and no relocation after it.  An EventCallback argument
+     * must be an rvalue; it is moved in, which relocates its target
+     * once.
+     */
+    template <typename F, typename D = std::decay_t<F>,
+              typename = std::enable_if_t<
+                  std::is_same_v<D, EventCallback> ||
+                  std::is_invocable_r_v<void, D &>>>
+    void
+    emplace(F &&f)
+    {
+        if constexpr (std::is_same_v<D, EventCallback>) {
+            *this = std::forward<F>(f);
+        } else {
+            reset();
+            construct<D>(std::forward<F>(f));
+        }
+    }
+
     explicit operator bool() const noexcept { return ops != nullptr; }
 
     /** Invoke the target (const like std::function: targets may mutate). */
@@ -143,8 +170,8 @@ class EventCallback
     /**
      * Type-erased operations; one static instance per target type.
      * relocate/destroy are null when the operation reduces to a
-     * memcpy/no-op: a callback is moved on its way into the event
-     * queue's slot arena and again out of it, and an indirect call
+     * memcpy/no-op: a callback is moved out of the event queue's
+     * slot arena before it runs, and an indirect call
      * per move costs more than the move itself for the
      * pointer-plus-ints captures that dominate the simulator.
      */

@@ -9,8 +9,10 @@
  * in a slot arena beside it, reused through a LIFO free list.  Each
  * sift level therefore moves one key, where it used to move a whole
  * 80-byte event through EventCallback's move (docs/performance.md,
- * "The DES event-loop fast path").  A push moves its callback into a
- * slot once; a pop moves it out once, frees the slot, and only then
+ * "The DES event-loop fast path").  A push builds its callback in a
+ * slot: schedule() forwards the callable itself, so the target moves
+ * once, into the slot, and never passes through an EventCallback
+ * temporary.  A pop moves it out once, frees the slot, and only then
  * invokes it, because the callback may schedule events and grow the
  * arena under itself.
  *
@@ -76,21 +78,27 @@ class EventQueue
         profMaxHeap = 0;
     }
 
-    /** Schedule @p cb at absolute time @p when (>= now). */
+    /**
+     * Schedule @p f at absolute time @p when (>= now).  @p f is any
+     * `void()` callable, or an EventCallback passed by std::move; it
+     * is built in its slot (see EventCallback::emplace).
+     */
+    template <typename F>
     void
-    schedule(Tick when, Callback cb)
+    schedule(Tick when, F &&f)
     {
         if (prof)
-            pushT<true>(when, std::move(cb));
+            pushT<true>(when, std::forward<F>(f));
         else
-            pushT<false>(when, std::move(cb));
+            pushT<false>(when, std::forward<F>(f));
     }
 
-    /** Schedule @p cb @p delay ticks from now. */
+    /** Schedule @p f @p delay ticks from now. */
+    template <typename F>
     void
-    scheduleAfter(Tick delay, Callback cb)
+    scheduleAfter(Tick delay, F &&f)
     {
-        schedule(current + delay, std::move(cb));
+        schedule(current + delay, std::forward<F>(f));
     }
 
     bool empty() const { return heap.empty(); }
@@ -192,9 +200,9 @@ class EventQueue
      * peak population and the 1-in-N dwell/depth subsample;
      * Prof=false compiles to the bare insert.
      */
-    template <bool Prof>
+    template <bool Prof, typename F>
     void
-    pushT(Tick when, Callback cb)
+    pushT(Tick when, F &&f)
     {
         hsipc_assert(when >= current);
         if constexpr (Prof) {
@@ -212,11 +220,11 @@ class EventQueue
         if (freeSlots.empty()) {
             hsipc_assert(slots.size() <= slotMask);
             slot = static_cast<std::uint32_t>(slots.size());
-            slots.push_back(std::move(cb));
+            slots.emplace_back().emplace(std::forward<F>(f));
         } else {
             slot = freeSlots.back();
             freeSlots.pop_back();
-            slots[slot] = std::move(cb);
+            slots[slot].emplace(std::forward<F>(f));
         }
         heap.push_back(Key{when, nextSeq++ << slotBits | slot});
         siftUpT<Prof>(heap.size() - 1);

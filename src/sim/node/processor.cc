@@ -1,7 +1,5 @@
 #include "sim/node/processor.hh"
 
-#include <memory>
-
 #include "sim/check/test_hooks.hh"
 
 namespace hsipc::sim
@@ -73,7 +71,7 @@ Processor::maybeStart()
 {
     if (running || queue.empty())
         return;
-    running = std::make_unique<Running>(std::move(queue.front()));
+    running.emplace(std::move(queue.front()));
     queue.pop_front();
     segment();
 }

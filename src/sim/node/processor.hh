@@ -15,6 +15,9 @@
  * booked at once instead of event by event (see fastForward() and
  * docs/performance.md, "Fast-forwarding quiet bus runs"); the outputs
  * are identical either way.
+ *
+ * The running activity is held inline (std::optional), so starting
+ * one allocates nothing.
  */
 
 #ifndef HSIPC_SIM_PROCESSOR_HH
@@ -23,7 +26,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -160,7 +163,7 @@ class Processor
     void charge(Tick at, Tick t, bool accessWait = false);
 
     std::deque<Running> queue;
-    std::unique_ptr<Running> running;
+    std::optional<Running> running;
     Tick busyTicks = 0;
     Tick chargedUntil = 0; //!< end of the latest booked charge
     std::map<std::string, Tick> perActivity;
