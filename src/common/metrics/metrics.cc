@@ -79,7 +79,7 @@ Registry::histogramQuantile(const std::string &name,
     if (it != sketches.end() && it->second.count() == h.count() &&
         it->second.count() > 0)
         return it->second.quantile(q);
-    return h.quantileUpperBound(q);
+    return std::min(h.quantileUpperBound(q), h.max());
 }
 
 std::string

@@ -134,7 +134,8 @@ class Registry
     /**
      * The quantile reported for histogram @p name: the same-named
      * sketch's value when one observed the same sample stream, else
-     * the histogram's own bucket upper bound.
+     * the histogram's own bucket upper bound, clamped to the largest
+     * sample (the bucket's edge may lie past every sample in it).
      */
     double histogramQuantile(const std::string &name,
                              const Histogram &h, double q) const;

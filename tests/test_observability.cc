@@ -474,9 +474,35 @@ TEST(Registry, JsonAndTableRender)
     EXPECT_NE(json.find("\"net.drops\": 3"), std::string::npos);
     EXPECT_NE(json.find("ipc.roundTripUs"), std::string::npos);
 
+    // One sample: every quantile is that sample, not its bucket's
+    // upper edge (4096).
+    EXPECT_NE(json.find("\"max\": 2400, \"p50\": 2400, \"p95\": 2400, "
+                        "\"p99\": 2400"),
+              std::string::npos)
+        << json;
+
     const std::string table = reg.toTable();
     EXPECT_NE(table.find("net.drops"), std::string::npos);
     EXPECT_NE(table.find("ipc.roundTripUs"), std::string::npos);
+    EXPECT_NE(table.find("| 2400.00 | 2400.00 | 2400.00 | 2400.00 |"),
+              std::string::npos)
+        << table;
+}
+
+TEST(Registry, BucketQuantileIsClampedToMax)
+{
+    // With no sketch the registry reports the bucket's upper edge,
+    // but never above the largest sample; the histogram's own bound
+    // stays the raw edge.
+    metrics::Registry reg;
+    metrics::Histogram &h = reg.histogram("x");
+    for (int i = 0; i < 90; ++i)
+        h.observe(3.0); // bucket 2, upper edge 4
+    for (int i = 0; i < 10; ++i)
+        h.observe(1000.0); // bucket 10, upper edge 1024
+    EXPECT_EQ(reg.histogramQuantile("x", h, 0.5), 4.0);
+    EXPECT_EQ(reg.histogramQuantile("x", h, 0.95), 1000.0);
+    EXPECT_EQ(h.quantileUpperBound(0.95), 1024.0);
 }
 
 // --- Observability wired into the simulators -------------------------
@@ -1015,9 +1041,9 @@ TEST(Observability, ReportSectionsArePinned)
     // bench/baselines/beyond_overload_timeline.json.
     const Pin pins[] = {
         {false, 0xcb88bc8a43b1b04full, 0x3afb369d145696fcull,
-         0x6a9baf4b649c5f9bull},
+         0x0b6a4b5141b196c5ull},
         {true, 0xb2efaf2179604270ull, 0x38ba9c83ac99b7b7ull,
-         0x6af8bccd3e7fee6eull},
+         0xa7fde2d61c43f618ull},
     };
     for (const Pin &p : pins) {
         SCOPED_TRACE(p.decompose ? "decomposed" : "plain");
