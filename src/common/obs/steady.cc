@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 
@@ -120,6 +121,23 @@ analyzeSteadyState(const std::vector<double> &tripsPerBin,
     s.meanRtUs = rt.mean();
     s.rtCi95Us = rt.ci95();
     return s;
+}
+
+std::string
+SteadyStats::toJson() const
+{
+    return std::string("{\"enabled\": ") + (enabled ? "true" : "false") +
+           ", \"insufficientData\": " +
+           (insufficientData ? "true" : "false") +
+           ", \"transientPolluted\": " +
+           (transientPolluted ? "true" : "false") +
+           ", \"truncationUs\": " + jsonNumber(truncationUs) +
+           ", \"batches\": " + std::to_string(batches) +
+           ", \"throughputPerSec\": " + jsonNumber(throughputPerSec) +
+           ", \"throughputCi95PerSec\": " +
+           jsonNumber(throughputCi95PerSec) +
+           ", \"meanRtUs\": " + jsonNumber(meanRtUs) +
+           ", \"rtCi95Us\": " + jsonNumber(rtCi95Us) + "}";
 }
 
 } // namespace hsipc::obs

@@ -17,6 +17,7 @@
 #define HSIPC_COMMON_OBS_STEADY_HH
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 namespace hsipc::obs
@@ -42,6 +43,9 @@ struct SteadyStats
     double throughputCi95PerSec = 0;
     double meanRtUs = 0; //!< steady-state round-trip batch mean
     double rtCi95Us = 0;
+
+    /** One-line JSON object of every field (the timeline's "stats"). */
+    std::string toJson() const;
 
     friend bool operator==(const SteadyStats &,
                            const SteadyStats &) = default;

@@ -4,9 +4,10 @@
  *
  * Full causal traces are O(messages); at cluster scale that is the
  * memory bill that kills observability first.  This sampler keeps a
- * fixed fraction of message ids, chosen by hashing the id with the
- * same SplitMix64 finalizer the parallel runner uses for seed
- * derivation.  The decision is a pure function of (seed, id):
+ * fixed fraction of message ids, chosen by hashing the id with
+ * parallel::deriveSeed, the SplitMix64 mixer the parallel runner
+ * uses for seed derivation.  The decision is a pure function of
+ * (seed, id):
  *
  *  - every recorder (causal log, tracer flows) agrees on which ids
  *    to keep, so a sampled message's causal chain is *complete* —
@@ -21,6 +22,8 @@
 #define HSIPC_COMMON_OBS_TRACE_SAMPLE_HH
 
 #include <cstdint>
+
+#include "common/rng.hh"
 
 namespace hsipc::obs
 {
@@ -45,15 +48,8 @@ class TraceSampler
             return true;
         if (rate <= 0)
             return false;
-        // SplitMix64 finalizer over seed ^ golden-ratio-spread id —
-        // the same mixer as parallel::deriveSeed, so stream quality
-        // is already vetted.
-        std::uint64_t z =
-            seed + 0x9e3779b97f4a7c15ull *
-                       (static_cast<std::uint64_t>(msgId) + 1);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        z ^= z >> 31;
+        const std::uint64_t z = parallel::deriveSeed(
+            seed, static_cast<std::uint64_t>(msgId));
         // Top 53 bits -> uniform double in [0, 1).
         return static_cast<double>(z >> 11) * 0x1.0p-53 < rate;
     }

@@ -10,16 +10,6 @@
 namespace hsipc::parallel
 {
 
-std::uint64_t
-deriveSeed(std::uint64_t base, std::uint64_t index)
-{
-    // SplitMix64 finalizer over base + index * golden gamma.
-    std::uint64_t z = base + (index + 1) * 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 int
 defaultJobs()
 {

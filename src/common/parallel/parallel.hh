@@ -34,17 +34,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hh" // deriveSeed
+
 namespace hsipc::parallel
 {
-
-/**
- * Derive a statistically independent 64-bit seed for task @p index
- * from @p base.  SplitMix64 applied to base + index * golden-gamma:
- * the same finalizer the Rng uses for state expansion, so derived
- * seeds are well-mixed even for consecutive indices, and the mapping
- * is a pure function — the anchor of run-order independence.
- */
-std::uint64_t deriveSeed(std::uint64_t base, std::uint64_t index);
 
 /** Jobs to use when the user asks for "all cores": >= 1 always. */
 int defaultJobs();

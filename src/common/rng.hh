@@ -105,6 +105,29 @@ class Rng
     std::uint64_t state[4];
 };
 
+namespace parallel
+{
+
+/**
+ * Derive a statistically independent 64-bit seed for task @p index
+ * from @p base.  SplitMix64 applied to base + index * golden-gamma:
+ * the same finalizer the Rng uses for state expansion, so derived
+ * seeds are well-mixed even for consecutive indices, and the mapping
+ * is a pure function — the anchor of run-order independence.  The
+ * parallel runner seeds its tasks with it, the fuzz generator its
+ * draws, and the trace sampler hashes message ids with it.
+ */
+inline std::uint64_t
+deriveSeed(std::uint64_t base, std::uint64_t index)
+{
+    std::uint64_t z = base + (index + 1) * 0x9e3779b97f4a7c15ull;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+} // namespace parallel
+
 } // namespace hsipc
 
 #endif // HSIPC_COMMON_RNG_HH

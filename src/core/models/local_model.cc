@@ -10,44 +10,40 @@ namespace hsipc::models
 
 using namespace gtpn;
 
-namespace
-{
-
-/**
- * Add a geometric stage: a pair of delay-1 transitions sharing the
- * input places (Fig 6.7).  The "exit" member fires with probability
- * 1/mean per unit and moves tokens from @p from to @p to; the "loop"
- * member returns them.  Shared resource tokens (e.g. the host) listed
- * in @p held are consumed and returned each unit, which yields the
- * processor-sharing discipline the thesis adopts (§6.7.1).
- *
- * Returns the exit transition id.
- */
-TransId
+Stage
 addStage(PetriNet &net, const std::string &name, double mean,
          const std::vector<PlaceId> &from, const std::vector<PlaceId> &to,
-         const std::vector<PlaceId> &held, const std::string &resource = "")
+         const std::vector<PlaceId> &held, Expr gateExpr,
+         const std::string &resource)
 {
     hsipc_assert(mean >= 1.0);
     const double p = 1.0 / mean;
-    const TransId exit =
-        net.addTransition(name + ".exit", 1.0, p, resource);
-    const TransId loop = net.addTransition(name + ".loop", 1.0, 1.0 - p);
+    Expr exit_freq = gateExpr ? gate(gateExpr, p) : constant(p);
+    Expr loop_freq = gateExpr ? gate(gateExpr, 1.0 - p)
+                              : constant(1.0 - p);
+    Stage s;
+    s.exit = net.addTransition(name + ".exit", constant(1.0),
+                               std::move(exit_freq), resource);
+    s.loop = net.addTransition(name + ".loop", constant(1.0),
+                               std::move(loop_freq));
     for (PlaceId pl : from) {
-        net.inputArc(pl, exit);
-        net.inputArc(pl, loop);
-        net.outputArc(loop, pl);
+        net.inputArc(pl, s.exit);
+        net.inputArc(pl, s.loop);
+        net.outputArc(s.loop, pl);
     }
     for (PlaceId pl : to)
-        net.outputArc(exit, pl);
+        net.outputArc(s.exit, pl);
     for (PlaceId pl : held) {
-        net.inputArc(pl, exit);
-        net.inputArc(pl, loop);
-        net.outputArc(exit, pl);
-        net.outputArc(loop, pl);
+        net.inputArc(pl, s.exit);
+        net.inputArc(pl, s.loop);
+        net.outputArc(s.exit, pl);
+        net.outputArc(s.loop, pl);
     }
-    return exit;
+    return s;
 }
+
+namespace
+{
 
 LocalModel
 buildUniprocessor(const LocalParams &p, int n, double x, double scale,
@@ -71,7 +67,7 @@ buildUniprocessor(const LocalParams &p, int n, double x, double scale,
              {host});
     // T4/T5 — match, server computation X, and reply.
     addStage(net, "matchReply", (p.uniMatchReply + x) / scale,
-             {send_wait, recv_wait}, {clients, servers}, {host},
+             {send_wait, recv_wait}, {clients, servers}, {host}, nullptr,
              lambdaResource);
     return m;
 }
@@ -111,7 +107,7 @@ buildCoprocessor(const LocalParams &p, int n, double x, double scale,
     addStage(net, "mpMatch", p.mpMatch / scale, {send_done, recv_done},
              {server_ready}, {mp});
     addStage(net, "mpReply", p.mpReply / scale, {reply_req},
-             {clients, servers}, {mp}, lambdaResource);
+             {clients, servers}, {mp}, nullptr, lambdaResource);
     return m;
 }
 

@@ -20,6 +20,9 @@
 #ifndef HSIPC_MODELS_LOCAL_MODEL_HH
 #define HSIPC_MODELS_LOCAL_MODEL_HH
 
+#include <string>
+#include <vector>
+
 #include "core/gtpn/net.hh"
 #include "core/models/processing_times.hh"
 
@@ -28,6 +31,31 @@ namespace hsipc::models
 
 /** Name of the round-trip throughput resource in all chapter-6 nets. */
 inline const char *lambdaResource = "Lambda";
+
+/** The two transitions of a geometric stage. */
+struct Stage
+{
+    gtpn::TransId exit;
+    gtpn::TransId loop;
+};
+
+/**
+ * Add a geometric stage to @p net: a pair of delay-1 transitions
+ * sharing the input places (Fig 6.7).  The "exit" member fires with
+ * probability 1/mean per unit and moves tokens from @p from to
+ * @p to; the "loop" member returns them.  Shared resource tokens
+ * (e.g. the host) listed in @p held are consumed and returned each
+ * unit, which yields the processor-sharing discipline the thesis
+ * adopts (§6.7.1).  When @p gateExpr (may be null) evaluates to zero
+ * both members freeze, modeling preemption of the executing
+ * processor.  The exit transition carries @p resource.
+ */
+Stage addStage(gtpn::PetriNet &net, const std::string &name, double mean,
+               const std::vector<gtpn::PlaceId> &from,
+               const std::vector<gtpn::PlaceId> &to,
+               const std::vector<gtpn::PlaceId> &held,
+               gtpn::Expr gateExpr = nullptr,
+               const std::string &resource = "");
 
 /** A built local-conversation model. */
 struct LocalModel

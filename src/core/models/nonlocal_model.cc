@@ -13,50 +13,6 @@ using namespace gtpn;
 namespace
 {
 
-/** A geometric stage with an optional frequency gate. */
-struct Stage
-{
-    TransId exit;
-    TransId loop;
-};
-
-/**
- * Add a geometric stage like local_model's, optionally gated: when
- * @p gateExpr (may be null) evaluates to zero both members freeze,
- * modeling preemption of the executing processor.
- */
-Stage
-addStage(PetriNet &net, const std::string &name, double mean,
-         const std::vector<PlaceId> &from, const std::vector<PlaceId> &to,
-         const std::vector<PlaceId> &held, Expr gateExpr = nullptr,
-         const std::string &resource = "")
-{
-    hsipc_assert(mean >= 1.0);
-    const double p = 1.0 / mean;
-    Expr exit_freq = gateExpr ? gate(gateExpr, p) : constant(p);
-    Expr loop_freq = gateExpr ? gate(gateExpr, 1.0 - p)
-                              : constant(1.0 - p);
-    Stage s;
-    s.exit = net.addTransition(name + ".exit", constant(1.0),
-                               std::move(exit_freq), resource);
-    s.loop = net.addTransition(name + ".loop", constant(1.0),
-                               std::move(loop_freq));
-    for (PlaceId pl : from) {
-        net.inputArc(pl, s.exit);
-        net.inputArc(pl, s.loop);
-        net.outputArc(s.loop, pl);
-    }
-    for (PlaceId pl : to)
-        net.outputArc(s.exit, pl);
-    for (PlaceId pl : held) {
-        net.inputArc(pl, s.exit);
-        net.inputArc(pl, s.loop);
-        net.outputArc(s.exit, pl);
-        net.outputArc(s.loop, pl);
-    }
-    return s;
-}
-
 /** Add an instantaneous routing transition with the given frequency. */
 TransId
 addRoute(PetriNet &net, const std::string &name, Expr freq,

@@ -31,6 +31,13 @@ enum class Arch { I = 1, II = 2, III = 3, IV = 4 };
 /** Human-readable architecture name. */
 std::string archName(Arch a);
 
+/**
+ * The 40-byte copy time on the M68000 (chapter 4), microseconds: the
+ * extra buffer copy of the §6.8 validation configuration, charged by
+ * both the GTPN models and the simulator.
+ */
+inline constexpr double extraCopyUs = 220.0;
+
 /** One processing step of a round-trip conversation. */
 struct Step
 {

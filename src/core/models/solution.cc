@@ -12,9 +12,6 @@ namespace hsipc::models
 namespace
 {
 
-/** The 40-byte copy time on the M68000 (chapter 4), microseconds. */
-constexpr double extraCopyUs = 220.0;
-
 /** Pick a time scale keeping >= @p resolution units in @p minMean. */
 double
 autoScale(double min_mean, double resolution = 20.0)
@@ -52,6 +49,12 @@ serverMinMean(const NonlocalServerParams &p, double cd, double x)
 
 } // namespace
 
+double
+localTimeScale(const LocalParams &p, double computeTime)
+{
+    return autoScale(localMinMean(p, computeTime));
+}
+
 LocalSolution
 solveLocalCustom(const LocalParams &params, int conversations,
                  double computeTime, int hostTokens,
@@ -59,7 +62,7 @@ solveLocalCustom(const LocalParams &params, int conversations,
 {
     const double scale = cfg.timeScale > 0.0
         ? cfg.timeScale
-        : autoScale(localMinMean(params, computeTime));
+        : localTimeScale(params, computeTime);
 
     const LocalModel m = buildLocalModel(params, conversations,
                                          computeTime, scale,

@@ -42,6 +42,13 @@ struct SolveConfig
     double tolerance = 1e-3;
 };
 
+/**
+ * The automatic time scale of the local model of @p p with compute
+ * time @p computeTime: microseconds per model time unit, keeping at
+ * least 20 units in the smallest stage mean.
+ */
+double localTimeScale(const LocalParams &p, double computeTime);
+
 /** Result of a local-conversation solve. */
 struct LocalSolution
 {

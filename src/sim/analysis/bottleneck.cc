@@ -1,12 +1,11 @@
 #include "sim/analysis/bottleneck.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/logging.hh"
 #include "core/gtpn/analyzer.hh"
 #include "core/models/local_model.hh"
+#include "core/models/solution.hh"
 
 namespace hsipc::sim::analysis
 {
@@ -77,16 +76,6 @@ traceBottleneck(const trace::Decomposition &d)
 namespace
 {
 
-/** Smallest stage mean of the local model (mirrors solution.cc). */
-double
-localMinMean(const models::LocalParams &p, double x)
-{
-    if (p.arch == models::Arch::I)
-        return std::min({p.uniSend, p.uniRecv, p.uniMatchReply + x});
-    return std::min({p.sendSyscall, p.recvSyscall, p.mpSend, p.mpRecv,
-                     p.mpMatch, p.hostReplyBase + x, p.mpReply});
-}
-
 /**
  * Time-averaged in-flight firings of one geometric stage — its
  * exit/loop pair are both delay-1, so occupancy is their summed
@@ -109,10 +98,8 @@ GtpnSaturation
 gtpnSaturation(models::Arch arch, int conversations, double computeUs)
 {
     const models::LocalParams p = models::localParams(arch);
-    // Same granularity choice as solveLocal: keep >= 20 model time
-    // units in the smallest stage mean.
-    const double scale =
-        std::max(1.0, std::floor(localMinMean(p, computeUs) / 20.0));
+    // Same granularity choice as solveLocal.
+    const double scale = models::localTimeScale(p, computeUs);
     const models::LocalModel m =
         models::buildLocalModel(p, conversations, computeUs, scale);
     const gtpn::AnalyzerResult r = gtpn::analyze(m.net);

@@ -9,6 +9,7 @@
 #include <limits>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "common/json.hh"
 #include "sim/check/knobs.hh"
@@ -90,15 +91,14 @@ render(std::string &out, const topo::Topology &t)
     renderRecord(out, t);
 }
 
-template <class R>
 void
-render(std::string &out, const std::vector<R> &records)
+render(std::string &out, const std::vector<CrashWindow> &windows)
 {
     out += '[';
-    for (std::size_t i = 0; i < records.size(); ++i) {
+    for (std::size_t i = 0; i < windows.size(); ++i) {
         if (i)
             out += ", ";
-        renderRecord(out, records[i]);
+        renderRecord(out, windows[i]);
     }
     out += ']';
 }
@@ -217,49 +217,30 @@ read(const JsonValue &f, const char *what, const std::string &key,
 }
 
 /**
- * A list of @p entry records: each an object with no unknown keys
- * and every key of @p required present (else fail with @p missing).
+ * A list of crash windows: each an object with no unknown keys and
+ * every one of its keys present.
  */
-template <class R>
-std::vector<R>
-readEntries(const JsonValue &f, const char *what, const std::string &key,
-            const char *entry,
-            std::initializer_list<const char *> required,
-            const char *missing)
-{
-    if (!f.isArray())
-        badField(what, key, "an array");
-    std::vector<R> out;
-    for (const JsonValue &e : f.asArray()) {
-        if (!e.isObject())
-            throw std::runtime_error(std::string(entry) +
-                                     " entries must be objects");
-        R rec;
-        readObject(e, rec, entry);
-        for (const char *k : required)
-            if (!e.has(k))
-                throw std::runtime_error(missing);
-        out.push_back(rec);
-    }
-    return out;
-}
-
 void
 read(const JsonValue &f, const char *what, const std::string &key,
      std::vector<CrashWindow> &out)
 {
-    out = readEntries<CrashWindow>(
-        f, what, key, "crash window", {"node", "startUs", "endUs"},
-        "crash window entries need 'node', 'startUs' and 'endUs'");
-}
-
-void
-read(const JsonValue &f, const char *what, const std::string &key,
-     std::vector<topo::TopoLink> &out)
-{
-    out = readEntries<topo::TopoLink>(
-        f, what, key, "topology link", {"a", "b"},
-        "topology link entries need both 'a' and 'b'");
+    if (!f.isArray())
+        badField(what, key, "an array");
+    std::vector<CrashWindow> windows;
+    for (const JsonValue &e : f.asArray()) {
+        if (!e.isObject())
+            throw std::runtime_error("crash window entries must be "
+                                     "objects");
+        CrashWindow w;
+        readObject(e, w, "crash window");
+        for (const char *k : {"node", "startUs", "endUs"})
+            if (!e.has(k))
+                throw std::runtime_error(
+                    "crash window entries need 'node', 'startUs' and "
+                    "'endUs'");
+        windows.push_back(w);
+    }
+    out = std::move(windows);
 }
 
 /**

@@ -19,20 +19,6 @@ baseExperiment()
 namespace
 {
 
-/**
- * Mix the generator seed with the stream index so neighbouring
- * indices produce statistically unrelated draws (a bare xoshiro
- * seeded with base+index would correlate the low bits).
- */
-std::uint64_t
-deriveSeed(std::uint64_t base, std::uint64_t index)
-{
-    std::uint64_t z = base + 0x9e3779b97f4a7c15ull * (index + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 /** Round to one decimal so repros read well; validity is unaffected. */
 double
 coarse(double v)
@@ -45,7 +31,10 @@ coarse(double v)
 Experiment
 ExperimentGenerator::generate(std::uint64_t index) const
 {
-    Rng rng(deriveSeed(baseSeed, index));
+    // Mix the generator seed with the stream index so neighbouring
+    // indices produce statistically unrelated draws (a bare xoshiro
+    // seeded with base+index would correlate the low bits).
+    Rng rng(parallel::deriveSeed(baseSeed, index));
     Experiment exp = baseExperiment();
 
     exp.arch = static_cast<models::Arch>(1 + rng.below(4));
@@ -76,18 +65,15 @@ ExperimentGenerator::generate(std::uint64_t index) const
         exp.mpSpeedFactor = coarse(rng.uniform(0.5, 4.0));
     if (rng.chance(0.2)) // small pools exercise buffer stalls
         exp.kernelBuffers = 1 + static_cast<int>(rng.below(8));
-    // The retired wire-delay and token-ring knobs keep their draws
-    // so every (seed, index) still names the same run; a two-node run
-    // that drew them gets the equivalent topology after the topology
-    // draw below.
+    // Two-node media: a fixed wire delay or the thesis' token ring.
+    // A two-node run that drew one gets the equivalent topology after
+    // the topology draw below.
     double wireUs = 0;
     if (rng.chance(0.5))
         wireUs = coarse(rng.uniform(0, 500));
     double ringMbps = 0; // 0 = no ring
     if (twoNodes && rng.chance(0.25))
         ringMbps = coarse(rng.uniform(1.0, 10.0));
-    if (rng.chance(0.5))
-        exp.packetBytes = 16 + static_cast<int>(rng.below(241));
     exp.warmupUs = coarse(rng.uniform(500, 4000));
     exp.measureUs = coarse(rng.uniform(10000, 80000));
     exp.seed = rng.next();
@@ -121,8 +107,6 @@ ExperimentGenerator::generate(std::uint64_t index) const
             exp.crashSchedule.push_back(w);
         }
     }
-    if (rng.chance(0.2))
-        exp.rtoMaxUs = coarse(rng.uniform(1000, 200000));
 
     // Robustness layer (ISSUE 6).  Every sampled value must remain
     // valid when any other robustness knob is independently reset to
@@ -131,12 +115,8 @@ ExperimentGenerator::generate(std::uint64_t index) const
     // defaults and each other.
     const bool mixed = exp.mixedLocal + exp.mixedRemote > 0;
     if (!mixed && rng.chance(0.35)) {
-        exp.arrivalMode = 1 + static_cast<int>(rng.below(2));
+        exp.arrivalMode = 1;
         exp.arrivalRatePerSec = coarse(rng.uniform(200, 20000));
-        if (exp.arrivalMode == 2) {
-            exp.paretoAlpha = coarse(rng.uniform(1.1, 2.5));
-            exp.paretoBound = coarse(rng.uniform(10, 5000));
-        }
     }
     if (rng.chance(0.35))
         exp.deadlineUs = coarse(rng.uniform(500, 30000));
@@ -166,14 +146,8 @@ ExperimentGenerator::generate(std::uint64_t index) const
     // stays unset — fuzz runs must not write artifacts.
     exp.engineProfile = rng.chance(0.25);
 
-    // Removed queueKind/expectedPendingEvents draws: keep the corpus.
-    (void)rng.chance(0.5);
-    if (rng.chance(0.2))
-        (void)rng.below(6);
-
-    // N-node topology, sampled *last* so every earlier draw keeps its
-    // historical value on existing corpus indices.  Mixed workloads
-    // stay on two nodes, and ring runs keep their one-segment ring.
+    // N-node topology.  Mixed workloads stay on two nodes, and a
+    // two-node ring run keeps its ring.
     if (!mixed && ringMbps == 0 && rng.chance(0.3)) {
         static const int kNodeCounts[] = {2, 2, 3,  3,  4,  4, 5,
                                           6, 8, 12, 16, 24, 32};
@@ -181,34 +155,11 @@ ExperimentGenerator::generate(std::uint64_t index) const
         exp.topo.kind = static_cast<int>(rng.below(3));
         if (rng.chance(0.5))
             exp.topo.linkLatencyUs = coarse(rng.uniform(0, 500));
-        if (rng.chance(0.35))
-            exp.topo.linkMbps = coarse(rng.uniform(1.0, 100.0));
-        if (exp.topo.kind != 0 && rng.chance(0.5))
+        if (exp.topo.kind == 1 && rng.chance(0.5))
             exp.topo.switchLatencyUs = coarse(rng.uniform(0, 200));
-        if (exp.topo.kind == 2) {
-            exp.topo.segments = 1 + static_cast<int>(rng.below(4));
+        if (exp.topo.kind == 2)
             exp.topo.segMbps = coarse(rng.uniform(1.0, 10.0));
-        }
-        exp.topo.placement = static_cast<int>(rng.below(4));
-        if (exp.topo.placement == 3)
-            exp.topo.zipfSkew = coarse(rng.uniform(0.5, 2.0));
-        // Mesh link overrides: a few directed pairs with their own
-        // latency/bandwidth (the mesh ignores them on other kinds,
-        // and they stay valid however the shrinker resets knobs).
-        if (exp.topo.kind == 0 && rng.chance(0.25)) {
-            const int overrides = 1 + static_cast<int>(rng.below(3));
-            for (int i = 0; i < overrides; ++i) {
-                topo::TopoLink l;
-                l.a = static_cast<int>(rng.below(exp.topo.nodes));
-                l.b = static_cast<int>(rng.below(exp.topo.nodes));
-                if (l.b == l.a)
-                    l.b = (l.a + 1) % exp.topo.nodes;
-                l.latencyUs = coarse(rng.uniform(0, 1000));
-                if (rng.chance(0.5))
-                    l.mbps = coarse(rng.uniform(1.0, 100.0));
-                exp.topo.links.push_back(l);
-            }
-        }
+        exp.topo.placement = static_cast<int>(rng.below(3));
     } else if (twoNodes && ringMbps > 0) {
         exp.topo.nodes = 2;
         exp.topo.kind = 2;

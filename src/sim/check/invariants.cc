@@ -162,8 +162,7 @@ checkMeasurement(Checker &c)
 
     // One node is all local; the classic and round-robin placements
     // never co-locate a pair.  The mixed workload interleaves both
-    // kinds, locality pins client and server together, and hot-spot
-    // can land the server on the client's own node.
+    // kinds, and locality pins client and server together.
     const bool mixed = exp.mixedLocal + exp.mixedRemote > 0;
     if (topology.nodes == 1)
         c.expectTrue(out.remoteThroughputPerSec == 0, "workload.split",
@@ -848,8 +847,6 @@ checkTopo(Checker &c)
 
     // Element counts are a pure function of the topology shape.
     const std::size_t n = static_cast<std::size_t>(exp.topo.nodes);
-    const std::size_t segs =
-        static_cast<std::size_t>(exp.topo.effectiveSegments());
     std::size_t wantLinks = 0;
     std::size_t wantRouters = 0;
     switch (exp.topo.kind) {
@@ -860,9 +857,8 @@ checkTopo(Checker &c)
         wantLinks = 2 * n;
         wantRouters = 1;
         break;
-    default: // ring segments, bridged by routers when more than one
-        wantLinks = segs + (segs > 1 ? segs * (segs - 1) : 0);
-        wantRouters = segs > 1 ? segs : 0;
+    default: // one ring, booked as one link
+        wantLinks = 1;
         break;
     }
     c.expectEq(static_cast<long>(t.links.size()), "ledger links",
@@ -1027,11 +1023,15 @@ checkedRun(const Experiment &exp, const OracleOptions &opts)
     res.outcome = runExperiment(exp);
     res.violations = checkOutcome(exp, res.outcome);
 
-    // The fabric ledger lives outside outcomeJson; replica
-    // comparisons pin the composite so per-link and per-router
-    // counters must replicate bit-exactly too.
-    const auto fullJson = [](const Outcome &o) {
-        return outcomeJson(o) + topoJson(o);
+    // The timeline, its steady-state stats and the fabric ledger
+    // live outside outcomeJson; replica comparisons pin the composite
+    // so windowed series and per-link counters must replicate
+    // bit-exactly too.
+    const auto measuredJson = [](const Outcome &o) {
+        return outcomeJson(o) + o.timeline.toJson() + o.stats.toJson();
+    };
+    const auto fullJson = [&measuredJson](const Outcome &o) {
+        return measuredJson(o) + topoJson(o);
     };
     const std::string baseJson = fullJson(res.outcome);
 
@@ -1060,7 +1060,7 @@ checkedRun(const Experiment &exp, const OracleOptions &opts)
         Experiment spelled = exp;
         spelled.topo = effectiveTopology(exp);
         const Outcome o = runExperiment(spelled);
-        if (outcomeJson(o) != outcomeJson(res.outcome))
+        if (measuredJson(o) != measuredJson(res.outcome))
             res.violations.push_back(
                 {"topo.resolverIdentity",
                  "outcomeJson differs between the default fabric and "

@@ -72,8 +72,7 @@
  *   - topo.enabled: with one, the ledger is filled and its element
  *     counts are a pure function of the shape (mesh: N(N-1)
  *     directed links, no routers; star: 2N links and one switch;
- *     S ring segments: S ring links, plus S routers and S(S-1)
- *     backbone links when S > 1)
+ *     ring: one link, no routers)
  *   - topo.conservation: *exact* flow conservation on every link
  *     (msgsIn = msgsOut + dropped + inFlightAtEnd) and every router
  *     (received = forwarded + dropped + inFlightAtEnd); bytes never

@@ -3,7 +3,7 @@
  * The Experiment knob table: every configurable field, by JSON name.
  *
  * knobs<R> lists the fields of record R (Experiment, topo::Topology,
- * topo::TopoLink, CrashWindow) as {name, member pointer} rows in the
+ * CrashWindow) as {name, member pointer} rows in the
  * order a repro document renders them.  The repro writer, the parser
  * and the shrinker all walk these rows, so a knob added to Experiment
  * needs exactly one row here to round-trip through JSON, to be named
@@ -29,8 +29,7 @@ using Field = std::variant<bool R::*, int R::*, double R::*,
                            std::string R::*, models::Arch R::*,
                            std::uint64_t R::*,
                            std::vector<CrashWindow> R::*,
-                           topo::Topology R::*,
-                           std::vector<topo::TopoLink> R::*>;
+                           topo::Topology R::*>;
 
 /** One row: the field's JSON key and where it lives. */
 template <class R>
@@ -56,7 +55,6 @@ inline constexpr Knob<Experiment> knobs<Experiment>[] = {
     {"extraCopy", &Experiment::extraCopy},
     {"mpSpeedFactor", &Experiment::mpSpeedFactor},
     {"kernelBuffers", &Experiment::kernelBuffers},
-    {"packetBytes", &Experiment::packetBytes},
     {"warmupUs", &Experiment::warmupUs},
     {"measureUs", &Experiment::measureUs},
     {"seed", &Experiment::seed},
@@ -74,15 +72,12 @@ inline constexpr Knob<Experiment> knobs<Experiment>[] = {
     {"decomposeLatency", &Experiment::decomposeLatency},
     {"arrivalMode", &Experiment::arrivalMode},
     {"arrivalRatePerSec", &Experiment::arrivalRatePerSec},
-    {"paretoAlpha", &Experiment::paretoAlpha},
-    {"paretoBound", &Experiment::paretoBound},
     {"deadlineUs", &Experiment::deadlineUs},
     {"retryBudget", &Experiment::retryBudget},
     {"retryBackoffUs", &Experiment::retryBackoffUs},
     {"retryBackoffMaxUs", &Experiment::retryBackoffMaxUs},
     {"svcQueueCap", &Experiment::svcQueueCap},
     {"shedPolicy", &Experiment::shedPolicy},
-    {"rtoMaxUs", &Experiment::rtoMaxUs},
     {"timelineIntervalUs", &Experiment::timelineIntervalUs},
     {"traceSampleRate", &Experiment::traceSampleRate},
     {"engineProfile", &Experiment::engineProfile},
@@ -96,21 +91,9 @@ inline constexpr Knob<topo::Topology> knobs<topo::Topology>[] = {
     {"nodes", &topo::Topology::nodes},
     {"kind", &topo::Topology::kind},
     {"linkLatencyUs", &topo::Topology::linkLatencyUs},
-    {"linkMbps", &topo::Topology::linkMbps},
     {"switchLatencyUs", &topo::Topology::switchLatencyUs},
-    {"segments", &topo::Topology::segments},
     {"segMbps", &topo::Topology::segMbps},
     {"placement", &topo::Topology::placement},
-    {"zipfSkew", &topo::Topology::zipfSkew},
-    {"links", &topo::Topology::links},
-};
-
-template <>
-inline constexpr Knob<topo::TopoLink> knobs<topo::TopoLink>[] = {
-    {"a", &topo::TopoLink::a},
-    {"b", &topo::TopoLink::b},
-    {"latencyUs", &topo::TopoLink::latencyUs},
-    {"mbps", &topo::TopoLink::mbps},
 };
 
 template <>

@@ -140,8 +140,7 @@ knobDiff(const Experiment &exp)
     const Experiment base = baseExperiment();
     std::vector<std::string> diff;
     diffKinds<models::Arch, bool, int, double>(exp, base, "", diff);
-    diffKinds<int, double, std::vector<topo::TopoLink>>(
-        exp.topo, base.topo, "topo.", diff);
+    diffKinds<int, double>(exp.topo, base.topo, "topo.", diff);
     diffKinds<std::uint64_t, std::vector<CrashWindow>, std::string>(
         exp, base, "", diff);
     return diff;
@@ -166,12 +165,11 @@ shrinkExperiment(const Experiment &failing,
         s.progress = false;
 
         // Crash windows, then the whole topology layer (the reset
-        // that removes the most machinery), its link overrides and
-        // its shape.  A 1-node topology is invalid, so `nodes` resets
-        // to 0 (no topology) or else bisects down to a 2-node floor.
+        // that removes the most machinery) and its shape.  A 1-node
+        // topology is invalid, so `nodes` resets to 0 (no topology)
+        // or else bisects down to a 2-node floor.
         s.shrinkField(whole, &Experiment::crashSchedule);
         s.shrinkField(whole, &Experiment::topo);
-        s.shrinkField(topoOf, &topo::Topology::links);
         forEachKnob<int, topo::Topology>(
             [&s](const char *, int topo::Topology::*m) {
                 s.shrinkField(topoOf, m,

@@ -37,9 +37,6 @@ using models::Arch;
 namespace
 {
 
-/** The 40-byte copy added by the validation configuration (§6.8). */
-constexpr double extraCopyUs = 220.0;
-
 // Robustness-layer kernel costs: microseconds of communication-
 // processor time per event, each touching a few kernel-buffer words.
 // They are deliberately small next to the §6.3 path costs —
@@ -140,8 +137,7 @@ class Sim
 {
   public:
     Sim(const Experiment &exp, trace::Tracer *extTracer,
-        metrics::Registry *extMetrics,
-        obs::EngineProfiler *extEngProf)
+        metrics::Registry *extMetrics)
         : exp(exp), rng(exp.seed),
           // The injector draws from its own stream so that enabling
           // faults never perturbs the workload's random sequence.
@@ -165,18 +161,12 @@ class Sim
                 &metrics->histogram("svc.waitingServersDepth");
         }
 
-        // The engine self-profiler: an external sink wins (the
-        // caller's per-run isolation hook); otherwise the experiment
-        // knob brings an owned one to life.  Attached before any
-        // component exists so origin interning — which allocates —
-        // all happens here, never on the event path.
-        if (extEngProf)
-            sinks.prof = extEngProf;
-        else if (exp.engineProfile)
-            sinks.prof = (ownEngProf =
-                              std::make_unique<obs::EngineProfiler>())
-                             .get();
-        if (sinks.prof) {
+        // The engine self-profiler, on when the experiment asks.
+        // Attached before any component exists so origin interning —
+        // which allocates — all happens here, never on the event path.
+        if (exp.engineProfile) {
+            engProf = std::make_unique<obs::EngineProfiler>();
+            sinks.prof = engProf.get();
             sinks.prof->beginRun();
             eq.attachProfiler(sinks.prof);
         }
@@ -239,8 +229,6 @@ class Sim
             ReliableChannel::Config rc;
             rc.windowSize = exp.retransmitWindow;
             rc.rtoUs = exp.retransmitTimeoutUs;
-            rc.rtoMaxUs = std::max(exp.rtoMaxUs, rc.rtoUs);
-            rc.dataBytes = exp.packetBytes;
             protoAccesses = rc.busAccesses;
 
             ReliableChannel::Hooks h;
@@ -676,10 +664,10 @@ class Sim
     adjust(IpcCosts &c)
     {
         if (exp.extraCopy) {
-            c.processSend.procUs += extraCopyUs;
-            c.match.procUs += extraCopyUs;
-            c.processReply.procUs += extraCopyUs;
-            c.cleanupClient.procUs += extraCopyUs;
+            c.processSend.procUs += models::extraCopyUs;
+            c.match.procUs += models::extraCopyUs;
+            c.processReply.procUs += models::extraCopyUs;
+            c.cleanupClient.procUs += models::extraCopyUs;
         }
         if (c.coproc && exp.mpSpeedFactor != 1.0) {
             hsipc_assert(exp.mpSpeedFactor > 0.0);
@@ -694,7 +682,7 @@ class Sim
      * Lay out conversation @p index.  The mixed workload interleaves
      * its same-node pairs, then its cross-node pairs, over both nodes
      * (§6.6.3); every other run asks the placement policy, a pure
-     * function of (topology, index, seed).
+     * function of (topology, index).
      */
     void
     addConversation(int index)
@@ -707,7 +695,7 @@ class Sim
             cv.serverNode = local ? j % 2 : 1 - j % 2;
         } else {
             std::tie(cv.clientNode, cv.serverNode) =
-                topo::placeConversation(topology, index, exp.seed);
+                topo::placeConversation(topology, index);
         }
         cv.host = index % exp.hostsPerNode;
         convs.push_back(cv);
@@ -994,21 +982,7 @@ class Sim
     std::string
     timelineJson(const Outcome &out) const
     {
-        std::string extra =
-            "\"stats\": {\"enabled\": " +
-            std::string(out.stats.enabled ? "true" : "false") +
-            ", \"insufficientData\": " +
-            (out.stats.insufficientData ? "true" : "false") +
-            ", \"transientPolluted\": " +
-            (out.stats.transientPolluted ? "true" : "false") +
-            ", \"truncationUs\": " + jsonNumber(out.stats.truncationUs) +
-            ", \"batches\": " + std::to_string(out.stats.batches) +
-            ", \"throughputPerSec\": " +
-            jsonNumber(out.stats.throughputPerSec) +
-            ", \"throughputCi95PerSec\": " +
-            jsonNumber(out.stats.throughputCi95PerSec) +
-            ", \"meanRtUs\": " + jsonNumber(out.stats.meanRtUs) +
-            ", \"rtCi95Us\": " + jsonNumber(out.stats.rtCi95Us) + "}";
+        std::string extra = "\"stats\": " + out.stats.toJson();
         if (exp.decomposeLatency) {
             const trace::Decomposition &d = out.decomposition;
             extra += ",\n  \"decomposition\": {\"messages\": " +
@@ -1093,7 +1067,7 @@ class Sim
         if (!chans.empty())
             chans[chanIndex(from, to)]->send(std::move(arrive), msg);
         else
-            net->send(from, to, exp.packetBytes, std::move(arrive));
+            net->send(from, to, packetBytes, std::move(arrive));
     }
 
     // --- Client side -----------------------------------------------
@@ -1406,30 +1380,16 @@ class Sim
 
     // --- Open arrivals ---------------------------------------------
 
-    /** Draw the next interarrival gap and schedule the arrival. */
+    /**
+     * Draw the next interarrival gap of the Poisson process (an
+     * exponential gap) and schedule the arrival.
+     */
     void
     scheduleNextArrival()
     {
         const double mean_us = 1e6 / exp.arrivalRatePerSec;
-        double dt_us;
-        if (exp.arrivalMode == 1) {
-            // Poisson process: exponential interarrival gaps.
-            dt_us = -std::log(1.0 - robustRng.uniform()) * mean_us;
-        } else {
-            // Bounded Pareto on [1, paretoBound], inverse-CDF
-            // sampled, then normalized so the gap mean is mean_us —
-            // the same offered load as Poisson, far burstier.
-            const double a = exp.paretoAlpha;
-            const double hb = std::pow(exp.paretoBound, -a);
-            const double x =
-                std::pow(1.0 - robustRng.uniform() * (1.0 - hb),
-                         -1.0 / a);
-            const double norm =
-                a / (a - 1.0) *
-                (1.0 - std::pow(exp.paretoBound, 1.0 - a)) /
-                (1.0 - hb);
-            dt_us = x / norm * mean_us;
-        }
+        const double dt_us =
+            -std::log(1.0 - robustRng.uniform()) * mean_us;
         const Tick gap = std::max<Tick>(1, usToTicks(dt_us));
         eq.scheduleAfter(gap, [this]() { onArrival(); });
     }
@@ -1988,9 +1948,8 @@ class Sim
     Tick tlPrevBoundary = 0; //!< when that snapshot was taken
     int tlTrack = -1; //!< Perfetto counter track for the timeline
 
-    //! The engine self-profiler when the run owns it: set by
-    //! exp.engineProfile unless the caller passed one.
-    std::unique_ptr<obs::EngineProfiler> ownEngProf;
+    //! The engine self-profiler; set by exp.engineProfile.
+    std::unique_ptr<obs::EngineProfiler> engProf;
 
     const topo::Topology topology; //!< effectiveTopology(exp)
     const int nn;                  //!< node count (topology.nodes)
@@ -2017,8 +1976,7 @@ class Sim
 
 Outcome
 runExperiment(const Experiment &exp, trace::Tracer *tracer,
-              metrics::Registry *metrics,
-              obs::EngineProfiler *engineProf)
+              metrics::Registry *metrics)
 {
     // Test-only interception point (off in production; see
     // sim/check/test_hooks.hh).
@@ -2040,15 +1998,12 @@ runExperiment(const Experiment &exp, trace::Tracer *tracer,
     };
     requireFinite(exp);
     requireFinite(exp.topo);
-    for (const topo::TopoLink &l : exp.topo.links)
-        requireFinite(l);
     for (const CrashWindow &w : exp.crashSchedule)
         requireFinite(w);
     hsipc_assert(exp.conversations >= 1 || exp.mixedLocal > 0 ||
                  exp.mixedRemote > 0);
     hsipc_assert(exp.mixedLocal >= 0 && exp.mixedRemote >= 0);
     hsipc_assert(exp.hostsPerNode >= 1);
-    hsipc_assert(exp.packetBytes > 0 && "packetBytes must be positive");
     hsipc_assert(exp.computeUs >= 0 && "computeUs cannot be negative");
     hsipc_assert(exp.kernelBuffers >= 1 &&
                  "need at least one kernel buffer per node");
@@ -2077,21 +2032,14 @@ runExperiment(const Experiment &exp, trace::Tracer *tracer,
         hsipc_assert(w.startUs >= 0 && w.endUs > w.startUs &&
                      "crash window must be well-formed");
     }
-    hsipc_assert(exp.arrivalMode >= 0 && exp.arrivalMode <= 2 &&
-                 "arrivalMode is 0 (closed), 1 (Poisson), or 2 "
-                 "(bounded Pareto)");
+    hsipc_assert(exp.arrivalMode >= 0 && exp.arrivalMode <= 1 &&
+                 "arrivalMode is 0 (closed) or 1 (Poisson)");
     if (exp.arrivalMode != 0) {
         hsipc_assert(exp.arrivalRatePerSec > 0 &&
                      "open arrivals need a positive rate");
         hsipc_assert(exp.mixedLocal == 0 && exp.mixedRemote == 0 &&
                      "open arrivals are incompatible with the mixed "
                      "workload");
-    }
-    if (exp.arrivalMode == 2) {
-        hsipc_assert(exp.paretoAlpha > 0 && exp.paretoAlpha != 1.0 &&
-                     "bounded Pareto needs alpha > 0, alpha != 1");
-        hsipc_assert(exp.paretoBound > 1 &&
-                     "bounded Pareto needs an upper bound > 1");
     }
     hsipc_assert(exp.deadlineUs >= 0 &&
                  "deadlineUs cannot be negative");
@@ -2106,7 +2054,6 @@ runExperiment(const Experiment &exp, trace::Tracer *tracer,
     hsipc_assert(exp.shedPolicy >= 0 && exp.shedPolicy <= 2 &&
                  "shedPolicy is 0 (reject-new), 1 (drop-oldest), or "
                  "2 (deadline-aware)");
-    hsipc_assert(exp.rtoMaxUs > 0 && "rtoMaxUs must be positive");
     hsipc_assert(exp.timelineIntervalUs >= 0 &&
                  "timelineIntervalUs cannot be negative");
     if (exp.timelineIntervalUs > 0)
@@ -2123,32 +2070,23 @@ runExperiment(const Experiment &exp, trace::Tracer *tracer,
     if (exp.topo.enabled()) {
         hsipc_assert(exp.topo.kind >= 0 && exp.topo.kind <= 2 &&
                      "topology kind is 0 (mesh), 1 (switch), or 2 "
-                     "(ring segments)");
+                     "(ring)");
         hsipc_assert(exp.topo.placement >= 0 &&
-                     exp.topo.placement <= 3 &&
-                     "placement is 0 (classic), 1 (round-robin), 2 "
-                     "(locality), or 3 (hot-spot)");
+                     exp.topo.placement <= 2 &&
+                     "placement is 0 (classic), 1 (round-robin), or 2 "
+                     "(locality)");
         hsipc_assert(exp.topo.linkLatencyUs >= 0 &&
                      exp.topo.switchLatencyUs >= 0 &&
-                     exp.topo.linkMbps >= 0 &&
                      "link parameters cannot be negative");
-        hsipc_assert(exp.topo.segments >= 1 &&
-                     "topology needs at least one ring segment");
         hsipc_assert(exp.topo.segMbps > 0 &&
-                     "segment ring rate must be positive");
-        hsipc_assert(exp.topo.zipfSkew > 0 &&
-                     "hot-spot skew must be positive");
-        for (const topo::TopoLink &l : exp.topo.links)
-            hsipc_assert(l.a >= 0 && l.b >= 0 && l.a != l.b &&
-                         l.latencyUs >= 0 && l.mbps >= 0 &&
-                         "link override must be well-formed");
+                     "ring rate must be positive");
         hsipc_assert((exp.mixedLocal + exp.mixedRemote == 0 ||
                       (exp.topo.nodes == 2 &&
                        exp.topo.placement == 0)) &&
                      "the mixed workload lays out its own "
                      "conversations over a two-node topology");
     }
-    Sim sim(exp, tracer, metrics, engineProf);
+    Sim sim(exp, tracer, metrics);
     return sim.run();
 }
 

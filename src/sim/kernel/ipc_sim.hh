@@ -68,7 +68,6 @@ struct Experiment
     bool extraCopy = false;   //!< §6.8 validation configuration
     double mpSpeedFactor = 1; //!< MP speed relative to the host
     int kernelBuffers = 64;   //!< finite buffer pool per node
-    int packetBytes = 48;     //!< message + header on the wire
     double warmupUs = 100000;
     double measureUs = 1500000;
     std::uint64_t seed = 1;
@@ -152,17 +151,14 @@ struct Experiment
      * perturbed.  See DESIGN.md "Robustness".
      */
     //! 0 = closed loop (the thesis' workload), 1 = Poisson open
-    //! arrivals, 2 = bounded-Pareto open arrivals.  Open modes are
-    //! incompatible with the mixed workload.
+    //! arrivals, incompatible with the mixed workload.
     int arrivalMode = 0;
-    //! Offered request rate, used only by the open arrival modes.
+    //! Offered request rate, used only by open arrivals.
     //! The default is positive (not 0) so every robustness knob can
     //! be reset to its default independently of the others and still
     //! name a runnable configuration — the greedy shrinker relies on
     //! that.
     double arrivalRatePerSec = 1000;
-    double paretoAlpha = 1.5;     //!< bounded-Pareto shape (> 0, != 1)
-    double paretoBound = 1000;    //!< bounded-Pareto H/L truncation ratio
     //! Request deadline measured from arrival; 0 = none.  An expired
     //! request terminates at its deadline; a reply arriving later is
     //! an orphan and is discarded (at-most-once semantics).
@@ -178,11 +174,6 @@ struct Experiment
     //! additionally sheds already-expired entries at dequeue time.
     int svcQueueCap = 0;
     int shedPolicy = 0;
-    //! Reliable-channel retransmission backoff ceiling (satellite of
-    //! the robustness layer; previously hard-coded in
-    //! sim/net/reliable.hh).  Effective ceiling is
-    //! max(rtoMaxUs, retransmitTimeoutUs).
-    double rtoMaxUs = 80000;
 
     /**
      * Engine self-profiling (see common/obs/engine_prof.hh and
@@ -267,8 +258,8 @@ struct Outcome
      */
     std::map<std::string, double> resourceUtilization;
     long bufferStalls = 0;      //!< sends delayed by buffer exhaustion
-    double ringUtil = 0;        //!< busiest ring segment (kind 2)
-    double ringTokenWaitUs = 0; //!< mean token wait, all segments
+    double ringUtil = 0;        //!< ring utilization (kind 2)
+    double ringTokenWaitUs = 0; //!< mean token wait (kind 2)
 
     /**
      * Measured processing time per kernel activity, microseconds per
@@ -391,7 +382,9 @@ struct Outcome
      * Windowed series over the run, filled only when
      * Experiment::timelineIntervalUs is positive.  Every counter
      * series integrates exactly to its whole-run ledger counterpart
-     * (the fuzz oracle's timeline.* invariants).
+     * (the fuzz oracle's timeline.* invariants).  Rendered, with
+     * `stats` below, by the run report's "timeline" section, not by
+     * outcomeJson().
      */
     obs::Timeline timeline;
 
@@ -405,8 +398,7 @@ struct Outcome
 
     /**
      * The engine's self-profile, filled only when
-     * Experiment::engineProfile is set (or an external profiler sink
-     * was supplied).  Wall-clock values inside are nondeterministic
+     * Experiment::engineProfile is set.  Wall-clock values inside are nondeterministic
      * by nature, so this field is deliberately excluded from
      * outcomeJson(); its deterministicJson() subset is what the fuzz
      * oracle compares across replicas.
@@ -428,17 +420,12 @@ struct Outcome
  * @p tracer (enable it first) receives the event timeline for
  * in-process inspection — busyByTrack()/busyByName() turn it into
  * utilization and activity breakdowns.  @p metrics receives the
- * histograms and sketches (and des.eventsRun).  A non-null
- * @p engineProf profiles the run whether or not exp.engineProfile is
- * set, and can be inspected afterwards — the per-run isolation hook
- * SweepRunner::runWithSinks uses; Outcome::engineProfile receives a
- * copy either way.  `traceFile`/`reportFile` still write files when
- * set.
+ * histograms and sketches (and des.eventsRun).  `traceFile`/
+ * `reportFile` still write files when set.
  */
 Outcome runExperiment(const Experiment &exp,
                       trace::Tracer *tracer = nullptr,
-                      metrics::Registry *metrics = nullptr,
-                      obs::EngineProfiler *engineProf = nullptr);
+                      metrics::Registry *metrics = nullptr);
 
 } // namespace hsipc::sim
 

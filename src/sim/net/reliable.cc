@@ -41,10 +41,11 @@ ReliableChannel::pump()
 Tick
 ReliableChannel::rto(int retries) const
 {
+    const double ceiling = std::max(rtoMaxUs, cfg.rtoUs);
     double us = cfg.rtoUs;
-    for (int i = 0; i < retries && us < cfg.rtoMaxUs; ++i)
+    for (int i = 0; i < retries && us < ceiling; ++i)
         us *= 2;
-    return usToTicks(std::min(us, cfg.rtoMaxUs));
+    return usToTicks(std::min(us, ceiling));
 }
 
 void
@@ -80,7 +81,7 @@ ReliableChannel::transmit(long seq, bool retransmit)
                 for (const FaultInjector::Copy &c : faults.judge()) {
                     auto go = [this, seq, corrupted = c.corrupted]() {
                         hooks.mediumToDst(
-                            cfg.dataBytes, [this, seq, corrupted]() {
+                            packetBytes, [this, seq, corrupted]() {
                                 arriveData(seq, corrupted);
                             });
                     };

@@ -40,18 +40,27 @@
 namespace hsipc::sim
 {
 
+/**
+ * A message plus its header on the wire, in bytes: every data packet,
+ * whether a reliable channel sends it or the kernel puts it on an
+ * ideal medium directly.
+ */
+inline constexpr int packetBytes = 48;
+
 /** Reliable, exactly-once delivery of independent messages one way. */
 class ReliableChannel
 {
   public:
+    //! Retransmission backoff ceiling; an initial timeout above it is
+    //! its own ceiling.
+    static constexpr double rtoMaxUs = 80000;
+
     struct Config
     {
         int srcNode = 0;
         int dstNode = 1;
         int windowSize = 8;    //!< max unacked packets in flight
         double rtoUs = 5000;   //!< initial retransmission timeout
-        double rtoMaxUs = 80000; //!< backoff ceiling
-        int dataBytes = 48;    //!< payload packet size on the wire
         int ackBytes = 16;     //!< acknowledgement packet size
 
         // Protocol processing costs, in host-speed microseconds on

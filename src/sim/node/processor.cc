@@ -40,7 +40,6 @@ Processor::charge(Tick at, Tick t, bool accessWait)
 void
 Processor::submit(Activity act)
 {
-    ++perActivityCount[act.name];
     Running r;
     r.cpuLeft = act.processing;
     r.memLeft = act.bus ? act.memAccesses : 0;

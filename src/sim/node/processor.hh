@@ -101,13 +101,6 @@ class Processor
         return perActivity;
     }
 
-    /** Number of activities submitted per name. */
-    const std::map<std::string, long> &
-    activityCounts() const
-    {
-        return perActivityCount;
-    }
-
     const std::string &processorName() const { return name; }
     bool idle() const { return !running && queue.empty(); }
 
@@ -167,7 +160,6 @@ class Processor
     Tick busyTicks = 0;
     Tick chargedUntil = 0; //!< end of the latest booked charge
     std::map<std::string, Tick> perActivity;
-    std::map<std::string, long> perActivityCount;
 };
 
 } // namespace hsipc::sim

@@ -46,15 +46,12 @@ std::vector<Outcome>
 SweepRunner::runWithSinks(
     std::vector<Experiment> exps,
     const std::vector<trace::Tracer *> *tracers,
-    const std::vector<metrics::Registry *> *metrics,
-    const std::vector<obs::EngineProfiler *> *profilers) const
+    const std::vector<metrics::Registry *> *metrics) const
 {
     if (tracers)
         hsipc_assert(tracers->size() == exps.size());
     if (metrics)
         hsipc_assert(metrics->size() == exps.size());
-    if (profilers)
-        hsipc_assert(profilers->size() == exps.size());
 
     if (opts.seedBase != 0) {
         for (std::size_t i = 0; i < exps.size(); ++i)
@@ -66,9 +63,7 @@ SweepRunner::runWithSinks(
     parallel::parallelFor(opts.jobs, exps.size(), [&](std::size_t i) {
         trace::Tracer *tracer = tracers ? (*tracers)[i] : nullptr;
         metrics::Registry *reg = metrics ? (*metrics)[i] : nullptr;
-        obs::EngineProfiler *prof =
-            profilers ? (*profilers)[i] : nullptr;
-        outcomes[i] = runExperiment(exps[i], tracer, reg, prof);
+        outcomes[i] = runExperiment(exps[i], tracer, reg);
     });
     return outcomes;
 }
@@ -194,31 +189,6 @@ outcomeJson(const Outcome &out)
            ",\n  \"bottleneck\": " + jsonString(d.bottleneck) +
            ",\n  \"bottleneckShare\": " +
            jsonNumber(d.bottleneckShare) + "}";
-    // Time-resolved sections appear only when the run recorded a
-    // timeline, so every pre-timeline document stays byte-identical.
-    if (out.timeline.enabled()) {
-        const obs::SteadyStats &st = out.stats;
-        doc += ",\n \"stats\": {\"enabled\": " +
-               std::string(st.enabled ? "true" : "false") +
-               ", \"insufficientData\": " +
-               (st.insufficientData ? "true" : "false") +
-               ", \"transientPolluted\": " +
-               (st.transientPolluted ? "true" : "false") +
-               ", \"truncationUs\": " + jsonNumber(st.truncationUs) +
-               ", \"batches\": " +
-               jsonNumber(static_cast<double>(st.batches)) +
-               ", \"throughputPerSec\": " +
-               jsonNumber(st.throughputPerSec) +
-               ", \"throughputCi95PerSec\": " +
-               jsonNumber(st.throughputCi95PerSec) +
-               ", \"meanRtUs\": " + jsonNumber(st.meanRtUs) +
-               ", \"rtCi95Us\": " + jsonNumber(st.rtCi95Us) + "}";
-        doc += ",\n \"timeline\": ";
-        std::string tj = out.timeline.toJson();
-        if (!tj.empty() && tj.back() == '\n')
-            tj.pop_back();
-        doc += tj;
-    }
     doc += "\n}\n";
     return doc;
 }

@@ -63,22 +63,16 @@ class SweepRunner
 
     /**
      * As run(), but give run i the caller-supplied sinks
-     * (*tracers)[i] / (*metrics)[i] / (*profilers)[i] — per-run
-     * isolation the caller can inspect afterwards, never shared, so
-     * parallel sweeps record without cross-run interference.  Any
-     * vector pointer may be null; non-null vectors must match exps in
-     * length (entries may be null to skip a run).  A non-null
-     * profiler is attached whether or not the Experiment sets
-     * engineProfile; null entries fall back to the knob.  The per-run
-     * profiles land in each Outcome and merge associatively via
-     * obs::EngineProfile::merge().
+     * (*tracers)[i] / (*metrics)[i] — per-run isolation the caller
+     * can inspect afterwards, never shared, so parallel sweeps record
+     * without cross-run interference.  Either vector pointer may be
+     * null; non-null vectors must match exps in length (entries may
+     * be null to skip a run).
      */
     std::vector<Outcome> runWithSinks(
         std::vector<Experiment> exps,
         const std::vector<trace::Tracer *> *tracers,
-        const std::vector<metrics::Registry *> *metrics,
-        const std::vector<obs::EngineProfiler *> *profilers =
-            nullptr) const;
+        const std::vector<metrics::Registry *> *metrics) const;
 
     const SweepOptions &options() const { return opts; }
 
@@ -90,9 +84,13 @@ class SweepRunner
 std::vector<Outcome> runSweep(std::vector<Experiment> exps, int jobs);
 
 /**
- * Deterministic JSON rendering of every Outcome field (maps are
- * ordered, doubles use the shared %.12g form) — the byte-comparable
- * artifact the serial-vs-parallel determinism tests and tools pin.
+ * Deterministic JSON rendering of the Outcome's measurements (maps
+ * are ordered, doubles use the shared %.12g form) — the
+ * byte-comparable artifact the serial-vs-parallel determinism tests
+ * and tools pin.  The timeline and its steady-state stats are
+ * rendered by the run report's "timeline" section instead, the
+ * engine profile by EngineProfile::toJson() and the fabric ledger by
+ * topoJson().
  */
 std::string outcomeJson(const Outcome &out);
 

@@ -7,26 +7,21 @@
  * Three fabrics (Topology::kind):
  *
  *  - **mesh** (0): a dedicated directed link per ordered node pair,
- *    each with its own propagation latency and optional serialization
- *    rate (overridable per pair).  One scheduled event per packet;
- *    the two-node mesh is the default medium of every remote and
- *    mixed run (see effectiveTopology in sim/kernel/ipc_sim.hh).
+ *    each with the topology's propagation latency.  One scheduled
+ *    event per packet; the two-node mesh is the default medium of
+ *    every remote and mixed run (see effectiveTopology in
+ *    sim/kernel/ipc_sim.hh).
  *
  *  - **star** (1): every node hangs off one store-and-forward switch.
- *    Ingress link (latency + serialization), a single-server FIFO
- *    switch (per-packet processing + serialization onto the output
- *    port), egress link (latency).  The switch queue is where
+ *    Ingress link (latency), a single-server FIFO switch (per-packet
+ *    processing), egress link (latency).  The switch queue is where
  *    fan-in traffic — several clients aimed at one hot server —
  *    actually contends.
  *
- *  - **ring segments** (2): contiguous token-ring segments (the
- *    thesis' 4 Mb/s ring, one TokenRing instance per segment, whose
- *    utilization and token wait ringStats() reports); with
- *    more than one segment each ring gains a router station, and the
- *    routers bridge segments over a full mesh of point-to-point
- *    backbone links.  A cross-segment packet takes source ring →
- *    source router → backbone → destination router → destination
- *    ring.
+ *  - **ring** (2): one token ring (the thesis' 4 Mb/s ring, a
+ *    TokenRing whose utilization and token wait ringStats()
+ *    reports) with one station per node, the station number being
+ *    the node id.
  *
  * Accounting discipline: every hand-off increments the receiving
  * element's ledger *before* any event is scheduled, and completion
@@ -38,7 +33,7 @@
  * breaks it.
  *
  * Observational hooks mirror the rest of the simulator: a Tracer
- * gets a "topo" counter track of router depths (if there are any),
+ * gets a "topo" counter track of the switch's depth (star only),
  * an EngineProfiler a "wire" origin and the inter-node lookahead
  * edges.  Neither perturbs the event sequence.
  */
@@ -64,8 +59,8 @@ class Network
 {
   public:
     /**
-     * Every element the topology implies is built here — links,
-     * routers, rings — so construction is the only allocation site.
+     * Every element the topology implies is built here — links, the
+     * switch, the ring — so construction is the only allocation site.
      */
     Network(EventQueue &eq, const Topology &t, const obs::Sinks &sinks);
 
@@ -91,17 +86,15 @@ class Network
     /** Total packets currently traversing links (timeline gauge). */
     double linkInFlightSum() const;
 
-    /** Busiest ring's utilization and mean token wait (us) over all
-     *  rings' packets; zeros without rings. */
+    /** The ring's utilization and mean token wait (us); zeros
+     *  without a ring. */
     std::pair<double, double> ringStats() const;
 
   private:
-    /** A point-to-point link (or a ring booked as one ledger). */
+    /** A point-to-point link (or the ring booked as one ledger). */
     struct Link
     {
         LinkLedger led;
-        Tick latency = 0;
-        double mbps = 0;    //!< 0 = no serialization
         long inFlight = 0;
     };
 
@@ -135,16 +128,11 @@ class Network
         }
     };
 
-    Tick serTicks(int bytes, double mbps) const;
-
     /** Schedule @p cb after @p delay with profiler attribution. */
     void dispatch(Tick delay, EventQueue::Callback cb);
 
     /** Put a packet on link @p li; delivery runs @p then. */
     void traverse(std::size_t li, int bytes, EventQueue::Callback then);
-
-    /** A ring delivery completes against ring link @p li. */
-    void ringDelivered(std::size_t li, int bytes);
 
     /** Hand a packet to router @p ri (drop hook lives here). */
     void routerArrive(std::size_t ri, Tick service,
@@ -157,12 +145,9 @@ class Network
 
     std::size_t meshIndex(int src, int dst) const;
 
-    // Ring-segment geometry (kind 2).
-    int segmentStart(int seg) const;
-    int localStation(int node) const;
-
     EventQueue &eq;
     const Topology topo;
+    const Tick latency; //!< every point-to-point link's delay
     trace::Tracer *tracer = nullptr; //!< non-null only when enabled
     obs::EngineProfiler *prof = nullptr;
     int wireOrigin = 0;
@@ -170,12 +155,8 @@ class Network
 
     std::vector<Link> links;
     std::vector<Router> routers;
-    //! One ring per segment (kind 2); rings[s] is booked on the
-    //! ledger of links[s].
-    std::vector<std::unique_ptr<TokenRing>> rings;
-    //! Backbone link index for ordered router pair (a, b), kind 2
-    //! with more than one segment: rings first, then row-major pairs.
-    std::size_t backboneIndex(int a, int b) const;
+    //! The ring (kind 2 only), booked on the ledger of links[0].
+    std::unique_ptr<TokenRing> ring;
 };
 
 } // namespace hsipc::sim::topo

@@ -1,60 +1,10 @@
 #include "sim/topo/topology.hh"
 
-#include <cmath>
-
 namespace hsipc::sim::topo
 {
 
-namespace
-{
-
-/**
- * SplitMix64 of (seed, index) — same finalizer family as the fuzz
- * generator's stream derivation, kept local so placement stays a
- * pure hash regardless of how many draws other subsystems make.
- */
-std::uint64_t
-mix(std::uint64_t seed, std::uint64_t index)
-{
-    std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (index + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-/** Uniform double in [0, 1) from the top 53 bits of the hash. */
-double
-unit(std::uint64_t seed, std::uint64_t index)
-{
-    return static_cast<double>(mix(seed, index) >> 11) * 0x1.0p-53;
-}
-
-/**
- * Zipf(s) draw over node ids [0, n) with node 0 hottest, by inverse
- * CDF over the explicit mass table.  n is at most a few dozen, so
- * the linear scan costs nothing and keeps the draw exactly
- * reproducible across libm versions (std::pow on integer-over-small-
- * range arguments is correctly rounded on every platform we build).
- */
-int
-zipfDraw(int n, double skew, double u)
-{
-    double total = 0;
-    for (int i = 0; i < n; ++i)
-        total += 1.0 / std::pow(static_cast<double>(i + 1), skew);
-    double target = u * total;
-    for (int i = 0; i < n; ++i) {
-        target -= 1.0 / std::pow(static_cast<double>(i + 1), skew);
-        if (target < 0)
-            return i;
-    }
-    return n - 1;
-}
-
-} // namespace
-
 std::pair<int, int>
-placeConversation(const Topology &t, long index, std::uint64_t seed)
+placeConversation(const Topology &t, long index)
 {
     const int n = t.nodes;
     const int i = static_cast<int>(index % n);
@@ -63,11 +13,6 @@ placeConversation(const Topology &t, long index, std::uint64_t seed)
         return {i, (i + 1) % n};
       case 2: // locality: client and server co-resident
         return {i, i};
-      case 3: { // hot-spot: Zipf-skewed server, node 0 hottest
-        const int srv = zipfDraw(n, t.zipfSkew,
-                                 unit(seed, static_cast<std::uint64_t>(index)));
-        return {i, srv};
-      }
       default: // classic degenerate layout: clients n0, servers n1
         return {0, 1 % n};
     }

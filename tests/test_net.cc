@@ -263,33 +263,39 @@ TEST(ReliableChannel, BackoffSpacesRetransmissions)
     p.dropRate = 1.0; // nothing ever arrives
     ReliableChannel::Config cfg;
     cfg.rtoUs = 1000;
-    cfg.rtoMaxUs = 4000;
     Harness h{p, cfg};
     h.chan->send([]() {});
-    h.eq.runUntil(usToTicks(20000));
-    // Timeouts at ~1, 2, 4, 4, 4... ms: about six fire within 20 ms;
-    // without backoff there would be ~20.
+    h.eq.runUntil(usToTicks(40000));
+    // Timeouts ~1, 2, 4, 8, 16 ms apart: five fire within 40 ms;
+    // without backoff there would be ~40.
     EXPECT_GE(h.chan->stats().timeoutsFired, 4);
-    EXPECT_LE(h.chan->stats().timeoutsFired, 8);
+    EXPECT_LE(h.chan->stats().timeoutsFired, 6);
 }
 
 TEST(ReliableChannel, ExperimentRtoCeilingCapsTheBackoff)
 {
-    // The rtoMaxUs Experiment knob reaches the channel: a tight
-    // ceiling fires more timeouts over the same outage than the
-    // default exponential run-up allows.
-    auto timeouts = [](double rtoMaxUs) {
+    // An Experiment's channels back off up to the 80 ms ceiling, or
+    // up to retransmitTimeoutUs when that is larger.  Over a medium
+    // that loses everything, one unacknowledged request is
+    // retransmitted for a whole second.
+    auto timeouts = [](double rtoUs) {
         Experiment e;
         e.local = false;
         e.conversations = 1;
-        e.lossRate = 0.4;
-        e.warmupUs = 2000;
-        e.measureUs = 60000;
-        e.seed = 99;
-        e.rtoMaxUs = rtoMaxUs;
+        e.lossRate = 1;
+        e.warmupUs = 0;
+        e.measureUs = 1000000;
+        e.retransmitTimeoutUs = rtoUs;
         return runExperiment(e).netTotals.timeoutsFired;
     };
-    EXPECT_GT(timeouts(600), timeouts(80000));
+    // 5, 10, 20, 40, 80, 80, ... ms: about 14 timeouts in a second;
+    // uncapped doubling would fire 7.
+    EXPECT_GE(timeouts(5000), 13);
+    EXPECT_LE(timeouts(5000), 15);
+    // 200 ms is its own ceiling: 200, 200, ... ms fires 5 (doubling
+    // would fire 2).
+    EXPECT_GE(timeouts(200000), 4);
+    EXPECT_LE(timeouts(200000), 5);
 }
 
 // --- ReliableChannel over a token-ring medium ----------------------------

@@ -180,7 +180,7 @@ TEST(SweepRunner, TimelineAndTraceSamplingBitIdenticalAcrossJobs)
     // The trace-sampling decision is a pure hash of (seed, id) and
     // the timeline is per-run state, so the windowed series, steady
     // stats and sampled decompositions must be byte-identical at any
-    // job level — outcomeJson covers all three sections.
+    // job level.
     auto sampledExps = [] {
         std::vector<sim::Experiment> exps = mixedExperiments();
         for (std::size_t i = 0; i < exps.size(); ++i) {
@@ -193,12 +193,13 @@ TEST(SweepRunner, TimelineAndTraceSamplingBitIdenticalAcrossJobs)
     auto fingerprint = [&](int jobs) {
         std::string all;
         for (const sim::Outcome &o : sim::runSweep(sampledExps(), jobs))
-            all += sim::outcomeJson(o) + "\n";
+            all += sim::outcomeJson(o) + o.timeline.toJson() +
+                   o.stats.toJson() + "\n";
         return all;
     };
     const std::string serial = fingerprint(1);
-    EXPECT_NE(serial.find("\"timeline\""), std::string::npos);
-    EXPECT_NE(serial.find("\"stats\""), std::string::npos);
+    EXPECT_NE(serial.find("\"counters\""), std::string::npos);
+    EXPECT_NE(serial.find("\"truncationUs\""), std::string::npos);
     EXPECT_EQ(serial, fingerprint(2));
     EXPECT_EQ(serial, fingerprint(8));
 }

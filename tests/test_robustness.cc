@@ -118,22 +118,14 @@ TEST(RpcRobustness, DefaultsBypassTheLayerBitExactly)
 
 TEST(RpcRobustness, OpenArrivalsTrackTheOfferedRate)
 {
-    for (int mode : {1, 2}) {
-        Experiment e = overloadConfig(models::Arch::III, 100);
-        e.arrivalMode = mode;
-        if (mode == 2) {
-            e.paretoAlpha = 1.5;
-            e.paretoBound = 40;
-        }
-        const Outcome o = runExperiment(e);
-        // ~40 post-warmup arrivals expected at 100/s over 0.4 s; both
-        // processes are normalized to the same mean rate.
-        EXPECT_GE(o.rpc.offered, 20) << "mode " << mode;
-        EXPECT_LE(o.rpc.offered, 70) << "mode " << mode;
-        EXPECT_GT(o.rpc.completed, 0) << "mode " << mode;
-        EXPECT_GT(o.rpc.goodputPerSec, 0.0) << "mode " << mode;
-        expectClean(e, o);
-    }
+    const Experiment e = overloadConfig(models::Arch::III, 100);
+    const Outcome o = runExperiment(e);
+    // ~40 post-warmup arrivals expected at 100/s over 0.4 s.
+    EXPECT_GE(o.rpc.offered, 20);
+    EXPECT_LE(o.rpc.offered, 70);
+    EXPECT_GT(o.rpc.completed, 0);
+    EXPECT_GT(o.rpc.goodputPerSec, 0.0);
+    expectClean(e, o);
 }
 
 TEST(RpcRobustness, DeadlinesExpireOverloadedRequestsAndOrphanLateReplies)
@@ -195,16 +187,13 @@ TEST(RpcRobustness, BoundedQueuesShedUnderOverload)
     EXPECT_EQ(o.rpc.shed, o.rpc.shedAttempts);
     expectClean(reject, o);
 
-    // Under bursty (bounded-Pareto) overload with deadlines, every
-    // policy sheds, and the deadline-aware policy keeps several
-    // times the goodput of reject-new, which wastes service on
-    // queue entries that expire while waiting.
+    // Under overload with deadlines, every policy sheds, and the
+    // deadline-aware policy keeps several times the goodput of
+    // reject-new, which wastes service on queue entries that expire
+    // while waiting.
     double goodput[3];
     for (int pol : {0, 1, 2}) {
         Experiment e = overloadConfig(models::Arch::III, 250);
-        e.arrivalMode = 2;
-        e.paretoAlpha = 1.5;
-        e.paretoBound = 40;
         e.deadlineUs = 40000;
         e.svcQueueCap = 4;
         e.shedPolicy = pol;

@@ -784,7 +784,6 @@ TEST(Processor, QueuedButNeverStartedActivityBooksNoTicks)
     p.submit(std::move(b));
     eq.runUntil(usToTicks(50));
     EXPECT_EQ(p.activityTicks().count("second"), 0u);
-    EXPECT_EQ(p.activityCounts().at("second"), 1);
 }
 
 TEST(Processor, SubmitKeepsPriorityOrderFcfsWithinAClass)
@@ -1215,21 +1214,6 @@ TEST(IpcSimMixed, DeterministicAndCountsAllConversations)
     EXPECT_GT(a.roundTrips, 100);
 }
 
-
-TEST(Processor, CountsSubmittedActivities)
-{
-    EventQueue eq;
-    Processor p(eq, "p");
-    for (int i = 0; i < 3; ++i) {
-        Activity a;
-        a.name = "work";
-        a.processing = 10;
-        p.submit(std::move(a));
-    }
-    eq.runUntil(1000);
-    EXPECT_EQ(p.activityCounts().at("work"), 3);
-}
-
 TEST(IpcSim, BufferPoolExhaustionAndRecovery)
 {
     // Eight senders against a single kernel buffer: sends must stall,
@@ -1257,9 +1241,6 @@ TEST(IpcSim, BufferPoolExhaustionAndRecovery)
 TEST(IpcSimValidation, RejectsImpossibleConfigurations)
 {
     Experiment e;
-    e.packetBytes = 0;
-    EXPECT_DEATH(runExperiment(e), "packetBytes");
-    e = Experiment{};
     e.computeUs = -1;
     EXPECT_DEATH(runExperiment(e), "computeUs");
     e = Experiment{};
@@ -1279,6 +1260,21 @@ TEST(IpcSimValidation, RejectsImpossibleConfigurations)
     EXPECT_DEATH(runExperiment(e), "well-formed");
 }
 
+TEST(IpcSimValidation, RejectsRetiredArrivalAndPlacementModes)
+{
+    // Bounded-Pareto arrivals (mode 2) and Zipf hot-spot placement
+    // (policy 3) are gone: a repro naming them fails loudly instead
+    // of running something else.
+    Experiment e;
+    e.local = false;
+    e.arrivalMode = 2;
+    EXPECT_DEATH(runExperiment(e), "arrivalMode is 0 \\(closed\\) or 1");
+    e = Experiment{};
+    e.topo.nodes = 4;
+    e.topo.placement = 3;
+    EXPECT_DEATH(runExperiment(e), "placement is 0 \\(classic\\)");
+}
+
 TEST(IpcSimValidation, RejectsUnrepresentableTimes)
 {
     // Every real-valued knob, nested records included, is finite.
@@ -1294,9 +1290,8 @@ TEST(IpcSimValidation, RejectsUnrepresentableTimes)
     EXPECT_DEATH(runExperiment(e), "endUs must be finite");
     e = Experiment{};
     e.topo.nodes = 2;
-    e.topo.links.push_back(
-        {0, 1, std::numeric_limits<double>::infinity(), 0});
-    EXPECT_DEATH(runExperiment(e), "latencyUs must be finite");
+    e.topo.linkLatencyUs = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(runExperiment(e), "linkLatencyUs must be finite");
     // A horizon past the 64-bit tick clock (~292 years).
     e = Experiment{};
     e.measureUs = 1e300;
