@@ -91,17 +91,52 @@ class StateStore
     std::vector<std::uint32_t> slots;    //!< id + 1; 0 is empty
 };
 
+/** advOf's mark for a deadlock state, which has no time advance. */
+constexpr std::uint32_t noAdvance = std::numeric_limits<std::uint32_t>::max();
+
+/**
+ * True when the transition sets @p a and @p b, @p words words each in
+ * FiringExpander::evaluated()'s layout, share a transition.
+ */
+bool
+anyShared(const std::uint64_t *a, const std::uint64_t *b, std::size_t words)
+{
+    for (std::size_t i = 0; i < words; ++i) {
+        if ((a[i] & b[i]) != 0)
+            return true;
+    }
+    return false;
+}
+
+/** True when outcome @p i of @p ex is state @p s of @p states. */
+bool
+sameState(const FiringExpander &ex, std::size_t i, const StateStore &states,
+          std::size_t s)
+{
+    return ex.length(i) == states.length(s) &&
+           std::equal(ex.words(i), ex.words(i) + ex.length(i),
+                      states.words(s));
+}
+
 } // namespace
 
-AnalyzerResult
-analyze(const PetriNet &net, const AnalyzerOptions &opts)
+/**
+ * One exploration of a net: the tangible states in discovery order
+ * with their sojourns, each post-advance state's outcomes, and the
+ * chain their edges make.  When recording, it also keeps what a
+ * StateSpace needs to re-weigh that chain: the order the states were
+ * expanded in, each state's post-advance state and each expansion's
+ * evaluated transitions.
+ */
+class Exploration
 {
-    AnalyzerResult res;
+  public:
+    Exploration(const PetriNet &net, std::size_t maxStates, bool record);
 
     StateStore states;
-    std::vector<std::size_t> frontier;
     std::vector<int> sojourn;
-    FiringExpander ex(net);
+    MarkovChain chain;
+    bool deadlock = false;
 
     // The selection phase is a function of the post-advance state
     // alone, and many tangible states advance into the same one, so
@@ -112,6 +147,30 @@ analyze(const PetriNet &net, const AnalyzerOptions &opts)
     std::vector<std::uint32_t> succ;
     std::vector<double> succProb;
     std::vector<std::size_t> succEnd{0};
+
+    FiringExpander ex;
+
+    // Kept only when recording.  The seed expansion's outcomes are
+    // states 0 .. seeds - 1.  `evaluated` holds `words` words per
+    // expansion: the seed's first, then advanced state a's at a + 1.
+    std::size_t seeds = 0;
+    std::size_t words = 0;
+    std::vector<std::uint64_t> evaluated;
+    std::vector<std::uint32_t> expandOrder;
+    std::vector<std::uint32_t> advOf; //!< per state; noAdvance if deadlock
+};
+
+Exploration::Exploration(const PetriNet &net, std::size_t maxStates,
+                         bool record)
+    : ex(net)
+{
+    std::vector<std::size_t> frontier;
+    ex.recordEvaluated(record);
+    words = ex.evaluated().size();
+    auto keepEvaluated = [&] {
+        evaluated.insert(evaluated.end(), ex.evaluated().begin(),
+                         ex.evaluated().end());
+    };
 
     // Intern outcome i of the last expansion, queueing it if new.
     auto intern = [&](std::size_t i) {
@@ -132,22 +191,28 @@ analyze(const PetriNet &net, const AnalyzerOptions &opts)
     ex.expand();
     for (std::size_t i = 0; i < ex.numOutcomes(); ++i)
         intern(i);
+    seeds = states.size();
+    keepEvaluated();
 
-    MarkovChain chain;
     const std::size_t places = net.numPlaces();
 
     while (!frontier.empty()) {
         const std::size_t s = frontier.back();
         frontier.pop_back();
 
-        if (states.size() > opts.maxStates)
+        if (states.size() > maxStates)
             hsipc_panic("GTPN reachability graph exceeds maxStates");
+
+        if (record) {
+            expandOrder.push_back(static_cast<std::uint32_t>(s));
+            advOf.resize(states.size(), noAdvance);
+        }
 
         if (states.length(s) == places) {
             // Deadlock (no firing in flight): treat as absorbing with
             // unit sojourn so the solver still runs; flag it for the
             // caller.
-            res.deadlock = true;
+            deadlock = true;
             chain.addEdge(s, s, 1.0);
             chain.setSojourn(s, 1.0);
             continue;
@@ -171,14 +236,31 @@ analyze(const PetriNet &net, const AnalyzerOptions &opts)
                 succProb.push_back(ex.prob(i));
             }
             succEnd.push_back(succ.size());
+            keepEvaluated();
         }
+        if (record)
+            advOf[s] = static_cast<std::uint32_t>(a);
         for (std::size_t k = succEnd[a]; k < succEnd[a + 1]; ++k)
             chain.addEdge(s, succ[k], succProb[k]);
     }
+}
+
+namespace
+{
+
+/** Solve @p g's chain and read the measures off its states. */
+AnalyzerResult
+weigh(const PetriNet &net, const Exploration &g, const SolveOptions &opts)
+{
+    AnalyzerResult res;
+    res.deadlock = g.deadlock;
+    const StateStore &states = g.states;
+    const std::vector<int> &sojourn = g.sojourn;
+    const std::size_t places = net.numPlaces();
 
     const std::size_t n = states.size();
     res.numStates = n;
-    const SolveResult sol = chain.solve(opts.solve);
+    const SolveResult sol = g.chain.solve(opts);
     res.converged = sol.converged;
     res.sweeps = sol.sweeps;
 
@@ -223,6 +305,128 @@ analyze(const PetriNet &net, const AnalyzerOptions &opts)
             r /= mean_cycle;
     }
     return res;
+}
+
+} // namespace
+
+AnalyzerResult
+analyze(const PetriNet &net, const AnalyzerOptions &opts)
+{
+    const Exploration g(net, opts.maxStates, false);
+    return weigh(net, g, opts.solve);
+}
+
+StateSpace::StateSpace(const PetriNet &n, const AnalyzerOptions &o)
+    : net(n), opts(o)
+{
+    explore();
+}
+
+StateSpace::~StateSpace() = default;
+
+const MarkovChain &
+StateSpace::chain() const
+{
+    return graph->chain;
+}
+
+void
+StateSpace::explore()
+{
+    graph.reset();
+    graph = std::make_unique<Exploration>(net, opts.maxStates, true);
+    seen = net.revision();
+    ++explored;
+}
+
+AnalyzerResult
+StateSpace::solve()
+{
+    lastReexpanded = 0;
+    if (net.shapeRevision() > seen || !reweigh())
+        explore();
+    seen = net.revision();
+    return weigh(net, *graph, opts.solve);
+}
+
+bool
+StateSpace::reweigh()
+{
+    Exploration &g = *graph;
+    const std::size_t words = g.words;
+    std::vector<std::uint64_t> changed(words, 0);
+    bool any = false;
+    for (std::size_t t = 0; t < net.numTransitions(); ++t) {
+        if (net.frequencyRevision(static_cast<TransId>(t)) > seen) {
+            changed[t / 64] |= std::uint64_t{1} << (t % 64);
+            any = true;
+        }
+    }
+    if (!any)
+        return true;
+
+    FiringExpander &ex = g.ex;
+    auto touched = [&](std::size_t slot) {
+        return anyShared(g.evaluated.data() + slot * words, changed.data(),
+                         words);
+    };
+    auto keepEvaluated = [&](std::size_t slot) {
+        std::copy(ex.evaluated().begin(), ex.evaluated().end(),
+                  g.evaluated.begin() +
+                      static_cast<std::ptrdiff_t>(slot * words));
+    };
+
+    // The seed's probabilities feed no edge; only its states must hold.
+    if (touched(0)) {
+        ex.load(NetState{net.initialMarking(), {}});
+        ex.expand();
+        if (ex.numOutcomes() != g.seeds)
+            return false;
+        for (std::size_t i = 0; i < g.seeds; ++i) {
+            if (!sameState(ex, i, g.states, i))
+                return false;
+        }
+        keepEvaluated(0);
+    }
+
+    std::vector<char> redone(g.advanced.size(), 0);
+    for (std::size_t a = 0; a < g.advanced.size(); ++a) {
+        if (!touched(a + 1))
+            continue;
+        ex.loadAdvanced(g.advanced.words(a), g.advanced.length(a));
+        ex.expand();
+        const std::size_t first = g.succEnd[a];
+        if (ex.numOutcomes() != g.succEnd[a + 1] - first)
+            return false;
+        for (std::size_t i = 0; i < ex.numOutcomes(); ++i) {
+            if (!sameState(ex, i, g.states, g.succ[first + i]))
+                return false;
+            g.succProb[first + i] = ex.prob(i);
+        }
+        keepEvaluated(a + 1);
+        redone[a] = 1;
+        ++lastReexpanded;
+    }
+    if (lastReexpanded == 0)
+        return true;
+
+    // Replay the exploration's addEdge() calls to find where each
+    // landed among its destination's edges, and overwrite the
+    // re-expanded ones there.
+    std::vector<std::uint32_t> filled(g.states.size(), 0);
+    for (const std::uint32_t s : g.expandOrder) {
+        const std::uint32_t a = g.advOf[s];
+        if (a == noAdvance) {
+            ++filled[s];
+            continue;
+        }
+        for (std::size_t k = g.succEnd[a]; k < g.succEnd[a + 1]; ++k) {
+            const std::uint32_t pos = filled[g.succ[k]]++;
+            if (redone[a])
+                g.chain.setEdgeProb(g.succ[k], pos, g.succProb[k]);
+        }
+    }
+    return true;
 }
 
 } // namespace hsipc::gtpn

@@ -16,7 +16,6 @@ MarkovChain::resize(std::size_t n)
     if (n > sojourns.size()) {
         incoming.resize(n);
         sojourns.resize(n, 1.0);
-        rowSums.resize(n, 0.0);
     }
 }
 
@@ -26,7 +25,14 @@ MarkovChain::addEdge(std::size_t from, std::size_t to, double prob)
     hsipc_assert(prob >= 0.0 && prob <= 1.0 + 1e-12);
     resize(std::max(from, to) + 1);
     incoming[to].push_back(Edge{from, prob});
-    rowSums[from] += prob;
+}
+
+void
+MarkovChain::setEdgeProb(std::size_t to, std::size_t pos, double prob)
+{
+    hsipc_assert(prob >= 0.0 && prob <= 1.0 + 1e-12);
+    hsipc_assert(to < incoming.size() && pos < incoming[to].size());
+    incoming[to][pos].prob = prob;
 }
 
 void
@@ -47,6 +53,13 @@ MarkovChain::solve(const SolveOptions &opts) const
 
     const std::size_t n = numStates();
     hsipc_assert(n > 0);
+    // Summed here rather than as edges are added, since setEdgeProb()
+    // may have replaced any edge since.
+    std::vector<double> rowSums(n, 0.0);
+    for (const std::vector<Edge> &in : incoming) {
+        for (const Edge &e : in)
+            rowSums[e.src] += e.prob;
+    }
     for (std::size_t i = 0; i < n; ++i) {
         if (std::abs(rowSums[i] - 1.0) > 1e-6)
             hsipc_panic("Markov row " + std::to_string(i) +

@@ -61,8 +61,31 @@ class MarkovChain
     /** Add probability mass @p prob to the edge from -> to. */
     void addEdge(std::size_t from, std::size_t to, double prob);
 
+    /**
+     * Replace the probability of edge @p pos into @p to: the one the
+     * (pos + 1)-th addEdge() naming @p to added.  It keeps its place
+     * among @p to's edges, so solve() sums them in the same order.
+     */
+    void setEdgeProb(std::size_t to, std::size_t pos, double prob);
+
     /** Set the deterministic sojourn time of @p state. */
     void setSojourn(std::size_t state, double t);
+
+    /** An edge into a state: its source and probability. */
+    struct Edge
+    {
+        std::size_t src;
+        double prob;
+    };
+
+    /** The edges into @p to, in addEdge() order. */
+    const std::vector<Edge> &
+    edgesInto(std::size_t to) const
+    {
+        return incoming[to];
+    }
+
+    double sojourn(std::size_t state) const { return sojourns[state]; }
 
     /**
      * Solve for the stationary distribution.  Rows must each sum to 1
@@ -72,16 +95,9 @@ class MarkovChain
     SolveResult solve(const SolveOptions &opts = SolveOptions()) const;
 
   private:
-    struct Edge
-    {
-        std::size_t src;
-        double prob;
-    };
-
     /** Incoming edges per destination state. */
     std::vector<std::vector<Edge>> incoming;
     std::vector<double> sojourns;
-    std::vector<double> rowSums;
 };
 
 } // namespace hsipc::gtpn

@@ -8,6 +8,7 @@ PetriNet::addPlace(std::string name, int tokens)
 {
     hsipc_assert(tokens >= 0);
     places.push_back(Place{std::move(name), tokens});
+    reshaped();
     return static_cast<PlaceId>(places.size() - 1);
 }
 
@@ -19,6 +20,8 @@ PetriNet::addTransition(std::string name, Expr delay, Expr frequency,
     transitions.push_back(Transition{std::move(name), std::move(delay),
                                      std::move(frequency),
                                      std::move(resource), {}, {}});
+    freqRevs.push_back(0);
+    reshaped();
     return static_cast<TransId>(transitions.size() - 1);
 }
 
@@ -38,6 +41,7 @@ PetriNet::inputArc(PlaceId p, TransId t, int multiplicity)
     hsipc_assert(multiplicity > 0);
     transitions[static_cast<std::size_t>(t)].inputs
         .push_back(Arc{p, multiplicity});
+    reshaped();
 }
 
 void
@@ -48,6 +52,7 @@ PetriNet::outputArc(TransId t, PlaceId p, int multiplicity)
     hsipc_assert(multiplicity > 0);
     transitions[static_cast<std::size_t>(t)].outputs
         .push_back(Arc{p, multiplicity});
+    reshaped();
 }
 
 void
@@ -55,6 +60,7 @@ PetriNet::setFrequency(TransId t, Expr freq)
 {
     hsipc_assert(freq);
     transitions[static_cast<std::size_t>(t)].frequency = std::move(freq);
+    freqRevs[static_cast<std::size_t>(t)] = ++rev;
 }
 
 void
@@ -62,6 +68,7 @@ PetriNet::setDelay(TransId t, Expr delay)
 {
     hsipc_assert(delay);
     transitions[static_cast<std::size_t>(t)].delay = std::move(delay);
+    reshaped();
 }
 
 std::vector<int>

@@ -135,6 +135,22 @@ class PetriNet
     /** Replace the delay expression of an existing transition. */
     void setDelay(TransId t, Expr delay);
 
+    /**
+     * Edit counters.  Every edit advances revision().  Replacing a
+     * transition's frequency stamps its frequencyRevision(); every
+     * other edit (a place, a transition, an arc or a delay) stamps
+     * shapeRevision().  A StateSpace compares them with the revision
+     * it last solved to find what changed.
+     */
+    std::uint64_t revision() const { return rev; }
+    std::uint64_t shapeRevision() const { return shapeRev; }
+
+    std::uint64_t
+    frequencyRevision(TransId t) const
+    {
+        return freqRevs[static_cast<std::size_t>(t)];
+    }
+
     std::size_t numPlaces() const { return places.size(); }
     std::size_t numTransitions() const { return transitions.size(); }
 
@@ -158,8 +174,13 @@ class PetriNet
     TransId findTransition(const std::string &name) const;
 
   private:
+    void reshaped() { shapeRev = ++rev; }
+
     std::vector<Place> places;
     std::vector<Transition> transitions;
+    std::vector<std::uint64_t> freqRevs; //!< per transition
+    std::uint64_t rev = 0;
+    std::uint64_t shapeRev = 0;
 };
 
 // --- Expression combinators -------------------------------------------

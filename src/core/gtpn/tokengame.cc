@@ -49,13 +49,16 @@ sharesInput(const PetriNet &net, TransId a, TransId b)
  * transition with a positive frequency: it and every other such
  * transition sharing an input place with it (the thesis' nets only
  * conflict over identical input sets, so direct sharing is
- * sufficient).  Every enabled transition's frequency is evaluated and
- * checked.  Returns the set's total frequency, summed in transition
- * order; nothing is appended when no transition is enabled.
+ * sufficient).  Every transition whose inputs are satisfied has its
+ * frequency evaluated and checked, and, when @p evaluated is not
+ * null, its bit set there.  Returns the set's total frequency, summed
+ * in transition order; nothing is appended when no transition is
+ * enabled.
  */
 double
 appendConflictSet(const PetriNet &net, const std::vector<int> &marking,
-                  const std::vector<int> &counts, std::vector<Candidate> &out)
+                  const std::vector<int> &counts, std::vector<Candidate> &out,
+                  std::uint64_t *evaluated = nullptr)
 {
     const EvalContext ctx(marking, counts);
     TransId head = -1;
@@ -64,6 +67,8 @@ appendConflictSet(const PetriNet &net, const std::vector<int> &marking,
     for (TransId t = 0; t < n; ++t) {
         if (!inputsSatisfied(net, marking, t))
             continue;
+        if (evaluated)
+            evaluated[t / 64] |= std::uint64_t{1} << (t % 64);
         const double f = net.transition(t).frequency(ctx);
         hsipc_assert(f >= 0.0);
         if (!(f > 0.0))
@@ -279,6 +284,12 @@ FiringExpander::FiringExpander(const PetriNet &n)
 {}
 
 void
+FiringExpander::recordEvaluated(bool on)
+{
+    evalBits.assign(on ? (net.numTransitions() + 63) / 64 : 0, 0);
+}
+
+void
 FiringExpander::load(const NetState &state)
 {
     hsipc_assert(state.marking.size() == net.numPlaces());
@@ -320,12 +331,28 @@ FiringExpander::advance(const std::uint32_t *words, std::size_t len)
 }
 
 void
+FiringExpander::loadAdvanced(const std::uint32_t *words, std::size_t len)
+{
+    const std::size_t places = net.numPlaces();
+    hsipc_assert(len >= places && (len - places) % 2 == 0);
+    marking.assign(words, words + places);
+    firings.clear();
+    std::fill(counts.begin(), counts.end(), 0);
+    for (std::size_t k = places; k < len; k += 2) {
+        const auto t = static_cast<TransId>(words[k]);
+        firings.push_back(Firing{t, static_cast<int>(words[k + 1])});
+        ++counts[static_cast<std::size_t>(t)];
+    }
+}
+
+void
 FiringExpander::expand()
 {
     outWords.clear();
     outStart.resize(1);
     outHash.clear();
     outProb.clear();
+    std::fill(evalBits.begin(), evalBits.end(), 0);
     recurse(1.0, 0);
 }
 
@@ -351,7 +378,9 @@ FiringExpander::recurse(double prob, int depth)
         hsipc_panic("GTPN selection did not terminate (vanishing loop?)");
 
     const std::size_t base = cands.size();
-    const double total = appendConflictSet(net, marking, counts, cands);
+    std::uint64_t *const eval = evalBits.empty() ? nullptr : evalBits.data();
+    const double total =
+        appendConflictSet(net, marking, counts, cands, eval);
     const std::size_t end = cands.size();
     if (end == base) {
         leaf(prob);

@@ -151,8 +151,26 @@ class FiringExpander
     /** The hash of advancedWords(), as hash() hashes an outcome. */
     std::uint64_t advancedHash() const { return advHash; }
 
+    /**
+     * Load a post-advance state from its words, as advancedWords()
+     * gives them, ready for expand().
+     */
+    void loadAdvanced(const std::uint32_t *words, std::size_t len);
+
+    /**
+     * Switch recording on or off.  While on, each expand() sets bit t
+     * of evaluated() (bit t % 64 of word t / 64) for every transition
+     * t whose inputs some selection step satisfied: those are the
+     * transitions whose frequency expand() evaluated, a superset of
+     * those whose delay it evaluated.
+     */
+    void recordEvaluated(bool on);
+
     /** Expand the loaded state, replacing the previous outcomes. */
     void expand();
+
+    /** The last expand()'s evaluated transitions; empty when off. */
+    const std::vector<std::uint64_t> &evaluated() const { return evalBits; }
 
     std::size_t numOutcomes() const { return outProb.size(); }
 
@@ -190,6 +208,7 @@ class FiringExpander
 
     std::vector<std::uint32_t> advWords;
     std::uint64_t advHash = 0;
+    std::vector<std::uint64_t> evalBits; //!< empty unless recording
 
     std::vector<std::uint32_t> outWords;
     std::vector<std::size_t> outStart; //!< numOutcomes() + 1 offsets

@@ -10,22 +10,41 @@ namespace hsipc::models
 
 using namespace gtpn;
 
+namespace
+{
+
+/** The exit and loop frequencies of a geometric stage (Fig 6.7). */
+struct StageFrequencies
+{
+    Expr exit;
+    Expr loop;
+};
+
+/** The one rule for a stage's frequencies: 1/mean and 1 - 1/mean. */
+StageFrequencies
+stageFrequencies(double mean, const Expr &gateExpr)
+{
+    hsipc_assert(mean >= 1.0);
+    const double p = 1.0 / mean;
+    if (gateExpr)
+        return {gate(gateExpr, p), gate(gateExpr, 1.0 - p)};
+    return {constant(p), constant(1.0 - p)};
+}
+
+} // namespace
+
 Stage
 addStage(PetriNet &net, const std::string &name, double mean,
          const std::vector<PlaceId> &from, const std::vector<PlaceId> &to,
          const std::vector<PlaceId> &held, Expr gateExpr,
          const std::string &resource)
 {
-    hsipc_assert(mean >= 1.0);
-    const double p = 1.0 / mean;
-    Expr exit_freq = gateExpr ? gate(gateExpr, p) : constant(p);
-    Expr loop_freq = gateExpr ? gate(gateExpr, 1.0 - p)
-                              : constant(1.0 - p);
+    StageFrequencies f = stageFrequencies(mean, gateExpr);
     Stage s;
     s.exit = net.addTransition(name + ".exit", constant(1.0),
-                               std::move(exit_freq), resource);
+                               std::move(f.exit), resource);
     s.loop = net.addTransition(name + ".loop", constant(1.0),
-                               std::move(loop_freq));
+                               std::move(f.loop));
     for (PlaceId pl : from) {
         net.inputArc(pl, s.exit);
         net.inputArc(pl, s.loop);
@@ -40,6 +59,14 @@ addStage(PetriNet &net, const std::string &name, double mean,
         net.outputArc(s.loop, pl);
     }
     return s;
+}
+
+void
+setStageMean(PetriNet &net, const Stage &s, double mean)
+{
+    StageFrequencies f = stageFrequencies(mean, nullptr);
+    net.setFrequency(s.exit, std::move(f.exit));
+    net.setFrequency(s.loop, std::move(f.loop));
 }
 
 namespace

@@ -57,6 +57,14 @@ Stage addStage(gtpn::PetriNet &net, const std::string &name, double mean,
                gtpn::Expr gateExpr = nullptr,
                const std::string &resource = "");
 
+/**
+ * Move the ungated stage @p s of @p net to mean @p mean (>= 1 model
+ * unit): its exit and loop frequencies become exactly what addStage()
+ * gives an ungated stage of that mean.  The chapter-6 fixed point
+ * moves its surrogate stages with it.
+ */
+void setStageMean(gtpn::PetriNet &net, const Stage &s, double mean);
+
 /** A built local-conversation model. */
 struct LocalModel
 {

@@ -60,7 +60,8 @@ buildClientUni(const NonlocalClientParams &p, int n, double sd, int hosts,
     addStage(net, "dmaOut", p.dmaOut / k, {send_done}, {wait_serv},
              {io_out});
     // T8/T9 — surrogate server delay S_d.
-    addStage(net, "serverDelay", sd / k, {wait_serv}, {resp}, {});
+    m.serverDelay =
+        addStage(net, "serverDelay", sd / k, {wait_serv}, {resp}, {});
     // T10 — claim the inbound interface.
     addRoute(net, "claimIoIn", constant(1.0), {resp, io_in},
              {dma_in_act});
@@ -113,7 +114,8 @@ buildClientCoproc(const NonlocalClientParams &p, int n, double sd,
     addStage(net, "dmaOut", p.dmaOut / k, {dma_out_q}, {wait_serv},
              {io_out});
     // T10/T11 — surrogate server delay S_d.
-    addStage(net, "serverDelay", sd / k, {wait_serv}, {resp}, {});
+    m.serverDelay =
+        addStage(net, "serverDelay", sd / k, {wait_serv}, {resp}, {});
     // T12 — claim the inbound interface.
     addRoute(net, "claimIoIn", constant(1.0), {resp, io_in},
              {dma_in_act});
@@ -151,9 +153,9 @@ buildServerUni(const NonlocalServerParams &p, int n, double cd, double x,
              {host}, g);
     // T3/T4 — surrogate client wait C_d; arrival marks a request
     // entering the node and joins the customers-in-system Queue.
-    const Stage wait = addStage(net, "clientWait", cd / k, {client_wait},
-                                {req_arrived, queue}, {});
-    m.arrival = wait.exit;
+    m.clientWait = addStage(net, "clientWait", cd / k, {client_wait},
+                            {req_arrived, queue}, {});
+    m.arrival = m.clientWait.exit;
     // T5 — accept the request once no other is being matched.
     addRoute(net, "accept", gate(g, 1.0), {req_arrived}, {req_service});
     // T11/T12 — compute X and syscall reply on the host (gated).
@@ -203,9 +205,9 @@ buildServerCoproc(const NonlocalServerParams &p, int n, double cd,
     addStage(net, "mpRecv", p.mpRecv / k, {mp_recv_act},
              {client_wait, mp}, {}, g);
     // T2/T3 — surrogate client wait C_d.
-    const Stage wait = addStage(net, "clientWait", cd / k, {client_wait},
-                                {req_arrived, queue}, {});
-    m.arrival = wait.exit;
+    m.clientWait = addStage(net, "clientWait", cd / k, {client_wait},
+                            {req_arrived, queue}, {});
+    m.arrival = m.clientWait.exit;
     // T4 — accept the request when no other is in service.
     addRoute(net, "accept", gate(g, 1.0), {req_arrived}, {req_service});
     // T9/T10 — compute X and syscall reply on the host.

@@ -20,6 +20,7 @@
 #define HSIPC_MODELS_NONLOCAL_MODEL_HH
 
 #include "core/gtpn/net.hh"
+#include "core/models/local_model.hh"
 #include "core/models/processing_times.hh"
 
 namespace hsipc::models
@@ -29,6 +30,7 @@ namespace hsipc::models
 struct ClientModel
 {
     gtpn::PetriNet net;
+    Stage serverDelay{};          //!< surrogate S_d, ungated
     double timeScale = 1.0;
 
     double
@@ -42,7 +44,8 @@ struct ClientModel
 struct ServerModel
 {
     gtpn::PetriNet net;
-    gtpn::TransId arrival = -1;   //!< exit of the client-wait stage
+    Stage clientWait{};           //!< surrogate C_d, ungated
+    gtpn::TransId arrival = -1;   //!< clientWait.exit
     gtpn::PlaceId queue = -1;     //!< customers-in-system bookkeeping
     double timeScale = 1.0;
 };

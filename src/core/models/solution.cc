@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/logging.hh"
 #include "core/models/local_model.hh"
@@ -105,6 +106,15 @@ solveNonlocalCustom(const NonlocalClientParams &cp,
     double lambda_per_us = 0.0;
     double client_states = 0.0, server_states = 0.0;
 
+    // Each node's net is built and explored once per time scale.  The
+    // iterations in between move only its surrogate stage, so they
+    // re-solve the explored state space (gtpn::StateSpace), which
+    // gives the same bits as analyzing a freshly built net.
+    std::optional<ClientModel> cm;
+    std::optional<gtpn::StateSpace> cspace;
+    std::optional<ServerModel> sm;
+    std::optional<gtpn::StateSpace> sspace;
+
     for (int iter = 1; iter <= cfg.maxIterations; ++iter) {
         out.iterations = iter;
 
@@ -112,13 +122,18 @@ solveNonlocalCustom(const NonlocalClientParams &cp,
         const double cscale = cfg.timeScale > 0.0
             ? cfg.timeScale
             : autoScale(clientMinMean(cp, sd));
-        const ClientModel cm =
-            buildClientModel(cp, conversations, sd, hostTokens, cscale);
-        const gtpn::AnalyzerResult cr = gtpn::analyze(cm.net,
-                                                      cfg.analyzer);
+        if (cm && cm->timeScale == cscale) {
+            setStageMean(cm->net, cm->serverDelay, sd / cscale);
+        } else {
+            cspace.reset();
+            cm.emplace(buildClientModel(cp, conversations, sd, hostTokens,
+                                        cscale));
+            cspace.emplace(cm->net, cfg.analyzer);
+        }
+        const gtpn::AnalyzerResult cr = cspace->solve();
         hsipc_assert(!cr.deadlock);
         solves_converged = solves_converged && cr.converged;
-        lambda_per_us = cm.throughputPerUs(cr.usage(lambdaResource));
+        lambda_per_us = cm->throughputPerUs(cr.usage(lambdaResource));
         client_states = static_cast<double>(cr.numStates);
         hsipc_assert(lambda_per_us > 0.0);
 
@@ -134,19 +149,24 @@ solveNonlocalCustom(const NonlocalClientParams &cp,
             ? cfg.timeScale
             : autoScale(serverMinMean(sp, std::max(cd, 1.0), x));
         cd = std::max(cd, sscale_floor);
-        const ServerModel sm = buildServerModel(sp, conversations, cd, x,
-                                                hostTokens, sscale_floor);
-        const gtpn::AnalyzerResult sr = gtpn::analyze(sm.net,
-                                                      cfg.analyzer);
+        if (sm && sm->timeScale == sscale_floor) {
+            setStageMean(sm->net, sm->clientWait, cd / sscale_floor);
+        } else {
+            sspace.reset();
+            sm.emplace(buildServerModel(sp, conversations, cd, x,
+                                        hostTokens, sscale_floor));
+            sspace.emplace(sm->net, cfg.analyzer);
+        }
+        const gtpn::AnalyzerResult sr = sspace->solve();
         hsipc_assert(!sr.deadlock);
         solves_converged = solves_converged && sr.converged;
         server_states = static_cast<double>(sr.numStates);
 
         const double arrivals_per_us =
-            sr.firingRate[static_cast<std::size_t>(sm.arrival)] /
-            sm.timeScale;
+            sr.firingRate[static_cast<std::size_t>(sm->arrival)] /
+            sm->timeScale;
         const double customers =
-            sr.placeOccupancy[static_cast<std::size_t>(sm.queue)];
+            sr.placeOccupancy[static_cast<std::size_t>(sm->queue)];
         hsipc_assert(arrivals_per_us > 0.0);
 
         // Little's law at the server node, plus the packet DMA times

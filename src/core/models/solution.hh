@@ -8,7 +8,10 @@
  * server delay S_d; Little's law converts its throughput into the
  * client busy time C_d; the server-node model solved with C_d yields
  * (via the customers-in-system Queue place and Little's law again) a
- * new S_d; iteration continues until S_d is stationary.
+ * new S_d; iteration continues until S_d is stationary.  Each node's
+ * net is built and explored once per time scale; later iterations move
+ * its surrogate stage and re-solve it (gtpn::StateSpace), with the
+ * same bits as a fresh build.
  */
 
 #ifndef HSIPC_MODELS_SOLUTION_HH

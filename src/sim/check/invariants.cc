@@ -160,11 +160,12 @@ checkMeasurement(Checker &c)
                          std::to_string(static_cast<int>(exp.arch)));
     }
 
-    // One node is all local; the classic and round-robin placements
-    // never co-locate a pair.  The mixed workload interleaves both
-    // kinds, and locality pins client and server together.
+    // One node is all local, and so is the locality placement, which
+    // pins each client to its server's node; the classic and
+    // round-robin placements never co-locate a pair.  The mixed
+    // workload interleaves both kinds.
     const bool mixed = exp.mixedLocal + exp.mixedRemote > 0;
-    if (topology.nodes == 1)
+    if (topology.nodes == 1 || (!mixed && topology.placement == 2))
         c.expectTrue(out.remoteThroughputPerSec == 0, "workload.split",
                      "remote throughput on a local-only run");
     else if (!mixed && topology.placement <= 1)

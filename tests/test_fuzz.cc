@@ -197,6 +197,30 @@ TEST(Oracle, UtilizationStaysInUnitRangeAtSaturation)
     EXPECT_TRUE(v.empty()) << formatViolations(v);
 }
 
+TEST(Oracle, LocalityPlacementAllowsNoRemoteThroughput)
+{
+    // The locality placement puts every client on its server's node,
+    // so a non-mixed run over several nodes is all local.  A real
+    // run's outcome passes; the same outcome with remote throughput
+    // booked must trip workload.split.
+    Experiment e = baseExperiment();
+    e.local = false;
+    e.conversations = 4;
+    e.topo.nodes = 4;
+    e.topo.placement = 2;
+    Outcome out = runExperiment(e);
+    ASSERT_GT(out.localThroughputPerSec, 0);
+    std::vector<Violation> v = checkOutcome(e, out);
+    EXPECT_TRUE(v.empty()) << formatViolations(v);
+
+    out.remoteThroughputPerSec = out.localThroughputPerSec;
+    v = checkOutcome(e, out);
+    bool split = false;
+    for (const Violation &x : v)
+        split = split || x.invariant == "workload.split";
+    EXPECT_TRUE(split) << formatViolations(v);
+}
+
 TEST(Differential, EligibilityMatchesTheModeledSubset)
 {
     EXPECT_TRUE(differentialEligible(baseExperiment()));

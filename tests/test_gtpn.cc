@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -1088,6 +1089,272 @@ TEST(Markov, HigherDampingStillConverges)
     const SolveResult r = c.solve(opts);
     ASSERT_TRUE(r.converged);
     EXPECT_NEAR(r.piEmbedded[0], 2.0 / 3.0, 1e-7);
+}
+
+/**
+ * Compare two chains edge by edge: the state count, every sojourn, and
+ * every edge's source and probability in each state's addEdge() order.
+ * Returns the number of differences and describes the first.
+ */
+std::size_t
+chainDifferences(const MarkovChain &a, const MarkovChain &b,
+                 std::string &first)
+{
+    std::size_t diffs = 0;
+    auto note = [&](std::size_t s, const std::string &what) {
+        if (diffs++ == 0)
+            first = "state " + std::to_string(s) + ": " + what;
+    };
+    if (a.numStates() != b.numStates()) {
+        first = "state counts differ";
+        return 1;
+    }
+    for (std::size_t s = 0; s < a.numStates(); ++s) {
+        if (a.sojourn(s) != b.sojourn(s))
+            note(s, "sojourn");
+        const auto &ea = a.edgesInto(s);
+        const auto &eb = b.edgesInto(s);
+        if (ea.size() != eb.size()) {
+            note(s, "edge count");
+            continue;
+        }
+        for (std::size_t k = 0; k < ea.size(); ++k) {
+            if (ea[k].src != eb[k].src || ea[k].prob != eb[k].prob)
+                note(s, "edge " + std::to_string(k));
+        }
+    }
+    return diffs;
+}
+
+/** Every chain edge and AnalyzerResult field, exactly equal. */
+void
+expectSameAnalysis(const StateSpace &space, const AnalyzerResult &got,
+                   const PetriNet &fresh)
+{
+    const StateSpace ref(fresh);
+    std::string first;
+    EXPECT_EQ(chainDifferences(space.chain(), ref.chain(), first), 0u)
+        << first;
+    const AnalyzerResult want = analyze(fresh);
+    EXPECT_EQ(got.numStates, want.numStates);
+    EXPECT_EQ(got.converged, want.converged);
+    EXPECT_EQ(got.deadlock, want.deadlock);
+    EXPECT_EQ(got.sweeps, want.sweeps);
+    EXPECT_EQ(got.resourceUsage, want.resourceUsage);
+    EXPECT_EQ(got.firingRate, want.firingRate);
+    EXPECT_EQ(got.placeOccupancy, want.placeOccupancy);
+}
+
+/** What a re-solved fixed point did besides matching fresh builds. */
+struct ReSolved
+{
+    int iterations = 0;
+    double serverDelay = 0.0;
+    int explorations = 0;       //!< both nets, fallbacks included
+    std::size_t reexpanded = 0; //!< post-advance states, both nets
+};
+
+/**
+ * solveNonlocalCustom()'s fixed point with its default configuration,
+ * its two nets held in StateSpaces and moved with setStageMean(); at
+ * every iterate each side's re-solve is compared with a fresh build
+ * at the same S_d or C_d.
+ */
+ReSolved
+reSolveFixedPoint(const models::NonlocalClientParams &cp,
+                  const models::NonlocalServerParams &sp, int n, double x,
+                  int hosts)
+{
+    double sd = sp.receivePath() + sp.match + sp.replyBase + x +
+                sp.mpReply + sp.dmaIn + sp.dmaOut;
+    std::optional<models::ClientModel> cm;
+    std::optional<StateSpace> cspace;
+    std::optional<models::ServerModel> sm;
+    std::optional<StateSpace> sspace;
+    ReSolved out;
+    for (int iter = 1; iter <= 60; ++iter) {
+        out.iterations = iter;
+        double cmin = std::min({cp.sendSyscall, cp.dmaOut, cp.dmaIn,
+                                cp.intrService, sd});
+        if (cp.arch != models::Arch::I)
+            cmin = std::min(cmin, cp.mpSend + cp.dispatch);
+        const double cscale = pinScale(cmin);
+        if (cm && cm->timeScale == cscale) {
+            models::setStageMean(cm->net, cm->serverDelay, sd / cscale);
+        } else {
+            cspace.reset();
+            cm.emplace(models::buildClientModel(cp, n, sd, hosts, cscale));
+            cspace.emplace(cm->net);
+        }
+        const AnalyzerResult cr = cspace->solve();
+        out.reexpanded += cspace->reexpanded();
+        expectSameAnalysis(
+            *cspace, cr,
+            models::buildClientModel(cp, n, sd, hosts, cscale).net);
+
+        const double lambda =
+            cm->throughputPerUs(cr.usage(models::lambdaResource));
+        double cd = n / lambda - sd - sp.receivePath();
+        double smin = std::min({sp.recvSyscall, sp.match,
+                                sp.replyBase + x, std::max(cd, 1.0)});
+        if (sp.arch != models::Arch::I)
+            smin = std::min({smin, sp.mpRecv, sp.mpReply});
+        const double sscale = pinScale(smin);
+        cd = std::max(cd, sscale);
+        if (sm && sm->timeScale == sscale) {
+            models::setStageMean(sm->net, sm->clientWait, cd / sscale);
+        } else {
+            sspace.reset();
+            sm.emplace(
+                models::buildServerModel(sp, n, cd, x, hosts, sscale));
+            sspace.emplace(sm->net);
+        }
+        const AnalyzerResult sr = sspace->solve();
+        out.reexpanded += sspace->reexpanded();
+        expectSameAnalysis(
+            *sspace, sr,
+            models::buildServerModel(sp, n, cd, x, hosts, sscale).net);
+
+        const double arrivals =
+            sr.firingRate[static_cast<std::size_t>(sm->arrival)] /
+            sm->timeScale;
+        const double sd_new =
+            sr.placeOccupancy[static_cast<std::size_t>(sm->queue)] /
+                arrivals +
+            sp.dmaIn + sp.dmaOut;
+        const double rel = std::abs(sd_new - sd) / std::max(sd, 1.0);
+        sd = 0.5 * (sd + sd_new);
+        if (rel < 1e-3)
+            break;
+    }
+    out.serverDelay = sd;
+    out.explorations = cspace->explorations() + sspace->explorations();
+    return out;
+}
+
+TEST(StateSpace, ReSolvedFixedPointsMatchFreshBuilds)
+{
+    // Fig 6.15 at n = 4, X = 2.85 ms, and Fig 6.19 Arch II at n = 4,
+    // X = 1.71 ms.  Every iterate's chain and result must equal a
+    // fresh build's, and the loop must be the library's: same
+    // iterations, same S_d bits.
+    struct Cell
+    {
+        models::NonlocalClientParams cp;
+        models::NonlocalServerParams sp;
+        double x;
+        int hosts;
+    };
+    const Cell cells[] = {
+        {models::validationClientParams(), models::validationServerParams(),
+         2850.0, 2},
+        {models::nonlocalClientParams(models::Arch::II),
+         models::nonlocalServerParams(models::Arch::II), 1710.0, 1}};
+    for (const Cell &c : cells) {
+        const ReSolved r = reSolveFixedPoint(c.cp, c.sp, 4, c.x, c.hosts);
+        const models::NonlocalSolution lib =
+            models::solveNonlocalCustom(c.cp, c.sp, 4, c.x, c.hosts);
+        EXPECT_EQ(r.iterations, lib.iterations);
+        EXPECT_EQ(r.serverDelay, lib.serverDelay);
+        // The time scales hold, so each net is explored once and every
+        // later iterate is a re-solve.
+        EXPECT_GT(r.iterations, 2);
+        EXPECT_EQ(r.explorations, 2);
+        EXPECT_GT(r.reexpanded, 0u);
+    }
+}
+
+TEST(StateSpace, StageMeanOfOneUnitReExplores)
+{
+    // At a mean of exactly 1 the loop member's frequency is 0, so the
+    // surrogate stage's expansions lose their loop outcomes.
+    const models::NonlocalClientParams cp =
+        models::nonlocalClientParams(models::Arch::I);
+    const double scale = pinScale(std::min(
+        {cp.sendSyscall, cp.dmaOut, cp.dmaIn, cp.intrService}));
+    models::ClientModel cm =
+        models::buildClientModel(cp, 2, 40.0 * scale, 1, scale);
+    StateSpace space(cm.net);
+    space.solve();
+    models::setStageMean(cm.net, cm.serverDelay, 1.0);
+    const AnalyzerResult r = space.solve();
+    EXPECT_EQ(space.explorations(), 2);
+    expectSameAnalysis(space, r,
+                       models::buildClientModel(cp, 2, scale, 1, scale).net);
+}
+
+TEST(StateSpace, DelayChangeReExplores)
+{
+    Fig66 f(4.0, 2.0);
+    StateSpace space(f.net);
+    space.solve();
+    f.net.setDelay(f.net.findTransition("T2"), constant(3.0));
+    const AnalyzerResult r = space.solve();
+    EXPECT_EQ(space.explorations(), 2);
+    expectSameAnalysis(space, r, Fig66(4.0, 3.0).net);
+}
+
+/**
+ * A token in P fires "fast" (1 unit) or "slow" (2 units) and returns.
+ * slow's frequency is the marking of M, so it is evaluated at 0
+ * whenever M's token is over in N; that token leaves M after a
+ * geometric time ("leave"/"stay") and comes back after one unit.
+ * States with slow in flight have P empty and evaluate neither.
+ */
+PetriNet
+partlyEvaluatedNet(double fastFreq)
+{
+    PetriNet net;
+    const PlaceId p = net.addPlace("P", 1);
+    const PlaceId m = net.addPlace("M", 1);
+    const PlaceId n = net.addPlace("N");
+    const TransId fast = net.addTransition("fast", 1.0, fastFreq, "Fast");
+    net.inputArc(p, fast);
+    net.outputArc(fast, p);
+    const TransId slow =
+        net.addTransition("slow", constant(2.0), tokens(m), "Slow");
+    net.inputArc(p, slow);
+    net.outputArc(slow, p);
+    const TransId leave = net.addTransition("leave", 1.0, 0.5);
+    net.inputArc(m, leave);
+    net.outputArc(leave, n);
+    const TransId stay = net.addTransition("stay", 1.0, 0.5);
+    net.inputArc(m, stay);
+    net.outputArc(stay, m);
+    const TransId back = net.addTransition("back", 1.0, 1.0);
+    net.inputArc(n, back);
+    net.outputArc(back, m);
+    return net;
+}
+
+TEST(StateSpace, PartlyEvaluatedTransitionMatchesFresh)
+{
+    // fast is evaluated only where P holds a token; moving its
+    // frequency re-expands those states and keeps the graph.
+    PetriNet net = partlyEvaluatedNet(1.0);
+    StateSpace space(net);
+    space.solve();
+    net.setFrequency(net.findTransition("fast"), constant(2.5));
+    AnalyzerResult r = space.solve();
+    ASSERT_TRUE(r.converged);
+    EXPECT_EQ(space.explorations(), 1);
+    EXPECT_GT(space.reexpanded(), 0u);
+    expectSameAnalysis(space, r, partlyEvaluatedNet(2.5));
+
+    // slow, evaluated at 0 while M is empty, turns positive there:
+    // those expansions gain outcomes, so the net is explored afresh.
+    // Where M is marked its frequency stays 1 and its outcomes hold.
+    net.setFrequency(net.findTransition("slow"), constant(1.0));
+    r = space.solve();
+    EXPECT_EQ(space.explorations(), 2);
+    PetriNet fresh = partlyEvaluatedNet(2.5);
+    fresh.setFrequency(fresh.findTransition("slow"), constant(1.0));
+    expectSameAnalysis(space, r, fresh);
+
+    // An unchanged net re-solves without re-expanding.
+    const AnalyzerResult again = space.solve();
+    EXPECT_EQ(space.reexpanded(), 0u);
+    expectSameAnalysis(space, again, fresh);
 }
 
 } // namespace
