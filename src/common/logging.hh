@@ -96,11 +96,27 @@ warnImpl(const char *file, int line, const std::string &msg)
         }                                                                   \
     } while (0)
 
+namespace hsipc
+{
+
+/**
+ * hsipc_assert()'s failure path, kept out of line so that a check in a
+ * hot function costs its caller one test and branch, not the inlined
+ * string building of the message.
+ */
+[[noreturn]] __attribute__((noinline, cold)) inline void
+assertFailed(const char *file, int line, const char *cond)
+{
+    panicImpl(file, line, std::string("assertion failed: ") + cond);
+}
+
+} // namespace hsipc
+
 /** Assert an internal invariant; active in all build types. */
 #define hsipc_assert(cond)                                                  \
     do {                                                                    \
-        if (!(cond))                                                        \
-            hsipc_panic(std::string("assertion failed: ") + #cond);        \
+        if (!(cond)) [[unlikely]]                                           \
+            ::hsipc::assertFailed(__FILE__, __LINE__, #cond);               \
     } while (0)
 
 #endif // HSIPC_COMMON_LOGGING_HH

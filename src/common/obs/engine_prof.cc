@@ -54,6 +54,16 @@ render(const EngineProfile &p, bool full)
            ", \"comparisons\": " + u64(p.comparisons) +
            ", \"maxHeapSize\": " + u64(p.maxHeapSize) +
            ", \"remainingAtEnd\": " + u64(p.remainingAtEnd) + "}";
+    if (p.coStep.loops > 0) {
+        const EngineProfile::CoStep &c = p.coStep;
+        doc += ",\n  \"coStep\": {\"loops\": " + u64(c.loops) +
+               ", \"steps\": " + u64(c.steps) +
+               ", \"takenOver\": " + u64(c.takenOver) +
+               ", \"pushedBack\": " + u64(c.pushedBack) +
+               ", \"stops\": {\"nonAccess\": " + u64(c.stopNonAccess) +
+               ", \"bound\": " + u64(c.stopBound) +
+               ", \"drained\": " + u64(c.stopDrained) + "}}";
+    }
     doc += ",\n  \"callbacks\": {\"spillConstructs\": " +
            u64(p.spillConstructs) + ", \"oversizeConstructs\": " +
            u64(p.oversizeConstructs);
@@ -85,6 +95,18 @@ render(const EngineProfile &p, bool full)
 } // namespace
 
 void
+EngineProfile::CoStep::merge(const CoStep &other)
+{
+    loops += other.loops;
+    steps += other.steps;
+    takenOver += other.takenOver;
+    pushedBack += other.pushedBack;
+    stopNonAccess += other.stopNonAccess;
+    stopBound += other.stopBound;
+    stopDrained += other.stopDrained;
+}
+
+void
 EngineProfile::merge(const EngineProfile &other)
 {
     enabled = enabled || other.enabled;
@@ -99,6 +121,7 @@ EngineProfile::merge(const EngineProfile &other)
     oversizeConstructs += other.oversizeConstructs;
     freshPoolBlocks += other.freshPoolBlocks;
     sampledEvents += other.sampledEvents;
+    coStep.merge(other.coStep);
     dwellUs.merge(other.dwellUs);
     heapDepth.merge(other.heapDepth);
     for (const Track &ot : other.tracks) {

@@ -71,6 +71,28 @@ struct EngineProfile
 
     std::uint64_t sampledEvents = 0; //!< executions wall-clock sampled
 
+    /**
+     * The access loop's work (docs/performance.md, "Co-stepping
+     * access loops").  A loop starts at a popped step event, which
+     * counts as a pop; the step events it takes over from the heap
+     * do not, so pushes = pops + takenOver + remainingAtEnd.
+     */
+    struct CoStep
+    {
+        std::uint64_t loops = 0;      //!< loops started
+        std::uint64_t steps = 0;      //!< step events run in them
+        std::uint64_t takenOver = 0;  //!< heap events run as steps
+        std::uint64_t pushedBack = 0; //!< keys left on the heap at stops
+        //! Stops by cause: a pending non-step event came first, the
+        //! next step lay past the runUntil() bound, nothing was left.
+        std::uint64_t stopNonAccess = 0;
+        std::uint64_t stopBound = 0;
+        std::uint64_t stopDrained = 0;
+
+        void merge(const CoStep &other);
+    };
+    CoStep coStep; //!< rendered only when a loop started
+
     QuantileSketch dwellUs;   //!< sampled events' queue residence (sim us)
     QuantileSketch heapDepth; //!< heap size at sampled pushes
 
@@ -246,6 +268,13 @@ class EngineProfiler
         prof_.comparisons += comparisons;
         if (maxHeap > prof_.maxHeapSize)
             prof_.maxHeapSize = maxHeap;
+    }
+
+    /** One access loop's counts, added at its stop. */
+    void
+    noteCoStep(const EngineProfile::CoStep &loop)
+    {
+        prof_.coStep.merge(loop);
     }
 
     /** The subsample mask; the queue caches it beside its hot state. */

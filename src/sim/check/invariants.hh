@@ -55,8 +55,10 @@
  *
  *  engine profile (Experiment::engineProfile; engprof.*)
  *   - pay-for-use: with the knob off the profile is empty
- *   - queue conservation: pushes = pops + remainingAtEnd, with
- *     remainingAtEnd below the observed heap peak
+ *   - queue conservation: pushes = pops + coStep.takenOver +
+ *     remainingAtEnd, with remainingAtEnd below the observed heap
+ *     peak; every access loop starts at a pop, runs at least its
+ *     first event and each one it took over, and stops once
  *   - sampling: sampled executions <= pops, dwell samples <= pushes,
  *     dwell and heap-depth sketches fill in lockstep, dwell >= 0
  *   - attribution: track event counts partition pops exactly (track

@@ -58,15 +58,28 @@ struct TestHooks
     long topoRouterDrop = 0;
 
     /**
-     * Ticks the processor's fast-forward of quiet bus runs adds to
-     * the event queue's quiet horizon — a deliberate overshoot that
-     * books accesses past the next pending event, so an event that
-     * should have seen (or contended for) the bus mid-run no longer
-     * does.  Traced runs take the per-access path, so the
+     * Ticks the access loop (node/processor.cc) adds to the time of
+     * the earliest pending event, and to the runUntil() bound, when
+     * it decides what runs next — a deliberate overshoot that runs
+     * the loop's own steps past the next pending event, so an event
+     * that should have seen (or contended for) the bus first no
+     * longer does.  Traced runs take the per-access path, so the
      * determinism.traceIdentity oracle must catch the divergence and
-     * the fuzzer must shrink it.  Read when a Processor is built.
+     * the fuzzer must shrink it.  (The name is that of the processor
+     * fast-forward the loop replaced, whose horizon it widened.)
+     * Read when an access loop starts.
      */
     Tick fastForwardSlackTicks = 0;
+
+    /**
+     * Makes a bus grant its waiting requests in FIFO order, ignoring
+     * priority, while an access loop runs — a misgrant that lets a
+     * task's access go before an interrupt's.  Traced runs take the
+     * per-access path and grant by priority, so the
+     * determinism.traceIdentity oracle must catch the divergence and
+     * the fuzzer must shrink it.  Read when a Resource is built.
+     */
+    bool coStepFifoGrant = false;
 
     /**
      * Invoked at the top of runExperiment() when set.  May throw —

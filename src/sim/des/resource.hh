@@ -4,32 +4,50 @@
  * a time, granted by priority then FIFO, held for a fixed duration.
  *
  * Most acquires find the bus free and nobody waiting.  Those are
- * granted directly: the continuation is built in the member where a
- * holder's continuation waits, and the request never enters the
- * queue.  Queued requests reach the same grant() when the bus frees,
- * so both paths book, trace and release alike (docs/performance.md,
- * "Building callbacks in place and granting an idle bus directly").
+ * granted directly: the request never enters the queue.  Queued
+ * requests reach the same grant() when the bus frees, so both paths
+ * book, trace and release alike (docs/performance.md, "Building
+ * callbacks in place and granting an idle bus directly").
+ *
+ * A processor's access carries no callback: the request names the
+ * processor, and the release resumes it directly.  Such a release is
+ * a step event (EventQueue::Step::Release) unless this bus records
+ * per access, so the access loop in node/processor.cc runs it with
+ * the holder's next chunk end and every other access event up to the
+ * next non-access event.  The loop runs release() itself (with
+ * nobody waiting, its two stores and the holder's resumption in
+ * place), so the holder, the wait queue and the grant rule (priority,
+ * then queue order) are the per-access path's at every step, and at
+ * its stop (docs/performance.md, "Co-stepping access loops").
  */
 
 #ifndef HSIPC_SIM_RESOURCE_HH
 #define HSIPC_SIM_RESOURCE_HH
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/obs/probe.hh"
+#include "sim/check/test_hooks.hh"
 #include "sim/des/event_queue.hh"
 
 namespace hsipc::sim
 {
+
+class Processor;
+
+/** Resume @p master's activity after its access (node/processor.cc). */
+void resumeAfterAccess(Processor &master);
 
 /** A single-server resource with prioritized FIFO queueing. */
 class Resource
 {
   public:
     Resource(EventQueue &eq, std::string name)
-        : eq(eq), name(std::move(name))
+        : eq(eq), name(std::move(name)), stepId(eq.addStepTarget(this)),
+          fifoInLoops(check::testHooks().coStepFifoGrant)
     {}
 
     /**
@@ -59,21 +77,32 @@ class Resource
     acquire(int priority, Tick hold, F &&done, long msgId = 0)
     {
         if (!busy && waiting.empty()) {
-            // The depth a queued request reports: itself alone.
-            if (probe.tracer)
-                probe.tracer->counter(probe.track, "queued", eq.now(),
-                                      1.0);
+            noteIdleRequest();
             heldDone.emplace(std::forward<F>(done));
             grant(hold, msgId, eq.now());
             return;
         }
         waiting.push_back(Request{priority, hold, msgId, eq.now(),
-                                  std::forward<F>(done)});
-        if (probe.tracer)
-            probe.tracer->counter(probe.track, "queued", eq.now(),
-                                  static_cast<double>(waiting.size()));
-        if (!busy)
-            grantNext();
+                                  std::forward<F>(done), nullptr});
+        noteQueued();
+    }
+
+    /**
+     * Acquire the resource for @p master's access: as above, with
+     * resumeAfterAccess(@p master) as the continuation.
+     */
+    void
+    acquire(int priority, Tick hold, Processor &master, long msgId)
+    {
+        if (!busy && waiting.empty()) {
+            noteIdleRequest();
+            heldBy = &master;
+            grant(hold, msgId, eq.now());
+            return;
+        }
+        waiting.push_back(
+            Request{priority, hold, msgId, eq.now(), {}, &master});
+        noteQueued();
     }
 
     /** Fraction of time the resource has been held. */
@@ -104,46 +133,61 @@ class Resource
     /** Free, with nobody waiting: an acquire() now is granted at once. */
     bool quiet() const { return !busy && waiting.empty(); }
 
-    /**
-     * Book a hold of @p hold ticks granted at @p at, exactly as an
-     * uncontended acquire() at @p at would, but with no release
-     * event.  Only for a caller that has established that the hold
-     * starts and ends before anything else can observe or acquire
-     * the resource (see Processor's fast-forward).
-     */
-    void
-    bookHold(Tick at, Tick hold)
-    {
-        busyTicks += hold;
-        heldUntil = at + hold;
-    }
-
     const std::string &resourceName() const { return name; }
     const obs::Probe &observer() const { return probe; }
 
   private:
+    friend class AccessLoop;
+
     struct Request
     {
         int priority;
         Tick hold;
         long msgId;      //!< message whose path this access is on
         Tick enqueuedAt; //!< when the request joined the queue
-        EventQueue::Callback done;
+        EventQueue::Callback done; //!< empty for a processor's access
+        Processor *master;         //!< the accessing processor, or null
     };
 
-    /** Grant the best waiting request (priority, then FIFO). */
+    /** The "queued" sample of an idle grant: the request alone. */
+    void
+    noteIdleRequest()
+    {
+        if (probe.tracer)
+            probe.tracer->counter(probe.track, "queued", eq.now(), 1.0);
+    }
+
+    /** After a request joined the queue: report, and grant if free. */
+    void
+    noteQueued()
+    {
+        if (probe.tracer)
+            probe.tracer->counter(probe.track, "queued", eq.now(),
+                                  static_cast<double>(waiting.size()));
+        if (!busy)
+            grantNext();
+    }
+
+    /**
+     * Grant the best waiting request (priority, then FIFO).  The
+     * test-only fifoInLoops plant takes the oldest instead while an
+     * access loop runs.
+     */
     void
     grantNext()
     {
         if (waiting.empty())
             return;
         std::size_t best = 0;
-        for (std::size_t i = 1; i < waiting.size(); ++i) {
-            if (waiting[i].priority > waiting[best].priority)
-                best = i;
+        if (!(fifoInLoops && eq.coStepping())) [[likely]] {
+            for (std::size_t i = 1; i < waiting.size(); ++i) {
+                if (waiting[i].priority > waiting[best].priority)
+                    best = i;
+            }
         }
         Request &req = waiting[best];
         heldDone = std::move(req.done);
+        heldBy = req.master;
         const Tick hold = req.hold;
         const long msgId = req.msgId;
         const Tick enqueuedAt = req.enqueuedAt;
@@ -153,14 +197,33 @@ class Resource
 
     /**
      * Hand the resource to the request whose continuation is already
-     * in heldDone: book the hold, report it, and schedule the
-     * release.
+     * in heldBy or heldDone: book the hold, report it, and schedule
+     * the release.
      */
     void
     grant(Tick hold, long msgId, Tick enqueuedAt)
     {
         busy = true;
         bookHold(eq.now(), hold);
+        if (probe.tracer || probe.causal || probe.prof) [[unlikely]]
+            recordGrant(hold, msgId, enqueuedAt);
+        // One grant is outstanding at a time, so its continuation
+        // waits in a member and the release names only this bus.
+        if (heldBy && !probe.perAccess()) {
+            eq.scheduleStep(eq.now() + hold, EventQueue::Step::Release,
+                            stepId);
+        } else {
+            eq.scheduleAfter(hold, [this]() {
+                const auto s = probe.scope();
+                release();
+            });
+        }
+    }
+
+    /** grant()'s trace span, causal intervals and provenance edge. */
+    __attribute__((noinline, cold)) void
+    recordGrant(Tick hold, long msgId, Tick enqueuedAt)
+    {
         if (probe.tracer) {
             probe.tracer->complete(probe.track, "access", eq.now(), hold,
                                    "bus", msgId);
@@ -176,25 +239,45 @@ class Resource
         }
         if (probe.prof)
             probe.prof->edge(probe.origin, hold);
-        // One grant is outstanding at a time, so its continuation
-        // waits in a member and the release captures only `this`:
-        // the event stays within the callback's inline storage.
-        eq.scheduleAfter(hold, [this]() {
-            const auto s = probe.scope();
-            busy = false;
+    }
+
+    /** Book a hold of @p hold ticks granted at @p at. */
+    void
+    bookHold(Tick at, Tick hold)
+    {
+        busyTicks += hold;
+        heldUntil = at + hold;
+    }
+
+    /** The release event: resume the holder, then grant the next. */
+    void
+    release()
+    {
+        busy = false;
+        if (Processor *m = heldBy) {
+            heldBy = nullptr;
+            resumeAfterAccess(*m);
+        } else {
             // Moved out first: the continuation may re-acquire.
             const EventQueue::Callback done = std::move(heldDone);
             done();
-            if (!busy)
-                grantNext();
-        });
+        }
+        if (!busy)
+            grantNext();
     }
 
     EventQueue &eq;
     std::string name;
     obs::Probe probe;
-    std::deque<Request> waiting;
-    EventQueue::Callback heldDone; //!< the current grant's continuation
+    const std::uint32_t stepId; //!< this bus as a step-event target
+    //! Test-only: grant FIFO inside access loops (check::TestHooks).
+    const bool fifoInLoops;
+    //! A handful at most (one per master): a vector never allocates
+    //! once it has grown, where a deque allocates a block every few
+    //! requests.
+    std::vector<Request> waiting;
+    Processor *heldBy = nullptr;   //!< the holding processor, if any
+    EventQueue::Callback heldDone; //!< else the grant's continuation
     bool busy = false;
     Tick busyTicks = 0;
     Tick heldUntil = 0; //!< end of the latest granted hold

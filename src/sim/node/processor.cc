@@ -1,14 +1,307 @@
 #include "sim/node/processor.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "sim/check/test_hooks.hh"
 
 namespace hsipc::sim
 {
 
+/**
+ * The access loop: runs a popped step event and every later step
+ * event, on any bus of any node, in exact (when, seq) order, up to
+ * the first pending non-step event or the runUntil() bound
+ * (docs/performance.md, "Co-stepping access loops").
+ *
+ * A step is exactly what the event's callback would do: the chunk
+ * end's takeAccess(), charge() and acquire(), or the release's
+ * resumption of the holder (segment(), with its preemption test)
+ * and grant of the next request.  Only where they schedule differs:
+ * a step event scheduled inside the loop draws its seq as it would
+ * anyway but stays a key in the loop's own heap, and a step event at
+ * the root of the queue's heap that comes first is taken over.  A
+ * finish, or any other event, goes onto the queue's heap, so it
+ * bounds the rest of the loop.  At the stop the loop's keys go back
+ * onto the queue's heap with the seqs they hold.
+ */
+class AccessLoop
+{
+  public:
+    /** Install run() as @p eq's access loop. */
+    static void attach(EventQueue &eq) { eq.accessLoop = &run; }
+
+  private:
+    using Key = EventQueue::Key;
+    using Step = EventQueue::Step;
+
+    static const obs::Probe &
+    probeOf(const EventQueue &q, Key k)
+    {
+        void *who = q.stepTargets[k.id()];
+        return k.step() == Step::ChunkEnd
+            ? static_cast<Processor *>(who)->probe
+            : static_cast<Resource *>(who)->probe;
+    }
+
+    /** Run step event @p k: what its callback would do. */
+    static void
+    step(EventQueue &q, Key k)
+    {
+        void *who = q.stepTargets[k.id()];
+        if (k.step() == Step::ChunkEnd) {
+            Processor &p = *static_cast<Processor *>(who);
+            const auto s = p.probe.scope();
+            p.chunkEnd();
+        } else {
+            Resource &r = *static_cast<Resource *>(who);
+            const auto s = r.probe.scope();
+            r.release();
+        }
+    }
+
+    static Key otherThan(const EventQueue &q, Tick end, Tick slack);
+    static bool comesFirst(const EventQueue &q, Tick when, Step kind,
+                           std::uint32_t id, const Key &other);
+    static bool resumeQuietly(EventQueue &q, Processor &p,
+                              const Key &other);
+    static void accessQuietly(EventQueue &q, Processor &p,
+                              const Key &other);
+
+    static void run(EventQueue &q, Key first, Tick end);
+
+    /** Replace the root of min-heap @p h with @p x and sift it down. */
+    static void
+    replaceTop(std::vector<Key> &h, Key x)
+    {
+        std::size_t i = 0;
+        const std::size_t n = h.size();
+        for (;;) {
+            std::size_t child = 2 * i + 1;
+            if (child >= n)
+                break;
+            if (child + 1 < n && EventQueue::before(h[child + 1], h[child]))
+                ++child;
+            if (!EventQueue::before(h[child], x))
+                break;
+            h[i] = h[child];
+            i = child;
+        }
+        h[i] = x;
+    }
+};
+
+/*
+ * In a loop nothing profiles, the steps of a processor whose bus is
+ * free run in place: a chunk end whose release, then the chunk end
+ * after it, each come before every other pending event and by the
+ * bound, and a release with nobody waiting.  That is what their steps
+ * would do — the grant's bookHold(), the release, segment()'s
+ * preemption test and chargeChunk() — with each seq drawn where their
+ * schedule would draw it, minus the dispatch.  The first access that
+ * finds the bus taken, or a key that does not come first, falls back
+ * to the step's own code at that point.  A profiled loop takes every
+ * step apart, so its edges and counts are those of the steps.
+ */
+
+/**
+ * The earliest pending event that is not one of the running steps':
+ * the loop's first key, the heap's root (moved by the slack plant),
+ * or just past the bound.  A step in place schedules nothing else, so
+ * it holds while one runs.
+ */
+AccessLoop::Key
+AccessLoop::otherThan(const EventQueue &q, Tick end, Tick slack)
+{
+    Key other{end == std::numeric_limits<Tick>::max() ? end : end + 1, 0};
+    if (!q.loopKeys.empty() && EventQueue::before(q.loopKeys.front(), other))
+        other = q.loopKeys.front();
+    if (!q.heap.empty()) {
+        Key r = q.heap.front();
+        r.when += slack;
+        if (EventQueue::before(r, other))
+            other = r;
+    }
+    return other;
+}
+
+/** Would step @p kind of @p id at @p when, with the next seq, run next? */
+bool
+AccessLoop::comesFirst(const EventQueue &q, Tick when, Step kind,
+                       std::uint32_t id, const Key &other)
+{
+    const Key k{when, q.nextSeq << EventQueue::seqShift |
+                          static_cast<std::uint64_t>(kind)
+                              << EventQueue::stepShift |
+                          id};
+    return EventQueue::before(k, other);
+}
+
+/**
+ * Resume @p p after its release at now, as segment() would.  True
+ * when its next chunk end comes first: its seq is drawn and the clock
+ * is there, for accessQuietly().
+ */
+bool
+AccessLoop::resumeQuietly(EventQueue &q, Processor &p, const Key &other)
+{
+    Processor::Running &r = *p.running;
+    if (!p.queue.empty() && p.queue.front().act.priority > r.act.priority) {
+        p.segment(); // preempted at this boundary
+        return false;
+    }
+    const Tick at = p.chargeChunk(q.current);
+    if (r.memLeft + r.memLeft2 == 0 || !r.coSteps ||
+        !comesFirst(q, at, Step::ChunkEnd, p.stepId, other)) {
+        p.scheduleNext(at);
+        return false;
+    }
+    ++q.nextSeq;
+    q.current = at;
+    return true;
+}
+
+/** Chunk end of @p p at now, and its quiet accesses after it. */
+void
+AccessLoop::accessQuietly(EventQueue &q, Processor &p, const Key &other)
+{
+    Processor::Running &r = *p.running;
+    do {
+        Resource *bus = p.takeAccess();
+        p.charge(q.current, tickUs, true);
+        if (!bus->quiet() || !comesFirst(q, q.current + tickUs,
+                                         Step::Release, bus->stepId,
+                                         other)) {
+            bus->acquire(r.act.priority, tickUs, p, r.act.msgId);
+            return;
+        }
+        // The release comes next: the grant's seq, its hold, and the
+        // release itself, which leaves the bus free again.
+        ++q.nextSeq;
+        bus->bookHold(q.current, tickUs);
+        q.current += tickUs;
+    } while (resumeQuietly(q, p, other));
+}
+
+void
+AccessLoop::run(EventQueue &q, Key first, Tick end)
+{
+    if (end < first.when) { // runOne(): this event alone
+        step(q, first);
+        return;
+    }
+    // The popped event is claimed for its component, as its callback
+    // would claim it; each step's own scope then names only the
+    // source of the provenance edges it records.
+    const auto claim = probeOf(q, first).scope();
+    // The slack plant moves the root, and the bound, that much later:
+    // the loop runs its own steps past the next pending event.
+    const Tick slack = check::testHooks().fastForwardSlackTicks;
+    if (slack > 0 && end <= std::numeric_limits<Tick>::max() - slack)
+        end += slack;
+    std::vector<Key> &keys = q.loopKeys;
+    obs::EngineProfile::CoStep c;
+    c.loops = 1;
+    q.looping = true;
+    for (Key k = first;;) {
+        q.current = k.when;
+        void *who = q.stepTargets[k.id()];
+        if (q.prof) {
+            step(q, k);
+        } else if (k.step() == Step::ChunkEnd) {
+            accessQuietly(q, *static_cast<Processor *>(who),
+                          otherThan(q, end, slack));
+        } else if (Resource &b = *static_cast<Resource *>(who);
+                   b.waiting.empty()) {
+            // The release: with nobody waiting, grantNext() after the
+            // holder's segment() has nothing to do.
+            Processor &p = *b.heldBy;
+            b.busy = false;
+            b.heldBy = nullptr;
+            const Key other = otherThan(q, end, slack);
+            if (resumeQuietly(q, p, other))
+                accessQuietly(q, p, other);
+        } else {
+            step(q, k);
+        }
+        ++c.steps;
+        // The loop's earliest key: the first one this step scheduled
+        // when it comes before the rest, as it often does (a chunk
+        // end's release, a release's next chunk end), with no trip
+        // through the loop's heap.
+        const bool nextFirst =
+            q.haveNext &&
+            (keys.empty() || EventQueue::before(q.loopNext, keys.front()));
+        const Key *mine = nextFirst       ? &q.loopNext
+                          : !keys.empty() ? &keys.front()
+                                          : nullptr;
+        // Next is the earlier of that key and the heap's root.
+        if (!q.heap.empty()) {
+            Key r = q.heap.front();
+            r.when += slack;
+            if (!mine || EventQueue::before(r, *mine)) {
+                if (r.when > end) {
+                    ++c.stopBound;
+                    break;
+                }
+                if (r.step() == Step::None) {
+                    ++c.stopNonAccess;
+                    break;
+                }
+                if (q.haveNext) {
+                    q.pushLoopKey(q.loopNext);
+                    q.haveNext = false;
+                }
+                k = q.popRoot();
+                ++c.takenOver;
+                continue;
+            }
+        }
+        if (!mine) {
+            ++c.stopDrained;
+            break;
+        }
+        if (mine->when > end) {
+            ++c.stopBound;
+            break;
+        }
+        if (nextFirst) {
+            k = q.loopNext;
+        } else if (q.haveNext) {
+            k = keys.front();
+            replaceTop(keys, q.loopNext);
+        } else {
+            std::pop_heap(keys.begin(), keys.end(), EventQueue::After{});
+            k = keys.back();
+            keys.pop_back();
+        }
+        q.haveNext = false;
+    }
+    q.looping = false;
+    if (q.haveNext) {
+        keys.push_back(q.loopNext);
+        q.haveNext = false;
+    }
+    c.pushedBack = keys.size();
+    for (const Key &k : keys)
+        q.pushKey(k);
+    keys.clear();
+    if (q.prof)
+        q.prof->noteCoStep(c);
+}
+
+void
+resumeAfterAccess(Processor &master)
+{
+    const auto s = master.probe.scope();
+    master.segment();
+}
+
 Processor::Processor(EventQueue &eq, std::string name)
-    : eq(eq), name(std::move(name)),
-      fastForwardSlack(check::testHooks().fastForwardSlackTicks)
-{}
+    : eq(eq), name(std::move(name)), stepId(eq.addStepTarget(this))
+{
+    AccessLoop::attach(eq);
+}
 
 void
 Processor::charge(Tick at, Tick t, bool accessWait)
@@ -16,9 +309,22 @@ Processor::charge(Tick at, Tick t, bool accessWait)
     busyTicks += t;
     chargedUntil = at + t;
     hsipc_assert(running);
-    if (!running->ticks)
-        running->ticks = &perActivity[running->act.name];
+    if (!running->ticks) [[unlikely]]
+        running->ticks = &activitySlot();
     *running->ticks += t;
+    if (probe.perAccess()) [[unlikely]]
+        recordCharge(at, t, accessWait);
+}
+
+Tick &
+Processor::activitySlot()
+{
+    return perActivity[running->act.name];
+}
+
+void
+Processor::recordCharge(Tick at, Tick t, bool accessWait)
+{
     const long msg = running->act.msgId;
     if (probe.tracer && t > 0) {
         // The first charge of a message-serving activity is where its
@@ -52,6 +358,12 @@ Processor::submit(Activity act)
         r.cpuLeft += static_cast<Tick>(act.memAccesses2) * tickUs;
     const int segments = r.memLeft + r.memLeft2 + 1;
     r.chunk = r.cpuLeft / segments;
+    // The tracer and the causal log record one span per access, and
+    // the per-access path stays their reference.
+    const auto silent = [](const Resource *bus) {
+        return !bus || !bus->observer().perAccess();
+    };
+    r.coSteps = !probe.perAccess() && silent(act.bus) && silent(act.bus2);
     r.act = std::move(act);
 
     // Preempt at the next chunk boundary if this is more urgent; the
@@ -121,10 +433,14 @@ Processor::scheduleNext(Tick at)
     if (probe.prof)
         probe.prof->edge(probe.origin, at - eq.now());
     if (running->memLeft + running->memLeft2 > 0) {
-        eq.schedule(at, [this]() {
-            const auto s = probe.scope();
-            chunkEnd();
-        });
+        if (running->coSteps) {
+            eq.scheduleStep(at, EventQueue::Step::ChunkEnd, stepId);
+        } else {
+            eq.schedule(at, [this]() {
+                const auto s = probe.scope();
+                chunkEnd();
+            });
+        }
     } else {
         eq.schedule(at, [this]() {
             const auto s = probe.scope();
@@ -148,57 +464,10 @@ Processor::takeAccess()
 void
 Processor::chunkEnd()
 {
-    if (fastForward())
-        return;
     Resource *bus = takeAccess();
     charge(eq.now(), tickUs, true); // the processor waits on its access
-    bus->acquire(running->act.priority, tickUs,
-                 [this]() {
-                     const auto s = probe.scope();
-                     segment();
-                 },
+    bus->acquire(running->act.priority, tickUs, *this,
                  running->act.msgId);
-}
-
-bool
-Processor::fastForward()
-{
-    // The horizon test comes first: it is the cheapest, and on a busy
-    // fleet, where another node's event is nearly always less than an
-    // access away, it is the one that fails.
-    const Tick horizon = eq.quietHorizon() + fastForwardSlack;
-    Tick at = eq.now();
-    if (at + tickUs > horizon)
-        return false;
-    // The tracer and the causal log record one span per access.
-    if (probe.perAccess())
-        return false;
-    Running &r = *running;
-    // A more urgent activity preempts at the next boundary.
-    if (!queue.empty() && queue.front().act.priority > r.act.priority)
-        return false;
-    const auto usable = [](const Resource *bus) {
-        return bus->quiet() && !bus->observer().perAccess();
-    };
-    if ((r.memLeft > 0 && !usable(r.act.bus)) ||
-        (r.memLeft2 > 0 && !usable(r.act.bus2)))
-        return false;
-
-    // Nothing fires before the horizon, so nothing can acquire a bus,
-    // submit work or read state until then: book each access and the
-    // chunk after it exactly as the per-access path would, and
-    // schedule only the event segment() schedules at the last
-    // release.
-    for (;;) {
-        Resource *bus = takeAccess();
-        charge(at, tickUs, true);
-        bus->bookHold(at, tickUs);
-        at = chargeChunk(at + tickUs);
-        if (r.memLeft + r.memLeft2 == 0 || at + tickUs > horizon) {
-            scheduleNext(at);
-            return true;
-        }
-    }
 }
 
 void

@@ -11,10 +11,14 @@
  * machine instruction boundaries" (§6.6.1) — and the preempted
  * activity resumes where it left off.
  *
- * A run of uncontended accesses that nothing else can observe is
- * booked at once instead of event by event (see fastForward() and
- * docs/performance.md, "Fast-forwarding quiet bus runs"); the outputs
- * are identical either way.
+ * A chunk end with accesses left is a step event
+ * (EventQueue::Step::ChunkEnd) unless the processor or a bus of the
+ * activity records per access.  Under runUntil(), the access loop
+ * (AccessLoop, in processor.cc) runs those and the bus releases
+ * together, in exact (when, seq) order, up to the next non-access
+ * event: no callback, heap push or indirect call per access, and the
+ * same steps, in the same order, as event by event
+ * (docs/performance.md, "Co-stepping access loops").
  *
  * The running activity is held inline (std::optional), so starting
  * one allocates nothing.
@@ -24,6 +28,7 @@
 #define HSIPC_SIM_PROCESSOR_HH
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
@@ -65,6 +70,7 @@ struct Activity
 class Processor
 {
   public:
+    /** Build a processor; it installs the access loop on @p eq. */
     Processor(EventQueue &eq, std::string name);
 
     /** Queue an activity (FCFS within its priority). */
@@ -127,33 +133,35 @@ class Processor
         int memLeft2 = 0; //!< remaining accesses on bus2
         Tick chunk = 0;   //!< CPU per segment
         bool flowed = false; //!< flow step already emitted
+        //! Its chunk ends are step events: neither this processor nor
+        //! its buses record per access (decided at submit).
+        bool coSteps = false;
         //! This activity's perActivity slot, taken on its first charge
         //! (not at submit: an activity that never starts books none).
         Tick *ticks = nullptr;
     };
+
+    friend class AccessLoop;
+    friend void resumeAfterAccess(Processor &master);
 
     void maybeStart();
     void segment();
     Tick chargeChunk(Tick at);
     void scheduleNext(Tick at);
     void chunkEnd();
-    /**
-     * At a chunk end, book every access+chunk step whose release lies
-     * at or before the event queue's quiet horizon and schedule the
-     * one event the per-access path would schedule at the last
-     * release.  False (nothing booked) unless the buses are free, no
-     * more urgent work is queued and no probe records per access.
-     */
-    bool fastForward();
     Resource *takeAccess();
     void finish();
 
     EventQueue &eq;
     std::string name;
     obs::Probe probe;
-    //! Test-only: ticks the fast-forward wrongly adds to the horizon.
-    Tick fastForwardSlack;
+    const std::uint32_t stepId; //!< this processor as a step-event target
     void charge(Tick at, Tick t, bool accessWait = false);
+    /** The running activity's perActivity slot (its first charge). */
+    __attribute__((noinline, cold)) Tick &activitySlot();
+    /** charge()'s trace span and causal interval, when recording. */
+    __attribute__((noinline, cold)) void recordCharge(Tick at, Tick t,
+                                                      bool accessWait);
 
     std::deque<Running> queue;
     std::optional<Running> running;

@@ -456,13 +456,15 @@ TEST(Fuzz, PlantedRouterDropIsCaughtShrunkAndReplayable)
 
 TEST(Fuzz, PlantedFastForwardOvershootIsCaughtShrunkAndReplayable)
 {
-    // The drill for the processor's fast-forward of quiet bus runs: a
-    // horizon treated as 3 us later than it is books accesses past
-    // the next pending event, so a release, a grant or a preemption
-    // that event should have seen moves.  Traced runs take the
-    // per-access path, which turns the trace-on vs trace-off identity
-    // into a fast-forward vs per-access differential.  The config is
-    // the fuzz corpus draw that first caught the plant.
+    // The drill for the access loop's stop bound (it began as the
+    // drill for the fast-forward of quiet bus runs the loop
+    // replaced): a pending event treated as 3 us later than it is
+    // lets the loop run its own accesses past it, so a release, a
+    // grant or a preemption that event should have seen moves.
+    // Traced runs take the per-access path, which turns the trace-on
+    // vs trace-off identity into a co-step vs per-access
+    // differential.  The config is the fuzz corpus draw that first
+    // caught the plant.
     const Experiment failing = ExperimentGenerator(1987).generate(1);
     OracleOptions oracle;
     oracle.parallelJobs = 0;
@@ -508,6 +510,58 @@ TEST(Fuzz, PlantedFastForwardOvershootIsCaughtShrunkAndReplayable)
     // With the planted bug removed the same repro runs clean: the
     // failure was the bug, not the configuration.
     testHooks().fastForwardSlackTicks = 0;
+    EXPECT_TRUE(checkedRun(replayed, oracle).ok());
+}
+
+TEST(Fuzz, PlantedCoStepMisgrantIsCaughtShrunkAndReplayable)
+{
+    // The drill for the access loop's grant rule: a bus that grants
+    // FIFO while a loop runs lets a task's access go before an
+    // interrupt's that waits behind it.  Traced runs take the
+    // per-access path, which grants by priority, so the trace-on vs
+    // trace-off identity catches it.  The config is the fuzz corpus
+    // draw that first caught the plant.
+    const Experiment failing = ExperimentGenerator(1987).generate(7);
+    OracleOptions oracle;
+    oracle.parallelJobs = 0;
+
+    // Healthy simulator: the oracle is green on this config.
+    EXPECT_TRUE(checkedRun(failing, oracle).ok());
+
+    ScopedTestHooks guard;
+    testHooks().coStepFifoGrant = true;
+
+    const std::vector<Violation> caught =
+        checkedRun(failing, oracle).violations;
+    ASSERT_FALSE(caught.empty());
+    std::set<std::string> ids;
+    for (const Violation &v : caught)
+        ids.insert(v.invariant);
+    EXPECT_TRUE(ids.count("determinism.traceIdentity"))
+        << formatViolations(caught);
+
+    const auto sameFailure = [&](const Experiment &cand) {
+        for (const Violation &v : checkedRun(cand, oracle).violations)
+            if (ids.count(v.invariant))
+                return true;
+        return false;
+    };
+    const ShrinkResult shrunk = shrinkExperiment(failing, sameFailure);
+    EXPECT_LE(shrunk.knobsChanged, 5)
+        << "minimal repro still has knobs: " << [&] {
+               std::string s;
+               for (const std::string &k : knobDiff(shrunk.minimal))
+                   s += k + " ";
+               return s;
+           }();
+
+    const Experiment replayed =
+        experimentFromJsonText(experimentToJson(shrunk.minimal));
+    EXPECT_TRUE(replayed == shrunk.minimal);
+    EXPECT_TRUE(sameFailure(replayed));
+
+    // With the plant removed the same repro runs clean.
+    testHooks().coStepFifoGrant = false;
     EXPECT_TRUE(checkedRun(replayed, oracle).ok());
 }
 

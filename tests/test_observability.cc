@@ -1040,7 +1040,7 @@ TEST(Observability, ReportSectionsArePinned)
     // The first timeline digest is that of the committed
     // bench/baselines/beyond_overload_timeline.json.
     const Pin pins[] = {
-        {false, 0xcb88bc8a43b1b04full, 0x3afb369d145696fcull,
+        {false, 0xcb88bc8a43b1b04full, 0x52711873b8b1f155ull,
          0x0b6a4b5141b196c5ull},
         {true, 0xb2efaf2179604270ull, 0x38ba9c83ac99b7b7ull,
          0xa7fde2d61c43f618ull},

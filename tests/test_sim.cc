@@ -8,6 +8,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <new>
@@ -501,7 +503,7 @@ TEST(Processor, InterruptPreemptsAtChunkBoundary)
     EXPECT_GT(task_done, intr_done + usToTicks(700));
 }
 
-// --- Fast-forward of quiet bus runs --------------------------------
+// --- Quiet bus runs, which the access loop runs in one go -----------
 //
 // The fixture's task: 100 us of CPU with 9 accesses, so ten 10-us
 // chunks around 1-us accesses.  Uncontended, access k runs over
@@ -510,15 +512,15 @@ TEST(Processor, InterruptPreemptsAtChunkBoundary)
 /** How a scenario drives its queue. */
 enum class Drive
 {
-    FastForward, //!< runUntil(), nothing recording
-    Traced,      //!< runUntil() with a recording tracer: per access
-    Decomposed,  //!< runUntil() with a causal log only: per access
-    Profiled,    //!< runUntil() with the engine profiler only
-    Stepwise,    //!< runOne() loop: no quiet horizon, per access
+    CoStep,     //!< runUntil(), nothing recording
+    Traced,     //!< runUntil() with a recording tracer: per access
+    Decomposed, //!< runUntil() with a causal log only: per access
+    Profiled,   //!< runUntil() with the engine profiler only
+    Stepwise,   //!< runOne() loop: one event at a time, per access
 };
 
-/** Every drive; only FastForward and Profiled may fast-forward. */
-constexpr Drive allDrives[] = {Drive::FastForward, Drive::Traced,
+/** Every drive; only CoStep and Profiled run access loops. */
+constexpr Drive allDrives[] = {Drive::CoStep, Drive::Traced,
                                Drive::Decomposed, Drive::Profiled,
                                Drive::Stepwise};
 
@@ -583,12 +585,12 @@ TEST(FastForward, UncontendedActivityRunsInTwoEvents)
         s.submitTask();
         s.run(d, usToTicks(1000));
         SCOPED_TRACE(static_cast<int>(d));
-        // The first chunk end books every access; the second event is
-        // the finish.  Per access: 9 chunk ends + 9 releases + finish.
-        // The profiler records per event, not per access, so it keeps
-        // the fast path; the tracer and the causal log do not.
-        const bool fast =
-            d == Drive::FastForward || d == Drive::Profiled;
+        // The first chunk end starts an access loop that runs every
+        // access; the second event is the finish.  Per access: 9 chunk
+        // ends + 9 releases + finish.  The profiler records per event,
+        // not per access, so it keeps the loop; the tracer and the
+        // causal log do not.
+        const bool fast = d == Drive::CoStep || d == Drive::Profiled;
         EXPECT_EQ(s.eq.eventsRun(), fast ? 2u : 19u);
         EXPECT_EQ(s.taskDone, usToTicks(109));
         EXPECT_EQ(s.p.busyTime(), usToTicks(109));
@@ -685,7 +687,7 @@ TEST(FastForward, RunUntilBoundSeesThePerAccessState)
         {54.5, 54.5, 55, 4.5}, // inside the fifth access
     };
     for (const Expect &c : cases) {
-        for (Drive d : {Drive::FastForward, Drive::Traced,
+        for (Drive d : {Drive::CoStep, Drive::Traced,
                         Drive::Decomposed, Drive::Profiled}) {
             QuietBus s(d);
             s.submitTask();
@@ -713,8 +715,8 @@ TEST(FastForward, ArchIVStillAlternatesBusPartitions)
     // 3 accesses on one partition and 2 on the other, 10-us chunks:
     // the order is A A B A B, releasing at 11, 22, 33, 44, 55 us.  A
     // bound at each release shows the partitions' busy time step by
-    // step, whether the run reaches it in one fast-forward or several.
-    for (Drive d : {Drive::FastForward, Drive::Traced}) {
+    // step, whether the run reaches it in one access loop or several.
+    for (Drive d : {Drive::CoStep, Drive::Traced}) {
         for (const std::vector<int> &bounds :
              {std::vector<int>{11, 22, 33, 44, 55},
               std::vector<int>{33, 55}, std::vector<int>{55}}) {
@@ -766,6 +768,371 @@ TEST(FastForward, ArchIVStillAlternatesBusPartitions)
     tracer.setEnabled(true);
     EXPECT_EQ(outcomeJson(runExperiment(e)),
               outcomeJson(runExperiment(e, &tracer, nullptr)));
+}
+
+// --- Co-stepping access loops ----------------------------------------
+//
+// Each scenario runs under Drive::Stepwise (runOne(): one event at a
+// time, per access), Drive::Traced (runUntil(), per access) and the
+// drives that run access loops (CoStep, Profiled), and must leave the
+// same history: the finish order and times, and every processor's
+// and bus's busy time, queue length and per-activity ticks at each
+// runUntil() bound and at the end.
+
+/** A co-step scenario's world: buses and processors on one queue. */
+struct CoStepRig
+{
+    EventQueue eq;
+    std::deque<Resource> buses;
+    std::deque<Processor> procs;
+    trace::Tracer tracer;
+    obs::EngineProfiler prof;
+    std::vector<std::pair<std::string, Tick>> finishes;
+
+    Resource &
+    bus(const std::string &name)
+    {
+        return buses.emplace_back(eq, name);
+    }
+
+    Processor &
+    proc(const std::string &name)
+    {
+        return procs.emplace_back(eq, name);
+    }
+
+    /** Attach @p d's sinks; call once every component is built. */
+    void
+    observe(Drive d)
+    {
+        obs::Sinks sinks;
+        if (d == Drive::Traced) {
+            tracer.setEnabled(true);
+            sinks.tracer = &tracer;
+        } else if (d == Drive::Profiled) {
+            prof.beginRun();
+            eq.attachProfiler(&prof);
+            sinks.prof = &prof;
+        }
+        for (Resource &b : buses)
+            b.observe(sinks);
+        for (Processor &p : procs)
+            p.observe(sinks);
+    }
+
+    /** Submit @p name: @p cpuUs of CPU around @p accesses on @p b. */
+    void
+    submit(Processor &p, const std::string &name, double cpuUs,
+           int accesses, Resource *b, int priority = prioTask,
+           int accesses2 = 0, Resource *b2 = nullptr)
+    {
+        Activity a;
+        a.name = name;
+        a.processing = usToTicks(cpuUs);
+        a.memAccesses = accesses;
+        a.bus = b;
+        a.memAccesses2 = accesses2;
+        a.bus2 = b2;
+        a.priority = priority;
+        a.onDone = [this, name]() {
+            finishes.emplace_back(name, eq.now());
+        };
+        p.submit(std::move(a));
+    }
+
+    /** Submit at @p atUs, from an event of its own. */
+    void
+    submitAt(double atUs, Processor &p, const std::string &name,
+             double cpuUs, int accesses, Resource *b,
+             int priority = prioTask)
+    {
+        eq.schedule(usToTicks(atUs), [=, this, &p]() {
+            submit(p, name, cpuUs, accesses, b, priority);
+        });
+    }
+
+    /** Everything a bound can see; @p withSpan adds utilization. */
+    std::vector<double>
+    state(bool withSpan) const
+    {
+        std::vector<double> v;
+        for (const Resource &b : buses) {
+            v.push_back(static_cast<double>(b.busyTime()));
+            v.push_back(static_cast<double>(b.queueLength()));
+            if (withSpan)
+                v.push_back(b.utilization());
+        }
+        for (const Processor &p : procs) {
+            v.push_back(static_cast<double>(p.busyTime()));
+            v.push_back(p.idle() ? 1 : 0);
+            for (const auto &[name, t] : p.activityTicks())
+                v.push_back(static_cast<double>(t));
+            if (withSpan)
+                v.push_back(p.utilization());
+        }
+        return v;
+    }
+};
+
+/** What a scenario run leaves behind. */
+struct CoStepHistory
+{
+    std::vector<std::pair<std::string, Tick>> finishes;
+    std::vector<std::vector<double>> atBounds; //!< runUntil() drives
+    std::vector<double> atEnd;
+    std::uint64_t events = 0;
+};
+
+using CoStepScenario = std::function<void(CoStepRig &, Drive)>;
+
+CoStepHistory
+runCoStep(const CoStepScenario &setup, Drive d,
+          const std::vector<double> &boundsUs)
+{
+    CoStepRig r;
+    setup(r, d);
+    CoStepHistory h;
+    if (d == Drive::Stepwise) {
+        while (r.eq.runOne()) {}
+    } else {
+        for (double b : boundsUs) {
+            r.eq.runUntil(usToTicks(b));
+            h.atBounds.push_back(r.state(true));
+        }
+        r.eq.runUntil(usToTicks(100000));
+    }
+    h.finishes = r.finishes;
+    h.atEnd = r.state(false);
+    h.events = r.eq.eventsRun();
+    if (d == Drive::Profiled) {
+        r.prof.finishRun(r.eq.size());
+        const obs::EngineProfile &p = r.prof.profile();
+        EXPECT_EQ(p.pushes, p.pops + p.coStep.takenOver + p.remainingAtEnd);
+        EXPECT_EQ(p.coStep.loops, p.coStep.stopNonAccess +
+                                      p.coStep.stopBound +
+                                      p.coStep.stopDrained);
+    }
+    return h;
+}
+
+/**
+ * Run @p setup under every drive and expect one history; returns the
+ * co-stepped run's.
+ */
+CoStepHistory
+expectCoStepExact(const CoStepScenario &setup,
+                  const std::vector<double> &boundsUs = {})
+{
+    const CoStepHistory ref = runCoStep(setup, Drive::Stepwise, {});
+    const CoStepHistory traced = runCoStep(setup, Drive::Traced, boundsUs);
+    EXPECT_EQ(traced.finishes, ref.finishes);
+    EXPECT_EQ(traced.atEnd, ref.atEnd);
+    CoStepHistory out;
+    for (Drive d : {Drive::CoStep, Drive::Profiled}) {
+        SCOPED_TRACE(d == Drive::CoStep ? "co-stepped" : "profiled");
+        const CoStepHistory h = runCoStep(setup, d, boundsUs);
+        EXPECT_EQ(h.finishes, ref.finishes);
+        EXPECT_EQ(h.atEnd, ref.atEnd);
+        EXPECT_EQ(h.atBounds, traced.atBounds);
+        // Fewer events: the loop ran the accesses as steps.
+        EXPECT_LT(h.events, ref.events);
+        if (d == Drive::CoStep)
+            out = h;
+    }
+    return out;
+}
+
+/** The finish time of @p name in @p h. */
+Tick
+finishOf(const CoStepHistory &h, const std::string &name)
+{
+    for (const auto &[n, t] : h.finishes)
+        if (n == name)
+            return t;
+    ADD_FAILURE() << name << " never finished";
+    return -1;
+}
+
+TEST(CoStep, TwoAndThreeProcessorsOnOneBus)
+{
+    for (int n : {2, 3}) {
+        SCOPED_TRACE(std::to_string(n) + " processors");
+        expectCoStepExact([n](CoStepRig &r, Drive d) {
+            Resource &bus = r.bus("bus");
+            Processor &p1 = r.proc("p1"), &p2 = r.proc("p2");
+            Processor &p3 = r.proc("p3");
+            r.observe(d);
+            r.submit(p1, "a", 100, 10, &bus);
+            r.submit(p2, "b", 50, 7, &bus);
+            if (n == 3)
+                r.submit(p3, "c", 30, 5, &bus);
+        });
+    }
+}
+
+TEST(CoStep, ContendedRunsInAHandfulOfEvents)
+{
+    // Three processors on one bus, 22 accesses between them: per
+    // access 44 chunk ends and releases plus 3 finishes.  Co-stepped,
+    // the first chunk end starts a loop that runs every access; the
+    // finishes stop it, and the loop after the first finish runs to
+    // the end.  A co-step that quietly never started would run 47.
+    const CoStepHistory h = expectCoStepExact([](CoStepRig &r, Drive d) {
+        Resource &bus = r.bus("bus");
+        Processor &p1 = r.proc("p1"), &p2 = r.proc("p2");
+        Processor &p3 = r.proc("p3");
+        r.observe(d);
+        r.submit(p1, "a", 100, 10, &bus);
+        r.submit(p2, "b", 50, 7, &bus);
+        r.submit(p3, "c", 30, 5, &bus);
+    });
+    EXPECT_EQ(h.events, 6u);
+}
+
+TEST(CoStep, TwoNodesBusesAtOnce)
+{
+    expectCoStepExact(
+        [](CoStepRig &r, Drive d) {
+            Resource &busA = r.bus("n0.bus"), &busB = r.bus("n1.bus");
+            Processor &a1 = r.proc("n0.p1"), &a2 = r.proc("n0.p2");
+            Processor &b1 = r.proc("n1.p1"), &b2 = r.proc("n1.p2");
+            r.observe(d);
+            r.submit(a1, "a1", 80, 9, &busA);
+            r.submit(b1, "b1", 60, 11, &busB);
+            r.submit(a2, "a2", 45, 6, &busA);
+            r.submit(b2, "b2", 70, 4, &busB);
+            // A non-access event on one node ends the loop for both.
+            r.submitAt(33.3, a1, "a1.late", 20, 3, &busA);
+        },
+        {17, 41.5, 63});
+}
+
+TEST(CoStep, ChunkEndsAtTheSameTick)
+{
+    // Identical activities: every chunk end of p2 falls on a tick of
+    // p1's, and the older seq goes first.
+    expectCoStepExact([](CoStepRig &r, Drive d) {
+        Resource &bus = r.bus("bus");
+        Processor &p1 = r.proc("p1"), &p2 = r.proc("p2");
+        r.observe(d);
+        r.submit(p2, "second", 40, 8, &bus);
+        r.submit(p1, "first", 40, 8, &bus);
+    });
+}
+
+TEST(CoStep, ChunkEndAtAReleaseInstantInBothSeqOrders)
+{
+    // p1's first access holds the bus over [10, 11) us.  p2's chunk
+    // end lands at exactly 11 us.  Scheduled at submit (t = 0), its
+    // seq is older than the release's (drawn at 10 us): it queues and
+    // is granted at the release.  Started at 10.5 us, it is younger:
+    // the release runs first and it finds the bus free.
+    for (double startUs : {0.0, 10.5}) {
+        SCOPED_TRACE("p2 starts at " + std::to_string(startUs));
+        const double chunkUs = 11 - startUs;
+        const CoStepHistory h = expectCoStepExact(
+            [=](CoStepRig &r, Drive d) {
+                Resource &bus = r.bus("bus");
+                Processor &p1 = r.proc("p1"), &p2 = r.proc("p2");
+                r.observe(d);
+                r.submit(p1, "p1", 30, 2, &bus);
+                if (startUs == 0)
+                    r.submit(p2, "p2", 2 * chunkUs, 1, &bus);
+                else
+                    r.submitAt(startUs, p2, "p2", 2 * chunkUs, 1, &bus);
+            },
+            {11, 12});
+        // Either way p2's access is granted at 11 us; p1's second
+        // access (its chunk end at 21 us) never waits.
+        EXPECT_EQ(finishOf(h, "p2"), usToTicks(11 + 1 + chunkUs));
+        EXPECT_EQ(finishOf(h, "p1"), usToTicks(32));
+    }
+}
+
+TEST(CoStep, InterruptWaiterOvertakesAnEarlierTaskWaiter)
+{
+    // p1 holds the bus over [10, 11) us; a task on p2 asks at 10.2 us
+    // and an interrupt on p3 at 10.5 us.  At the release the
+    // interrupt is granted first, then the task.
+    const CoStepHistory h = expectCoStepExact(
+        [](CoStepRig &r, Drive d) {
+            Resource &bus = r.bus("bus");
+            Processor &p1 = r.proc("p1"), &p2 = r.proc("p2");
+            Processor &p3 = r.proc("p3");
+            r.observe(d);
+            r.submit(p1, "holder", 20, 1, &bus);
+            r.submit(p2, "task", 20.4, 1, &bus);
+            r.submit(p3, "intr", 21, 1, &bus, prioInterrupt);
+        },
+        {10.7, 11.5, 12.5});
+    EXPECT_EQ(finishOf(h, "intr"), usToTicks(12 + 10.5));
+    EXPECT_EQ(finishOf(h, "task"), usToTicks(13 + 10.2));
+}
+
+TEST(CoStep, QueuedInterruptPreemptsAtABoundary)
+{
+    // An interrupt with accesses of its own is submitted to p1 mid-run
+    // and takes it at the next boundary, while p2 keeps the bus busy.
+    expectCoStepExact(
+        [](CoStepRig &r, Drive d) {
+            Resource &bus = r.bus("bus");
+            Processor &p1 = r.proc("p1"), &p2 = r.proc("p2");
+            r.observe(d);
+            r.submit(p1, "task", 100, 9, &bus);
+            r.submit(p2, "sibling", 90, 12, &bus);
+            r.submitAt(25.5, p1, "intr", 30, 4, &bus, prioInterrupt);
+        },
+        {26, 40, 80});
+}
+
+TEST(CoStep, ZeroProcessingFinishesOnItsLastRelease)
+{
+    // No CPU at all: three back-to-back accesses, so every chunk end
+    // falls on the tick of a release and the finish on the last one.
+    const CoStepHistory h = expectCoStepExact([](CoStepRig &r, Drive d) {
+        Resource &bus = r.bus("bus");
+        Processor &p1 = r.proc("p1"), &p2 = r.proc("p2");
+        r.observe(d);
+        r.submit(p1, "empty", 0, 3, &bus);
+        r.submit(p2, "sibling", 12, 3, &bus);
+    });
+    EXPECT_EQ(finishOf(h, "empty"), usToTicks(3));
+}
+
+TEST(CoStep, ArchIVActivityBesideASiblingOnOnePartition)
+{
+    // The MP alternates between its two partitions; a host contends
+    // with it on the first.
+    expectCoStepExact(
+        [](CoStepRig &r, Drive d) {
+            Resource &tcb = r.bus("busTcb"), &kb = r.bus("busKb");
+            Processor &mp = r.proc("mp"), &host = r.proc("host");
+            r.observe(d);
+            r.submit(mp, "split", 60, 3, &tcb, prioTask, 2, &kb);
+            r.submit(host, "user", 33, 5, &tcb);
+        },
+        {11, 22, 33, 44});
+}
+
+TEST(CoStep, RunUntilBoundsInsideAContendedRun)
+{
+    // Bounds inside accesses, at release instants and inside chunks
+    // of three contending processors.
+    std::vector<double> bounds;
+    for (double b = 0.5; b < 130; b += 3.3)
+        bounds.push_back(b);
+    bounds.push_back(131);
+    expectCoStepExact(
+        [](CoStepRig &r, Drive d) {
+            Resource &bus = r.bus("bus");
+            Processor &p1 = r.proc("p1"), &p2 = r.proc("p2");
+            Processor &p3 = r.proc("p3");
+            r.observe(d);
+            r.submit(p1, "a", 100, 10, &bus);
+            r.submit(p2, "b", 50, 7, &bus);
+            r.submit(p3, "c", 30, 5, &bus, prioInterrupt);
+        },
+        bounds);
 }
 
 TEST(Processor, QueuedButNeverStartedActivityBooksNoTicks)

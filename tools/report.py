@@ -138,6 +138,17 @@ def _check_profile(doc, where):
         if not isinstance(doc["queue"].get(key), (int, float)):
             raise ValueError(f"{where}: queue.{key} missing or not a "
                              "number — truncated or corrupt document")
+    # The access loop's block is there only when a loop started.
+    if "coStep" in doc:
+        co = doc["coStep"]
+        if (not isinstance(co, dict)
+                or not isinstance(co.get("stops"), dict)
+                or any(not isinstance(co.get(k), (int, float)) for k in
+                       ("loops", "steps", "takenOver", "pushedBack"))
+                or any(not isinstance(co["stops"].get(k), (int, float))
+                       for k in ("nonAccess", "bound", "drained"))):
+            raise ValueError(f"{where}: malformed coStep block — "
+                             "truncated or corrupt document")
     for section, keys in (("tracks", ("name", "events", "sampled")),
                           ("edges", ("src", "dst", "count",
                                      "zeroDelta",
@@ -294,6 +305,17 @@ def render_profile_text(doc, out):
               (fmt(q["pushes"]), fmt(q["pops"]),
                fmt(q["remainingAtEnd"]), fmt(q["maxHeapSize"]),
                per_pop))
+    co = doc.get("coStep")
+    if co:
+        stops = co["stops"]
+        out.write("  access loops: %s started, %s steps (%.1f per loop), "
+                  "%s taken over, %s pushed back; stopped by a "
+                  "non-access event %s, the bound %s, drained %s\n" %
+                  (fmt(co["loops"]), fmt(co["steps"]),
+                   co["steps"] / co["loops"] if co["loops"] else 0.0,
+                   fmt(co["takenOver"]), fmt(co["pushedBack"]),
+                   fmt(stops["nonAccess"]), fmt(stops["bound"]),
+                   fmt(stops["drained"])))
     cb = doc.get("callbacks", {})
     if isinstance(cb, dict) and cb:
         out.write("  callbacks: %s pooled spills, %s oversize"
