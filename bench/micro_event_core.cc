@@ -33,6 +33,7 @@
 
 #include "common/bench_main.hh"
 #include "common/obs/engine_prof.hh"
+#include "common/obs/probe.hh"
 #include "common/table.hh"
 #include "sim/des/event_queue.hh"
 
@@ -160,7 +161,7 @@ runCore(int fanout)
     obs::EngineProfiler prof;
     prof.beginRun();
     EventQueue q;
-    q.attachProfiler(&prof);
+    q.observe(obs::Sinks{.prof = &prof});
     std::uint64_t remaining = static_cast<std::uint64_t>(fanout) * 8;
     for (int i = 0; i < fanout; ++i)
         q.scheduleAfter(i % 512, SelfSched{&q, &remaining});

@@ -234,7 +234,7 @@ BM_EventQueueScheduleRunProfiled(benchmark::State &state)
         obs::EngineProfiler prof;
         prof.beginRun();
         sim::EventQueue q;
-        q.attachProfiler(&prof);
+        q.observe(obs::Sinks{.prof = &prof});
         std::uint64_t remaining = perIter;
         for (int i = 0; i < fanout; ++i)
             q.scheduleAfter(

@@ -30,6 +30,9 @@ struct Sinks
     trace::Tracer *tracer = nullptr;
     trace::CausalLog *causal = nullptr;
     EngineProfiler *prof = nullptr;
+
+    /** Does a sink record bus accesses one by one? */
+    bool perAccess() const { return tracer || causal; }
 };
 
 /** One component's view of the sinks, with its ids registered. */

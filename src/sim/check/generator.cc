@@ -119,7 +119,7 @@ ExperimentGenerator::generate(std::uint64_t index) const
         exp.arrivalRatePerSec = coarse(rng.uniform(200, 20000));
     }
     if (rng.chance(0.35))
-        exp.deadlineUs = coarse(rng.uniform(500, 30000));
+        exp.deadlineUs = coarse(rng.uniform(minDrawnIntervalUs, 30000));
     if (rng.chance(0.35)) {
         exp.retryBudget = 1 + static_cast<int>(rng.below(4));
         exp.retryBackoffUs = coarse(rng.uniform(100, 8000));
@@ -136,7 +136,8 @@ ExperimentGenerator::generate(std::uint64_t index) const
     // bin counts small; the oracle checks every counter series
     // integrates exactly to its whole-run ledger counterpart.
     if (rng.chance(0.35))
-        exp.timelineIntervalUs = coarse(rng.uniform(500, 10000));
+        exp.timelineIntervalUs =
+            coarse(rng.uniform(minDrawnIntervalUs, 10000));
     if (rng.chance(0.25))
         exp.traceSampleRate = coarse(rng.uniform(0.1, 1.0));
 

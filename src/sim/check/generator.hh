@@ -37,6 +37,12 @@ namespace hsipc::sim::check
  */
 Experiment baseExperiment();
 
+/**
+ * The least deadlineUs and timelineIntervalUs drawn, and their shrink
+ * floor: each halving below it makes the next run costlier.
+ */
+constexpr double minDrawnIntervalUs = 500;
+
 /** Draws random runnable Experiments; deterministic in the seed. */
 class ExperimentGenerator
 {

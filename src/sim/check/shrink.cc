@@ -76,8 +76,9 @@ struct Shrinker
     /**
      * Reset field @p m of record @p rec to its base value.  When the
      * failure needs the field, bisect a number between the base
-     * value (or @p floor) and the current value for the failing
-     * value closest to the base, or drop a list's entries one by one.
+     * value (or @p floor, unless the current value is below it) and
+     * the current value for the failing value closest to the base, or
+     * drop a list's entries one by one.
      */
     template <class Rec, class R, class T>
     void
@@ -86,13 +87,15 @@ struct Shrinker
         const T target = rec(base).*m;
         if (rec(cur).*m == target || tryValue(rec, m, target))
             return;
+        if constexpr (std::is_arithmetic_v<T>) {
+            if (floor && rec(cur).*m < *floor)
+                floor.reset();
+            if (floor && tryValue(rec, m, *floor))
+                return;
+        }
         if constexpr (std::is_same_v<T, int>) {
-            long lo = target; // passes (the reset just failed to fail)
-            if (floor) {
-                if (tryValue(rec, m, *floor))
-                    return;
-                lo = *floor;
-            }
+            // Passes: the reset, or the floor, just failed to fail.
+            long lo = floor ? *floor : target;
             long hi = rec(cur).*m; // fails
             while (runs < maxRuns) {
                 const long mid = lo + (hi - lo) / 2;
@@ -104,7 +107,7 @@ struct Shrinker
                     lo = mid;
             }
         } else if constexpr (std::is_same_v<T, double>) {
-            double lo = target;
+            double lo = floor ? *floor : target;
             double hi = rec(cur).*m;
             int steps = 0;
             while (runs < maxRuns && steps++ < 16) {
@@ -186,7 +189,14 @@ shrinkExperiment(const Experiment &failing,
         forEachKnob<std::uint64_t, Experiment>(shrink);
         forEachKnob<std::string, Experiment>(shrink);
         forEachKnob<int, Experiment>(shrink);
-        forEachKnob<double, Experiment>(shrink);
+        forEachKnob<double, Experiment>(
+            [&s](const char *, double Experiment::*m) {
+                s.shrinkField(whole, m,
+                              m == &Experiment::deadlineUs ||
+                                      m == &Experiment::timelineIntervalUs
+                                  ? std::optional(minDrawnIntervalUs)
+                                  : std::nullopt);
+            });
     }
 
     ShrinkResult res;

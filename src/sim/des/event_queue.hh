@@ -36,7 +36,9 @@
  * the bound.  The steps it schedules meanwhile are kept as keys in a
  * small heap of its own, and the step events it meets at the root of
  * this heap are taken over; at the stop the loop's keys go back here
- * with the seqs they drew.  runOne() runs a step event alone
+ * with the seqs they drew.  runOne() runs a step event alone, and so
+ * does runUntil() while a sink that records per access is observed
+ * (observe()): the queue alone decides whether steps co-step
  * (docs/performance.md, "Co-stepping access loops").
  */
 
@@ -50,7 +52,7 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/obs/engine_prof.hh"
+#include "common/obs/probe.hh"
 #include "common/time.hh"
 #include "sim/des/callable.hh"
 
@@ -87,21 +89,23 @@ class EventQueue
     Tick now() const { return current; }
 
     /**
-     * Attach a self-profiler (see common/obs/engine_prof.hh): queue
-     * telemetry, dwell/depth sampling, and wall-clock bracketing of
-     * executed events.  Observational only — a profiled run executes
-     * the same events in the same order; with no profiler attached
-     * every hook is one predictable branch.
+     * Report to the run's sinks: queue telemetry, dwell/depth sampling
+     * and wall-clock bracketing to the engine profiler (one predictable
+     * branch per hook without one).  While the tracer or the causal log
+     * records per access, runUntil() runs each step event alone, as
+     * runOne() does.  Observational only: the same events run in the
+     * same order either way.
      */
     void
-    attachProfiler(obs::EngineProfiler *p)
+    observe(const obs::Sinks &s)
     {
-        prof = p;
-        profMask = p ? p->sampleMask() : 0;
+        prof = s.prof;
+        profMask = prof ? prof->sampleMask() : 0;
         profPushes = 0;
         profExecFlushed = executed;
         profCmps = 0;
         profMaxHeap = 0;
+        stepsAlone = s.perAccess();
     }
 
     /**
@@ -198,9 +202,10 @@ class EventQueue
      * loop inspects the earliest pending event once per executed
      * event: the bounds check reads it in place, and the same read
      * feeds the pop.  A step event starts an access loop bounded by
-     * @p end: events at exactly the bound still run, and the caller
-     * inspects state only after this returns.  The profiled
-     * instantiation is dispatched once, outside the loop.
+     * @p end, unless a per-access sink is observed: events at exactly
+     * the bound still run, and the caller inspects state only after
+     * this returns.  The profiled instantiation is dispatched once,
+     * outside the loop.
      */
     void
     runUntil(Tick end)
@@ -396,8 +401,9 @@ class EventQueue
     void
     runUntilT(Tick end)
     {
+        const Tick loopEnd = stepsAlone ? noLoop : end;
         while (!heap.empty() && heap.front().when <= end)
-            execOne<Prof>(end);
+            execOne<Prof>(loopEnd);
         if (current < end)
             current = end;
         if constexpr (Prof)
@@ -500,7 +506,7 @@ class EventQueue
      */
     static constexpr std::size_t reservedCapacity = 1024;
 
-    /** runOne()'s loop bound: before every tick, so a step runs alone. */
+    /** A step's loop bound before every tick: it runs alone. */
     static constexpr Tick noLoop = std::numeric_limits<Tick>::min();
 
     std::vector<Key> heap;
@@ -513,6 +519,7 @@ class EventQueue
     //! Runs a popped step event, and the access loop after it up to
     //! the bound; installed by the first Processor on this queue.
     void (*accessLoop)(EventQueue &, Key, Tick) = nullptr;
+    bool stepsAlone = false;   //!< a per-access sink is observed
     bool looping = false;      //!< inside an access loop
     std::vector<Key> loopKeys; //!< its pending steps; empty outside
     bool haveNext = false;     //!< the running step scheduled loopNext

@@ -1,7 +1,8 @@
 /**
  * @file
  * A serially-reusable resource (the shared-memory bus): one holder at
- * a time, granted by priority then FIFO, held for a fixed duration.
+ * a time, granted by priority then FIFO, each holding it for one 1-us
+ * access.
  *
  * Most acquires find the bus free and nobody waiting.  Those are
  * granted directly: the request never enters the queue.  Queued
@@ -9,16 +10,17 @@
  * book, trace and release alike (docs/performance.md, "Building
  * callbacks in place and granting an idle bus directly").
  *
- * A processor's access carries no callback: the request names the
- * processor, and the release resumes it directly.  Such a release is
- * a step event (EventQueue::Step::Release) unless this bus records
- * per access, so the access loop in node/processor.cc runs it with
- * the holder's next chunk end and every other access event up to the
- * next non-access event.  The loop runs release() itself (with
- * nobody waiting, its two stores and the holder's resumption in
- * place), so the holder, the wait queue and the grant rule (priority,
- * then queue order) are the per-access path's at every step, and at
- * its stop (docs/performance.md, "Co-stepping access loops").
+ * Every holder is a processor, and an access carries no callback: the
+ * request names the processor, and the release resumes it directly.
+ * The release is a step event (EventQueue::Step::Release), so under
+ * runUntil() the access loop in node/processor.cc runs it with the
+ * holder's next chunk end and every other access event up to the next
+ * non-access event, unless the queue runs each step alone.  The loop
+ * runs release() itself (with nobody waiting, its two stores and the
+ * holder's resumption in place), so the holder, the wait queue and the
+ * grant rule (priority, then queue order) are those of the step-by-step
+ * run at every step, and at its stop (docs/performance.md,
+ * "Co-stepping access loops").
  */
 
 #ifndef HSIPC_SIM_RESOURCE_HH
@@ -27,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/obs/probe.hh"
@@ -60,48 +63,30 @@ class Resource
      */
     void observe(const obs::Sinks &s) { probe = obs::Probe(s, name); }
 
-    /**
-     * Acquire the resource for @p hold ticks; @p done runs at release
-     * time.  Higher @p priority requests are granted first; equal
-     * priorities are FIFO.  @p msgId (0 = none) attributes the wait
-     * and the hold to a message's critical path.  @p done is any
-     * `void()` callable, or an EventCallback passed by std::move.
-     *
-     * A free resource with nobody waiting is granted at once: @p done
-     * is built where the holder's continuation waits, with no trip
-     * through the queue, and the grant is the one a queued request
-     * gets (the same "queued" samples, intervals and release event).
-     */
-    template <typename F>
-    void
-    acquire(int priority, Tick hold, F &&done, long msgId = 0)
-    {
-        if (!busy && waiting.empty()) {
-            noteIdleRequest();
-            heldDone.emplace(std::forward<F>(done));
-            grant(hold, msgId, eq.now());
-            return;
-        }
-        waiting.push_back(Request{priority, hold, msgId, eq.now(),
-                                  std::forward<F>(done), nullptr});
-        noteQueued();
-    }
+    /** Every grant's hold: one access. */
+    static constexpr Tick holdTicks = tickUs;
 
     /**
-     * Acquire the resource for @p master's access: as above, with
-     * resumeAfterAccess(@p master) as the continuation.
+     * Acquire the resource for one access of @p master; the release
+     * resumes it (resumeAfterAccess()).  Higher @p priority requests
+     * are granted first; equal priorities are FIFO.  @p msgId (0 =
+     * none) attributes the wait and the hold to a message's critical
+     * path.
+     *
+     * A free resource with nobody waiting is granted at once, with no
+     * trip through the queue, and the grant is the one a queued
+     * request gets (the same "queued" samples, intervals and release).
      */
     void
-    acquire(int priority, Tick hold, Processor &master, long msgId)
+    acquire(int priority, Processor &master, long msgId)
     {
         if (!busy && waiting.empty()) {
             noteIdleRequest();
             heldBy = &master;
-            grant(hold, msgId, eq.now());
+            grant(msgId, eq.now());
             return;
         }
-        waiting.push_back(
-            Request{priority, hold, msgId, eq.now(), {}, &master});
+        waiting.push_back(Request{priority, msgId, eq.now(), &master});
         noteQueued();
     }
 
@@ -134,7 +119,6 @@ class Resource
     bool quiet() const { return !busy && waiting.empty(); }
 
     const std::string &resourceName() const { return name; }
-    const obs::Probe &observer() const { return probe; }
 
   private:
     friend class AccessLoop;
@@ -142,12 +126,11 @@ class Resource
     struct Request
     {
         int priority;
-        Tick hold;
-        long msgId;      //!< message whose path this access is on
-        Tick enqueuedAt; //!< when the request joined the queue
-        EventQueue::Callback done; //!< empty for a processor's access
-        Processor *master;         //!< the accessing processor, or null
+        long msgId;        //!< message whose path this access is on
+        Tick enqueuedAt;   //!< when the request joined the queue
+        Processor *master; //!< the accessing processor
     };
+    static_assert(std::is_trivially_copyable_v<Request>);
 
     /** The "queued" sample of an idle grant: the request alone. */
     void
@@ -185,48 +168,35 @@ class Resource
                     best = i;
             }
         }
-        Request &req = waiting[best];
-        heldDone = std::move(req.done);
-        heldBy = req.master;
-        const Tick hold = req.hold;
-        const long msgId = req.msgId;
-        const Tick enqueuedAt = req.enqueuedAt;
+        const Request req = waiting[best];
         waiting.erase(waiting.begin() + static_cast<long>(best));
-        grant(hold, msgId, enqueuedAt);
+        heldBy = req.master;
+        grant(req.msgId, req.enqueuedAt);
     }
 
     /**
-     * Hand the resource to the request whose continuation is already
-     * in heldBy or heldDone: book the hold, report it, and schedule
-     * the release.
+     * Hand the resource to the processor already in heldBy: book the
+     * hold, report it, and schedule the release.  One grant is
+     * outstanding at a time, so the release names only this bus.
      */
     void
-    grant(Tick hold, long msgId, Tick enqueuedAt)
+    grant(long msgId, Tick enqueuedAt)
     {
         busy = true;
-        bookHold(eq.now(), hold);
+        bookHold(eq.now());
         if (probe.tracer || probe.causal || probe.prof) [[unlikely]]
-            recordGrant(hold, msgId, enqueuedAt);
-        // One grant is outstanding at a time, so its continuation
-        // waits in a member and the release names only this bus.
-        if (heldBy && !probe.perAccess()) {
-            eq.scheduleStep(eq.now() + hold, EventQueue::Step::Release,
-                            stepId);
-        } else {
-            eq.scheduleAfter(hold, [this]() {
-                const auto s = probe.scope();
-                release();
-            });
-        }
+            recordGrant(msgId, enqueuedAt);
+        eq.scheduleStep(eq.now() + holdTicks, EventQueue::Step::Release,
+                        stepId);
     }
 
     /** grant()'s trace span, causal intervals and provenance edge. */
     __attribute__((noinline, cold)) void
-    recordGrant(Tick hold, long msgId, Tick enqueuedAt)
+    recordGrant(long msgId, Tick enqueuedAt)
     {
         if (probe.tracer) {
-            probe.tracer->complete(probe.track, "access", eq.now(), hold,
-                                   "bus", msgId);
+            probe.tracer->complete(probe.track, "access", eq.now(),
+                                   holdTicks, "bus", msgId);
             probe.tracer->counter(probe.track, "queued", eq.now(),
                                   static_cast<double>(waiting.size()));
         }
@@ -235,35 +205,33 @@ class Resource
                                    enqueuedAt, eq.now());
             probe.causal->interval(msgId, name,
                                    trace::Component::Service, eq.now(),
-                                   eq.now() + hold);
+                                   eq.now() + holdTicks);
         }
         if (probe.prof)
-            probe.prof->edge(probe.origin, hold);
+            probe.prof->edge(probe.origin, holdTicks);
     }
 
-    /** Book a hold of @p hold ticks granted at @p at. */
+    /** Book a hold granted at @p at. */
     void
-    bookHold(Tick at, Tick hold)
+    bookHold(Tick at)
     {
-        busyTicks += hold;
-        heldUntil = at + hold;
+        busyTicks += holdTicks;
+        heldUntil = at + holdTicks;
     }
 
-    /** The release event: resume the holder, then grant the next. */
+    /**
+     * The release: resume the holder, then grant the next.  The holder
+     * schedules its next chunk end and acquires nothing in place, so
+     * the bus is still free here.
+     */
     void
     release()
     {
         busy = false;
-        if (Processor *m = heldBy) {
-            heldBy = nullptr;
-            resumeAfterAccess(*m);
-        } else {
-            // Moved out first: the continuation may re-acquire.
-            const EventQueue::Callback done = std::move(heldDone);
-            done();
-        }
-        if (!busy)
-            grantNext();
+        Processor &m = *heldBy;
+        heldBy = nullptr;
+        resumeAfterAccess(m);
+        grantNext();
     }
 
     EventQueue &eq;
@@ -276,8 +244,7 @@ class Resource
     //! once it has grown, where a deque allocates a block every few
     //! requests.
     std::vector<Request> waiting;
-    Processor *heldBy = nullptr;   //!< the holding processor, if any
-    EventQueue::Callback heldDone; //!< else the grant's continuation
+    Processor *heldBy = nullptr; //!< the holding processor, if any
     bool busy = false;
     Tick busyTicks = 0;
     Tick heldUntil = 0; //!< end of the latest granted hold

@@ -162,13 +162,12 @@ class Sim
         }
 
         // The engine self-profiler, on when the experiment asks.
-        // Attached before any component exists so origin interning —
+        // Created before any component exists so origin interning —
         // which allocates — all happens here, never on the event path.
         if (exp.engineProfile) {
             engProf = std::make_unique<obs::EngineProfiler>();
             sinks.prof = engProf.get();
             sinks.prof->beginRun();
-            eq.attachProfiler(sinks.prof);
         }
 
         // The rest of the sinks, resolved before anything registers a
@@ -195,6 +194,10 @@ class Sim
         const obs::TraceSampler sampler(exp.traceSampleRate, exp.seed);
         pathLog.setSampler(sampler);
         tr->setMessageSampler(sampler);
+        // The queue observes the same sinks as every component: its
+        // profiler hooks, and whether steps run alone for a sink that
+        // records per access.
+        eq.observe(sinks);
 
         // The interconnect fabric for every node pair.  Built before
         // the nodes so its "wire" profiler origin sits right after

@@ -14,11 +14,11 @@ namespace hsipc::sim
  * the first pending non-step event or the runUntil() bound
  * (docs/performance.md, "Co-stepping access loops").
  *
- * A step is exactly what the event's callback would do: the chunk
- * end's takeAccess(), charge() and acquire(), or the release's
- * resumption of the holder (segment(), with its preemption test)
- * and grant of the next request.  Only where they schedule differs:
- * a step event scheduled inside the loop draws its seq as it would
+ * A step is exactly what the event does when it runs alone: the
+ * chunk end's takeAccess(), charge() and acquire(), or the release's
+ * resumption of the holder (segment(), with its preemption test) and
+ * grant of the next request.  Only where they schedule differs: a
+ * step event scheduled inside the loop draws its seq as it would
  * anyway but stays a key in the loop's own heap, and a step event at
  * the root of the queue's heap that comes first is taken over.  A
  * finish, or any other event, goes onto the queue's heap, so it
@@ -44,7 +44,7 @@ class AccessLoop
             : static_cast<Resource *>(who)->probe;
     }
 
-    /** Run step event @p k: what its callback would do. */
+    /** Run step event @p k alone. */
     static void
     step(EventQueue &q, Key k)
     {
@@ -151,7 +151,7 @@ AccessLoop::resumeQuietly(EventQueue &q, Processor &p, const Key &other)
         return false;
     }
     const Tick at = p.chargeChunk(q.current);
-    if (r.memLeft + r.memLeft2 == 0 || !r.coSteps ||
+    if (r.memLeft + r.memLeft2 == 0 ||
         !comesFirst(q, at, Step::ChunkEnd, p.stepId, other)) {
         p.scheduleNext(at);
         return false;
@@ -168,32 +168,37 @@ AccessLoop::accessQuietly(EventQueue &q, Processor &p, const Key &other)
     Processor::Running &r = *p.running;
     do {
         Resource *bus = p.takeAccess();
-        p.charge(q.current, tickUs, true);
-        if (!bus->quiet() || !comesFirst(q, q.current + tickUs,
-                                         Step::Release, bus->stepId,
-                                         other)) {
-            bus->acquire(r.act.priority, tickUs, p, r.act.msgId);
+        p.charge(q.current, Resource::holdTicks, true);
+        if (!bus->quiet() ||
+            !comesFirst(q, q.current + Resource::holdTicks, Step::Release,
+                        bus->stepId, other)) {
+            bus->acquire(r.act.priority, p, r.act.msgId);
             return;
         }
         // The release comes next: the grant's seq, its hold, and the
         // release itself, which leaves the bus free again.
         ++q.nextSeq;
-        bus->bookHold(q.current, tickUs);
-        q.current += tickUs;
+        bus->bookHold(q.current);
+        q.current += Resource::holdTicks;
     } while (resumeQuietly(q, p, other));
 }
 
 void
 AccessLoop::run(EventQueue &q, Key first, Tick end)
 {
-    if (end < first.when) { // runOne(): this event alone
+    if (end < first.when) { // runOne(), or a per-access sink: alone
         step(q, first);
         return;
     }
-    // The popped event is claimed for its component, as its callback
-    // would claim it; each step's own scope then names only the
-    // source of the provenance edges it records.
-    const auto claim = probeOf(q, first).scope();
+    // Steps in place record no grant: a component that records per
+    // access, on a queue not told so (EventQueue::observe()), would
+    // lose its records here.  One check per loop, not per step.
+    const obs::Probe &firstProbe = probeOf(q, first);
+    hsipc_assert(!firstProbe.perAccess());
+    // The popped event is claimed for its component, as step() claims
+    // it; each step's own scope then names only the source of the
+    // provenance edges it records.
+    const auto claim = firstProbe.scope();
     // The slack plant moves the root, and the bound, that much later:
     // the loop runs its own steps past the next pending event.
     const Tick slack = check::testHooks().fastForwardSlackTicks;
@@ -358,12 +363,6 @@ Processor::submit(Activity act)
         r.cpuLeft += static_cast<Tick>(act.memAccesses2) * tickUs;
     const int segments = r.memLeft + r.memLeft2 + 1;
     r.chunk = r.cpuLeft / segments;
-    // The tracer and the causal log record one span per access, and
-    // the per-access path stays their reference.
-    const auto silent = [](const Resource *bus) {
-        return !bus || !bus->observer().perAccess();
-    };
-    r.coSteps = !probe.perAccess() && silent(act.bus) && silent(act.bus2);
     r.act = std::move(act);
 
     // Preempt at the next chunk boundary if this is more urgent; the
@@ -433,14 +432,7 @@ Processor::scheduleNext(Tick at)
     if (probe.prof)
         probe.prof->edge(probe.origin, at - eq.now());
     if (running->memLeft + running->memLeft2 > 0) {
-        if (running->coSteps) {
-            eq.scheduleStep(at, EventQueue::Step::ChunkEnd, stepId);
-        } else {
-            eq.schedule(at, [this]() {
-                const auto s = probe.scope();
-                chunkEnd();
-            });
-        }
+        eq.scheduleStep(at, EventQueue::Step::ChunkEnd, stepId);
     } else {
         eq.schedule(at, [this]() {
             const auto s = probe.scope();
@@ -465,9 +457,8 @@ void
 Processor::chunkEnd()
 {
     Resource *bus = takeAccess();
-    charge(eq.now(), tickUs, true); // the processor waits on its access
-    bus->acquire(running->act.priority, tickUs, *this,
-                 running->act.msgId);
+    charge(eq.now(), Resource::holdTicks, true); // waits on its access
+    bus->acquire(running->act.priority, *this, running->act.msgId);
 }
 
 void

@@ -12,13 +12,13 @@
  * activity resumes where it left off.
  *
  * A chunk end with accesses left is a step event
- * (EventQueue::Step::ChunkEnd) unless the processor or a bus of the
- * activity records per access.  Under runUntil(), the access loop
+ * (EventQueue::Step::ChunkEnd).  Under runUntil(), the access loop
  * (AccessLoop, in processor.cc) runs those and the bus releases
  * together, in exact (when, seq) order, up to the next non-access
  * event: no callback, heap push or indirect call per access, and the
- * same steps, in the same order, as event by event
- * (docs/performance.md, "Co-stepping access loops").
+ * same steps, in the same order, as event by event.  runOne(), and
+ * runUntil() while the tracer or the causal log records, run each
+ * step alone (docs/performance.md, "Co-stepping access loops").
  *
  * The running activity is held inline (std::optional), so starting
  * one allocates nothing.
@@ -133,9 +133,6 @@ class Processor
         int memLeft2 = 0; //!< remaining accesses on bus2
         Tick chunk = 0;   //!< CPU per segment
         bool flowed = false; //!< flow step already emitted
-        //! Its chunk ends are step events: neither this processor nor
-        //! its buses record per access (decided at submit).
-        bool coSteps = false;
         //! This activity's perActivity slot, taken on its first charge
         //! (not at submit: an activity that never starts books none).
         Tick *ticks = nullptr;

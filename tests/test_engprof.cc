@@ -53,7 +53,7 @@ TEST(EngineProfiler, QueueLedgersConserve)
     obs::EngineProfiler prof(0); // sample every event
     prof.beginRun();
     sim::EventQueue eq;
-    eq.attachProfiler(&prof);
+    eq.observe(obs::Sinks{.prof = &prof});
 
     int fired = 0;
     for (int i = 0; i < 10; ++i)
@@ -104,7 +104,7 @@ TEST(EngineProfiler, ScopesAttributeAndBuildEdges)
 
     prof.beginRun();
     sim::EventQueue eq;
-    eq.attachProfiler(&prof);
+    eq.observe(obs::Sinks{.prof = &prof});
 
     // cpu handles an event and schedules for bus with delta 7; the
     // bus event runs under its own scope with a zero-delta
@@ -151,7 +151,7 @@ TEST(EngineProfiler, MergeAggregatesByName)
         const int id = prof.origin("worker");
         prof.beginRun();
         sim::EventQueue eq;
-        eq.attachProfiler(&prof);
+        eq.observe(obs::Sinks{.prof = &prof});
         for (int i = 0; i < extraEvents; ++i)
             eq.scheduleAfter(i + 1, [&prof, id]() {
                 obs::EngineProfiler::Scope s(&prof, id);

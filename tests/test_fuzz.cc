@@ -322,6 +322,39 @@ TEST(Shrink, ResetsEveryFileKnob)
               std::vector<std::string>{"lossRate"});
 }
 
+TEST(Shrink, TimeKnobsStopAtTheSmallestDraw)
+{
+    // Synthetic predicate (no simulation): the "failure" needs the knob
+    // positive.  From 1190 us the shrinker tries 0, then the
+    // generator's smallest draw, and proposes nothing below it.  A
+    // value already below that floor still bisects toward 0.
+    for (double Experiment::*m :
+         {&Experiment::deadlineUs, &Experiment::timelineIntervalUs}) {
+        for (double startUs : {1190.0, 300.0}) {
+            SCOPED_TRACE(startUs);
+            Experiment failing = baseExperiment();
+            failing.*m = startUs;
+            std::vector<double> proposed;
+            const ShrinkResult res = shrinkExperiment(
+                failing, [&](const Experiment &cand) {
+                    proposed.push_back(cand.*m);
+                    return cand.*m > 0;
+                });
+            if (startUs > minDrawnIntervalUs) {
+                ASSERT_GE(proposed.size(), 2u);
+                EXPECT_EQ(proposed[1], minDrawnIntervalUs);
+                for (double v : proposed)
+                    EXPECT_TRUE(v == 0 || v >= minDrawnIntervalUs) << v;
+                EXPECT_EQ(res.minimal.*m, minDrawnIntervalUs);
+            } else {
+                ASSERT_GT(proposed.size(), 2u);
+                EXPECT_EQ(proposed[1], startUs / 2);
+                EXPECT_LT(res.minimal.*m, 1);
+            }
+        }
+    }
+}
+
 TEST(Fuzz, InjectedRetransmissionBugIsCaughtShrunkAndReplayable)
 {
     // A two-node lossy config that forces retransmissions.

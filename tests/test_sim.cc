@@ -270,7 +270,7 @@ TEST(EventQueue, PopOrderIsPinned)
         obs::EngineProfiler prof;
         if (profiled) {
             prof.beginRun();
-            run.eq.attachProfiler(&prof);
+            run.eq.observe(obs::Sinks{.prof = &prof});
         }
         for (int i = 0; i < 64; ++i)
             run.spawn();
@@ -281,133 +281,6 @@ TEST(EventQueue, PopOrderIsPinned)
         EXPECT_EQ(run.eq.eventsRun(), 200000u);
         EXPECT_EQ(run.digest, 0xcb7d81c87159b897ull);
     }
-}
-
-TEST(Resource, SerializesHolders)
-{
-    EventQueue eq;
-    Resource bus(eq, "bus");
-    std::vector<Tick> releases;
-    for (int i = 0; i < 3; ++i)
-        bus.acquire(0, 10, [&]() { releases.push_back(eq.now()); });
-    eq.runUntil(100);
-    EXPECT_EQ(releases, (std::vector<Tick>{10, 20, 30}));
-    EXPECT_NEAR(bus.utilization(), 0.3, 1e-9);
-}
-
-TEST(Resource, PriorityJumpsQueue)
-{
-    EventQueue eq;
-    Resource bus(eq, "bus");
-    std::vector<int> order;
-    bus.acquire(0, 10, [&]() { order.push_back(0); });
-    bus.acquire(0, 10, [&]() { order.push_back(1); });
-    bus.acquire(1, 10, [&]() { order.push_back(2); }); // urgent
-    eq.runUntil(100);
-    // Holder 0 was already granted; the urgent request overtakes 1.
-    EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
-}
-
-TEST(Resource, ReacquireFromReleaseContinuation)
-{
-    // A continuation that re-acquires from inside its own release
-    // finds the bus free: alone it is granted at once, and behind a
-    // waiter it queues like any request (priority, then FIFO).
-    struct Case
-    {
-        const char *label;
-        bool waiter;
-        int againPriority;
-        std::vector<std::pair<std::string, Tick>> expect;
-    };
-    const Case cases[] = {
-        {"alone", false, 0, {{"first", 10}, {"again", 20}}},
-        {"behind a waiter", true, 0,
-         {{"first", 10}, {"waiter", 20}, {"again", 30}}},
-        {"ahead of a waiter", true, 1,
-         {{"first", 10}, {"again", 20}, {"waiter", 30}}},
-    };
-    for (const Case &c : cases) {
-        SCOPED_TRACE(c.label);
-        EventQueue eq;
-        Resource bus(eq, "bus");
-        std::vector<std::pair<std::string, Tick>> released;
-        const auto record = [&](const char *who) {
-            released.emplace_back(who, eq.now());
-        };
-        bus.acquire(0, 10, [&]() {
-            record("first");
-            bus.acquire(c.againPriority, 10, [&]() { record("again"); });
-        });
-        if (c.waiter)
-            bus.acquire(0, 10, [&]() { record("waiter"); });
-        eq.runUntil(100);
-        EXPECT_EQ(released, c.expect);
-        EXPECT_EQ(bus.busyTime(), static_cast<Tick>(c.expect.size()) * 10);
-        EXPECT_TRUE(bus.quiet());
-    }
-}
-
-TEST(Resource, IdleGrantRecordsSameIntervals)
-{
-    // Message 1 is granted on an idle bus at t = 0; message 2 asks at
-    // t = 0 too, queues behind it and is granted at its release.  Both
-    // grants leave the same records: a "queued" sample of the queue
-    // with the request in it, an access span and a sample of what is
-    // left at the grant, and a Queue interval (the wait) then a
-    // Service interval (the hold).
-    EventQueue eq;
-    Resource bus(eq, "bus");
-    trace::Tracer tracer;
-    tracer.setEnabled(true);
-    trace::CausalLog causal;
-    causal.setEnabled(true);
-    causal.start(1, 0);
-    causal.start(2, 0);
-    obs::Sinks sinks;
-    sinks.tracer = &tracer;
-    sinks.causal = &causal;
-    bus.observe(sinks);
-    bus.acquire(0, 10, []() {}, 1);
-    bus.acquire(0, 10, []() {}, 2);
-    eq.runUntil(100);
-
-    using Sample =
-        std::tuple<trace::Phase, std::string, Tick, Tick, double, long>;
-    std::vector<Sample> samples;
-    for (const trace::Event &e : tracer.events())
-        samples.emplace_back(e.phase, e.name, e.start, e.duration,
-                             e.value, e.id);
-    using trace::Phase;
-    const std::vector<Sample> expect = {
-        {Phase::Counter, "queued", 0, 0, 1, 0},    // message 1 asks
-        {Phase::Complete, "access", 0, 10, 0, 1},  // granted at once
-        {Phase::Counter, "queued", 0, 0, 0, 0},
-        {Phase::Counter, "queued", 0, 0, 1, 0},    // message 2 queues
-        {Phase::Complete, "access", 10, 10, 0, 2}, // granted at release
-        {Phase::Counter, "queued", 10, 0, 0, 0},
-    };
-    EXPECT_EQ(samples, expect);
-
-    const auto intervals = [&](long msg) {
-        std::vector<std::pair<trace::Component, std::pair<Tick, Tick>>>
-            out;
-        for (const trace::PathInterval &i :
-             causal.records().at(msg).intervals) {
-            EXPECT_EQ(i.resource, "bus");
-            out.push_back({i.comp, {i.begin, i.end}});
-        }
-        return out;
-    };
-    using trace::Component;
-    // Message 1's wait is empty, and the log keeps no empty interval.
-    EXPECT_EQ(intervals(1),
-              (std::vector<std::pair<Component, std::pair<Tick, Tick>>>{
-                  {Component::Service, {0, 10}}}));
-    EXPECT_EQ(intervals(2),
-              (std::vector<std::pair<Component, std::pair<Tick, Tick>>>{
-                  {Component::Queue, {0, 10}},
-                  {Component::Service, {10, 20}}}));
 }
 
 TEST(Processor, RunsActivitySerially)
@@ -534,11 +407,11 @@ struct QuietBus
     trace::Tracer tracer;
     trace::CausalLog causal;
     obs::EngineProfiler prof;
+    obs::Sinks sinks; //!< the drive's sinks, for further components
     Tick taskDone = 0;
 
     explicit QuietBus(Drive d)
     {
-        obs::Sinks sinks;
         if (d == Drive::Traced) {
             tracer.setEnabled(true);
             sinks.tracer = &tracer;
@@ -548,9 +421,9 @@ struct QuietBus
             sinks.causal = &causal;
         } else if (d == Drive::Profiled) {
             prof.beginRun();
-            eq.attachProfiler(&prof);
             sinks.prof = &prof;
         }
+        eq.observe(sinks);
         p.observe(sinks);
         bus.observe(sinks);
     }
@@ -619,26 +492,37 @@ TEST(FastForward, UncontendedActivityRunsInTwoEvents)
 
 TEST(FastForward, EventPendingAtAReleaseInstantStillWinsTheBus)
 {
-    // Another master asks for the bus for 15 us at exactly the second
-    // release instant (22 us).  Its event was scheduled first, so it
-    // runs before the release, queues, and is granted at the release;
-    // the task's third access (chunk end at 32 us) then waits until
-    // 37 us, which pushes the task's finish out by 5 us.
+    // Another master starts at 13.5 us: 25.5 us of CPU around 2
+    // accesses, so 8.5-us chunks.  Its first chunk end, at exactly the
+    // task's second release instant (22 us), was scheduled before that
+    // release (at 21 us), so it runs first, queues, and is granted at
+    // the release: [22, 23).  Its next chunk end, at 31.5 us, takes
+    // the idle bus until 32.5 us, so the task's third access (chunk
+    // end at 32 us) waits until then, which pushes every later access
+    // and the task's finish out by 0.5 us.  The other master's tail
+    // chunk runs 32.5..41 us.
     for (Drive d : allDrives) {
         QuietBus s(d);
-        Tick otherReleased = -1;
-        s.eq.schedule(usToTicks(22), [&]() {
-            s.bus.acquire(0, usToTicks(15), [&]() {
-                otherReleased = s.eq.now();
-            });
+        Processor other(s.eq, "other");
+        other.observe(s.sinks);
+        Tick otherDone = -1;
+        s.eq.schedule(usToTicks(13.5), [&]() {
+            Activity a;
+            a.name = "other";
+            a.processing = usToTicks(25.5);
+            a.memAccesses = 2;
+            a.bus = &s.bus;
+            a.onDone = [&]() { otherDone = s.eq.now(); };
+            other.submit(std::move(a));
         });
         s.submitTask();
         s.run(d, usToTicks(1000));
         SCOPED_TRACE(static_cast<int>(d));
-        EXPECT_EQ(otherReleased, usToTicks(37));
-        EXPECT_EQ(s.taskDone, usToTicks(114));
-        EXPECT_EQ(s.bus.busyTime(), usToTicks(9 + 15));
+        EXPECT_EQ(otherDone, usToTicks(41));
+        EXPECT_EQ(s.taskDone, usToTicks(109.5));
+        EXPECT_EQ(s.bus.busyTime(), usToTicks(9 + 2));
         EXPECT_EQ(s.p.activityTicks().at("task"), usToTicks(109));
+        EXPECT_EQ(other.activityTicks().at("other"), usToTicks(27.5));
     }
 }
 
@@ -727,6 +611,7 @@ TEST(FastForward, ArchIVStillAlternatesBusPartitions)
             if (d == Drive::Traced) {
                 tracer.setEnabled(true);
                 const obs::Sinks sinks{&tracer};
+                eq.observe(sinks);
                 p.observe(sinks);
                 busA.observe(sinks);
                 busB.observe(sinks);
@@ -811,9 +696,9 @@ struct CoStepRig
             sinks.tracer = &tracer;
         } else if (d == Drive::Profiled) {
             prof.beginRun();
-            eq.attachProfiler(&prof);
             sinks.prof = &prof;
         }
+        eq.observe(sinks);
         for (Resource &b : buses)
             b.observe(sinks);
         for (Processor &p : procs)
@@ -951,6 +836,168 @@ finishOf(const CoStepHistory &h, const std::string &name)
             return t;
     ADD_FAILURE() << name << " never finished";
     return -1;
+}
+
+// --- Bus grants, with processors as the bus masters ------------------
+//
+// Each master runs one activity of zero CPU around its accesses, so its
+// chunk ends fall at the instant it starts and at each of its releases.
+
+using Finishes = std::vector<std::pair<std::string, Tick>>;
+
+TEST(Resource, SerializesHolders)
+{
+    // Three masters ask at t = 0; each holds the bus for one access.
+    const CoStepHistory h = expectCoStepExact(
+        [](CoStepRig &r, Drive d) {
+            Resource &bus = r.bus("bus");
+            Processor &a = r.proc("a"), &b = r.proc("b"), &c = r.proc("c");
+            r.observe(d);
+            r.submit(a, "a", 0, 1, &bus);
+            r.submit(b, "b", 0, 1, &bus);
+            r.submit(c, "c", 0, 1, &bus);
+        },
+        {10});
+    EXPECT_EQ(h.finishes, (Finishes{{"a", usToTicks(1)},
+                                    {"b", usToTicks(2)},
+                                    {"c", usToTicks(3)}}));
+    EXPECT_NEAR(h.atBounds.at(0).at(2), 0.3, 1e-9); // bus utilization
+}
+
+TEST(Resource, PriorityJumpsQueue)
+{
+    const CoStepHistory h = expectCoStepExact([](CoStepRig &r, Drive d) {
+        Resource &bus = r.bus("bus");
+        Processor &p0 = r.proc("0"), &p1 = r.proc("1"), &p2 = r.proc("2");
+        r.observe(d);
+        r.submit(p0, "0", 0, 1, &bus);
+        r.submit(p1, "1", 0, 1, &bus);
+        r.submit(p2, "2", 0, 1, &bus, prioInterrupt); // urgent
+    });
+    // Master 0 was already granted; the urgent request overtakes 1.
+    EXPECT_EQ(h.finishes, (Finishes{{"0", usToTicks(1)},
+                                    {"2", usToTicks(2)},
+                                    {"1", usToTicks(3)}}));
+}
+
+TEST(Resource, ReacquireFromReleaseContinuation)
+{
+    // "first" makes two accesses around a zero-length chunk, so its
+    // second request is a chunk-end step at its first release instant.
+    // The release grants the bus before that step runs: alone, "first"
+    // finds it free again; behind a waiter it queues like any request,
+    // even when more urgent, and its priority counts from the next
+    // release on.
+    struct Case
+    {
+        const char *label;
+        int priority;
+        int waiters;
+        Finishes expect;
+    };
+    const Case cases[] = {
+        {"alone", prioTask, 0, {{"first", usToTicks(2)}}},
+        {"behind a waiter", prioTask, 1,
+         {{"w1", usToTicks(2)}, {"first", usToTicks(3)}}},
+        {"urgent, behind a waiter", prioInterrupt, 1,
+         {{"w1", usToTicks(2)}, {"first", usToTicks(3)}}},
+        {"urgent, ahead of the second waiter", prioInterrupt, 2,
+         {{"w1", usToTicks(2)},
+          {"first", usToTicks(3)},
+          {"w2", usToTicks(4)}}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.label);
+        const CoStepHistory h =
+            expectCoStepExact([&c](CoStepRig &r, Drive d) {
+                Resource &bus = r.bus("bus");
+                Processor &first = r.proc("first");
+                std::vector<Processor *> waiters;
+                for (int w = 1; w <= c.waiters; ++w)
+                    waiters.push_back(&r.proc("w" + std::to_string(w)));
+                r.observe(d);
+                r.submit(first, "first", 0, 2, &bus, c.priority);
+                for (Processor *w : waiters)
+                    r.submit(*w, w->processorName(), 0, 1, &bus);
+            });
+        EXPECT_EQ(h.finishes, c.expect);
+        // The bus's busy time, then its queue length, at the end.
+        EXPECT_EQ(h.atEnd.at(0),
+                  static_cast<double>(usToTicks(2 + c.waiters)));
+        EXPECT_EQ(h.atEnd.at(1), 0.0);
+    }
+}
+
+TEST(Resource, IdleGrantRecordsSameIntervals)
+{
+    // Message 1 is granted on an idle bus at t = 0; message 2 asks at
+    // t = 0 too, queues behind it and is granted at its release.  Both
+    // grants leave the same records: a "queued" sample of the queue
+    // with the request in it, an access span and a sample of what is
+    // left at the grant, and a Queue interval (the wait) then a
+    // Service interval (the hold).  Only the bus records.
+    EventQueue eq;
+    Resource bus(eq, "bus");
+    std::deque<Processor> masters;
+    trace::Tracer tracer;
+    tracer.setEnabled(true);
+    trace::CausalLog causal;
+    causal.setEnabled(true);
+    causal.start(1, 0);
+    causal.start(2, 0);
+    obs::Sinks sinks;
+    sinks.tracer = &tracer;
+    sinks.causal = &causal;
+    eq.observe(sinks);
+    bus.observe(sinks);
+    for (long msg : {1, 2}) {
+        Activity a;
+        a.name = "access";
+        a.memAccesses = 1;
+        a.bus = &bus;
+        a.msgId = msg;
+        masters.emplace_back(eq, "m" + std::to_string(msg))
+            .submit(std::move(a));
+    }
+    eq.runUntil(usToTicks(10));
+
+    using Sample =
+        std::tuple<trace::Phase, std::string, Tick, Tick, double, long>;
+    std::vector<Sample> samples;
+    for (const trace::Event &e : tracer.events())
+        samples.emplace_back(e.phase, e.name, e.start, e.duration,
+                             e.value, e.id);
+    using trace::Phase;
+    const Tick us = usToTicks(1);
+    const std::vector<Sample> expect = {
+        {Phase::Counter, "queued", 0, 0, 1, 0},    // message 1 asks
+        {Phase::Complete, "access", 0, us, 0, 1},  // granted at once
+        {Phase::Counter, "queued", 0, 0, 0, 0},
+        {Phase::Counter, "queued", 0, 0, 1, 0},    // message 2 queues
+        {Phase::Complete, "access", us, us, 0, 2}, // granted at release
+        {Phase::Counter, "queued", us, 0, 0, 0},
+    };
+    EXPECT_EQ(samples, expect);
+
+    const auto intervals = [&](long msg) {
+        std::vector<std::pair<trace::Component, std::pair<Tick, Tick>>>
+            out;
+        for (const trace::PathInterval &i :
+             causal.records().at(msg).intervals) {
+            EXPECT_EQ(i.resource, "bus");
+            out.push_back({i.comp, {i.begin, i.end}});
+        }
+        return out;
+    };
+    using trace::Component;
+    // Message 1's wait is empty, and the log keeps no empty interval.
+    EXPECT_EQ(intervals(1),
+              (std::vector<std::pair<Component, std::pair<Tick, Tick>>>{
+                  {Component::Service, {0, us}}}));
+    EXPECT_EQ(intervals(2),
+              (std::vector<std::pair<Component, std::pair<Tick, Tick>>>{
+                  {Component::Queue, {0, us}},
+                  {Component::Service, {us, 2 * us}}}));
 }
 
 TEST(CoStep, TwoAndThreeProcessorsOnOneBus)
@@ -1133,6 +1180,31 @@ TEST(CoStep, RunUntilBoundsInsideAContendedRun)
             r.submit(p3, "c", 30, 5, &bus, prioInterrupt);
         },
         bounds);
+}
+
+TEST(CoStepDeathTest, RecorderOnAnUntoldQueueIsAWiringError)
+{
+    // A processor and a bus given a tracer on a queue that was not
+    // told would co-step, and the steps in place would drop their
+    // grant records: the first loop stops the run instead.
+    const auto untold = []() {
+        EventQueue eq;
+        Resource bus(eq, "bus");
+        Processor p(eq, "p");
+        trace::Tracer tracer;
+        tracer.setEnabled(true);
+        const obs::Sinks sinks{&tracer};
+        p.observe(sinks);
+        bus.observe(sinks);
+        Activity a;
+        a.name = "task";
+        a.processing = usToTicks(10);
+        a.memAccesses = 1;
+        a.bus = &bus;
+        p.submit(std::move(a));
+        eq.runUntil(usToTicks(100));
+    };
+    EXPECT_DEATH(untold(), "perAccess");
 }
 
 TEST(Processor, QueuedButNeverStartedActivityBooksNoTicks)
@@ -1974,7 +2046,7 @@ TEST(EventQueue, ProfilerAtDefaultsKeepsSteadyStateAllocationFree)
     obs::EngineProfiler prof; // defaultSampleShift
     prof.beginRun();
     EventQueue eq;
-    eq.attachProfiler(&prof);
+    eq.observe(obs::Sinks{.prof = &prof});
 
     std::uint64_t remaining = 300000; // ~293 wall samples of warmup
     for (int i = 0; i < 32; ++i)
@@ -2032,7 +2104,7 @@ TEST(EventQueue, SchedulesWithoutRelocating)
         obs::EngineProfiler prof;
         if (profiled) {
             prof.beginRun();
-            eq.attachProfiler(&prof);
+            eq.observe(obs::Sinks{.prof = &prof});
         }
         int moves = 0, runs = 0;
         eq.schedule(5, MoveCounter(&moves, &runs));
