@@ -52,7 +52,12 @@ struct AnalyzerResult
     /** Time-averaged number of simultaneous firings per resource. */
     std::map<std::string, double> resourceUsage;
 
-    /** Completions of each transition per unit model time. */
+    /**
+     * Completions of each timed transition per unit model time.  A
+     * completion is counted as a tangible state is left, so a
+     * transition of delay 0, which fires within the selection phase,
+     * reads 0 however often it fires.
+     */
     std::vector<double> firingRate;
 
     /**

@@ -43,6 +43,197 @@ MarkovChain::setSojourn(std::size_t state, double t)
     sojourns[state] = t;
 }
 
+namespace
+{
+
+/** S: sweeps between combinations of the history. */
+constexpr int combinePeriod = 4;
+
+/**
+ * Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) of
+ * the map x -> g(x), one sweep and its normalisation.  The history
+ * holds the outputs g_a and residuals f_a = g_a - x_a of the last M
+ * sweeps; their combination is sum_a w_a g_a, with the weights
+ * (summing to 1) that make |sum_a w_a f_a| least.  Both are kept per
+ * state, M to a row, so recording a sweep and combining the history
+ * each stream one row of each per state.
+ */
+class SweepHistory
+{
+  public:
+    /** M: the sweep outputs a combination draws on. */
+    static constexpr int depth = 6;
+
+    /** A history for @p n states, whose first sweep starts at @p pi. */
+    SweepHistory(std::size_t n, const std::vector<double> &pi)
+        : n(n), resid(n * depth, 0.0), outs(n * depth, 0.0)
+    {
+        // The first sweep's input waits in the slot it will fill.
+        for (std::size_t j = 0; j < n; ++j)
+            outs[j * depth + slot] = pi[j];
+    }
+
+    /**
+     * Normalise the swept @p pi by @p inv and record it.  Returns the
+     * largest relative change of a pi(j) over the sweep when @p check
+     * is set, 0 otherwise.
+     */
+    double
+    record(std::vector<double> &pi, double inv, bool check)
+    {
+        double dot[depth] = {};
+        const double worst = check ? pass<true>(pi.data(), inv, dot)
+                                   : pass<false>(pi.data(), inv, dot);
+        for (int a = 0; a < depth; ++a)
+            gram[slot][a] = gram[a][slot] = dot[a];
+        inputSlot = slot;
+        inputScale = 1.0;
+        slot = (slot + 1) % depth;
+        filled = std::min(filled + 1, depth);
+        return worst;
+    }
+
+    /**
+     * Overwrite @p pi with the least-residual combination of the
+     * history, its negative entries clipped to 0.  The next sweep
+     * starts from it, renormalised.  When the small system is
+     * singular or its answer is not finite, drop the history and
+     * leave @p pi alone.
+     */
+    void
+    combine(std::vector<double> &pi)
+    {
+        double w[depth] = {};
+        if (filled < 2)
+            return;
+        if (!weights(w)) {
+            filled = 0;
+            return;
+        }
+        // Slots not filled weigh 0.  The combination waits in the
+        // slot the next sweep fills, whose output (the oldest) has
+        // just been read for the last time.  The sweep is linear, so
+        // it may start from the combination unnormalised; the
+        // residual it records takes the combination times inputScale.
+        double sum = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+            double *g = &outs[j * depth];
+            double x = 0.0;
+#pragma GCC unroll 8
+            for (int a = 0; a < depth; ++a)
+                x += w[a] * g[a];
+            x = std::max(x, 0.0);
+            g[slot] = x;
+            pi[j] = x;
+            sum += x;
+        }
+        // Before clipping the entries sum to sum_a w_a = 1.
+        hsipc_assert(sum > 0.0);
+        inputSlot = slot;
+        inputScale = 1.0 / sum;
+    }
+
+  private:
+    /** record()'s pass over the states; see there. */
+    template <bool Check>
+    double
+    pass(double *pi, double inv, double (&dot)[depth])
+    {
+        // The products run over every slot, filled or not, so the
+        // inner loop has a fixed length and unrolls into vector
+        // operations; only filled slots are read.  The new residual's
+        // own slot still holds the old one, so its square is summed
+        // apart.
+        const int s = slot;
+        const int in = inputSlot;
+        const double scale = inputScale;
+        double acc[depth] = {};
+        double ff = 0.0;
+        double worst = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+            double *g = &outs[j * depth];
+            double *r = &resid[j * depth];
+            const double v = pi[j] * inv;
+            const double f = v - g[in] * scale;
+            pi[j] = v;
+            g[s] = v;
+#pragma GCC unroll 8
+            for (int a = 0; a < depth; ++a)
+                acc[a] += f * r[a];
+            ff += f * f;
+            r[s] = f;
+            if constexpr (Check)
+                worst = std::max(worst, std::abs(f) / std::max(v, 1e-300));
+        }
+        for (int a = 0; a < depth; ++a)
+            dot[a] = acc[a];
+        dot[s] = ff;
+        return worst;
+    }
+
+    /**
+     * The weights of the filled slots (0 elsewhere): y from the
+     * regularised normal equations (F^T F + lambda I) y = 1 by
+     * Cholesky, w = y / sum(y).  False when a pivot is not positive
+     * (all residuals 0, say) or the answer is not finite.
+     */
+    bool
+    weights(double (&w)[depth]) const
+    {
+        int slots[depth];
+        double scale = 0.0;
+        for (int k = 0; k < filled; ++k) {
+            slots[k] = (slot - 1 - k + 2 * depth) % depth;
+            scale = std::max(scale, gram[slots[k]][slots[k]]);
+        }
+        const double lambda = 1e-12 * scale;
+        double l[depth][depth] = {};
+        for (int r = 0; r < filled; ++r) {
+            for (int c = 0; c <= r; ++c) {
+                double v = gram[slots[r]][slots[c]] + (r == c ? lambda : 0.0);
+                for (int k = 0; k < c; ++k)
+                    v -= l[r][k] * l[c][k];
+                if (r != c)
+                    l[r][c] = v / l[c][c];
+                else if (v > 0.0)
+                    l[r][r] = std::sqrt(v);
+                else
+                    return false;
+            }
+        }
+        double y[depth];
+        for (int r = 0; r < filled; ++r) {
+            double v = 1.0;
+            for (int k = 0; k < r; ++k)
+                v -= l[r][k] * y[k];
+            y[r] = v / l[r][r];
+        }
+        double total = 0.0;
+        for (int r = filled; r-- > 0;) {
+            for (int k = r + 1; k < filled; ++k)
+                y[r] -= l[k][r] * y[k];
+            y[r] /= l[r][r];
+            total += y[r];
+        }
+        if (!(total > 0.0) || !std::isfinite(total))
+            return false;
+        for (int k = 0; k < filled; ++k)
+            w[slots[k]] = y[k] / total;
+        return true;
+    }
+
+    const std::size_t n;
+    std::vector<double> resid; //!< f_a(j) at [j * depth + a]
+    std::vector<double> outs;  //!< g_a(j) at [j * depth + a]
+    double gram[depth][depth] = {}; //!< f_a . f_b
+    int slot = 0;           //!< the slot the next sweep fills
+    int filled = 0;         //!< slots recorded since the last reset
+    int inputSlot = 0;      //!< where the next sweep's input waits
+    double inputScale = 1.0; //!< what that input is scaled by
+};
+
+} // namespace
+
 SolveResult
 MarkovChain::solve(const SolveOptions &opts) const
 {
@@ -114,15 +305,18 @@ MarkovChain::solve(const SolveOptions &opts) const
     SolveResult res;
     std::vector<double> pi(n + 1, 1.0 / static_cast<double>(n));
     pi[n] = 0.0;
-    std::vector<double> prev(n);
+
+    // Every combinePeriod sweeps the next one starts from the
+    // combination of the last SweepHistory::depth sweep outputs.  The
+    // convergence test and the returned pi stay those of a plain
+    // sweep: a combination only moves where the next sweep starts.
+    SweepHistory history(n, pi);
 
     const double alpha = opts.damping;
     bool converged = false;
     int sweep = 0;
     while (sweep < opts.maxSweeps && !converged) {
-        const bool check = (sweep % opts.checkInterval) == 0;
-        if (check)
-            std::copy(pi.begin(), pi.begin() + n, prev.begin());
+        const bool check = (sweep % opts.checkInterval) == 0 && sweep > 0;
 
         // One Gauss-Seidel sweep, updating pi(j) in place so later
         // states see the freshest values.  The pairs are summed in
@@ -141,21 +335,14 @@ MarkovChain::solve(const SolveOptions &opts) const
             sum += pi[j];
         }
         hsipc_assert(sum > 0.0);
-        const double inv = 1.0 / sum;
-        for (std::size_t j = 0; j < n; ++j)
-            pi[j] *= inv;
-
         ++sweep;
-        if (check && sweep > 1) {
-            double worst = 0.0;
-            for (std::size_t j = 0; j < n; ++j) {
-                const double scale = std::max(pi[j], 1e-300);
-                worst = std::max(worst, std::abs(pi[j] - prev[j]) / scale);
-            }
-            // The change is that of the one sweep just taken.
-            if (worst < opts.tolerance)
-                converged = true;
-        }
+
+        // The change is that of the one sweep just taken.
+        const double worst = history.record(pi, 1.0 / sum, check);
+        if (check && worst < opts.tolerance)
+            converged = true;
+        else if (sweep % combinePeriod == 0 && sweep < opts.maxSweeps)
+            history.combine(pi);
     }
 
     pi.pop_back();

@@ -9,13 +9,25 @@
  * order: self-loops are held apart, and each state takes its
  * off-diagonal inflow divided by 1 - p_jj.  Absorbing states
  * (p_jj = 1) take the power step instead, so a transient chain still
- * drains into them.  Convergence is declared on the relative change
- * of the stationary vector over one sweep.
+ * drains into them.  Each sweep's output is normalised.
+ *
+ * The sweeps are Anderson-accelerated (Walker & Ni, SIAM J. Numer.
+ * Anal. 2011).  The solver keeps the outputs and residuals (output
+ * minus input) of the last 6 sweeps; every 4 sweeps the next sweep
+ * starts from the combination of those outputs, with weights summing
+ * to 1, whose combined residual is least.  The weights come from the
+ * regularised normal equations of the residuals.  Negative entries of
+ * a combination are clipped to 0 and the rest renormalised, and the
+ * history is dropped when the small system is singular or its answer
+ * not finite.  A combination only moves where the next sweep starts:
+ * convergence is declared on the relative change of pi over one plain
+ * sweep, and the returned pi is that sweep's output.  The history
+ * holds 2 * 6 * n doubles for the length of one solve.
  *
  * Damping (off by default) mixes the previous iterate into each
- * update.  The chains analyze() builds converge without it; it is
- * there for chains on which the plain sweep cycles, such as a ring
- * whose states hold unequal self-loops.
+ * update inside the sweep.  The chains analyze() builds converge
+ * without it; it is there for chains on which the plain sweep cycles,
+ * such as a ring whose states hold unequal self-loops.
  */
 
 #ifndef HSIPC_GTPN_MARKOV_HH
@@ -31,7 +43,7 @@ namespace hsipc::gtpn
 struct SolveOptions
 {
     double tolerance = 1e-10;   //!< max relative change of pi per sweep
-    int maxSweeps = 200000;     //!< hard iteration cap
+    int maxSweeps = 200000;     //!< hard cap on sweeps
     double damping = 0.0;       //!< weight of the previous iterate, in [0, 1)
     int checkInterval = 16;     //!< sweeps between convergence checks
 };

@@ -89,6 +89,9 @@ stageOccupancy(const gtpn::PetriNet &net,
         net.findTransition(stage + ".exit"));
     const auto loop_rate = static_cast<std::size_t>(
         net.findTransition(stage + ".loop"));
+    // firingRate counts timed transitions only; a stage on the round
+    // trip whose exit read 0 would have lost its delay.
+    hsipc_assert(r.firingRate[exit_rate] > 0.0);
     return r.firingRate[exit_rate] + r.firingRate[loop_rate];
 }
 

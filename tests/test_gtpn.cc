@@ -710,6 +710,26 @@ TEST(Markov, SolveOptionsRespectSweepCap)
     EXPECT_EQ(r.sweeps, 3);
 }
 
+TEST(Markov, SweepCapStopsAnUnsettledSolve)
+{
+    // The flip chain above starts at its stationary vector, so only
+    // the first check's place (after sweep 17) keeps it from passing.
+    // This birth-death walk starts far from its stationary vector and
+    // is checked after every sweep: the cap, not a check, must stop it.
+    MarkovChain c;
+    const double up = 0.3, down = 0.7;
+    for (std::size_t i = 0; i < 4; ++i) {
+        c.addEdge(i, i < 3 ? i + 1 : i, up);
+        c.addEdge(i, i > 0 ? i - 1 : i, down);
+    }
+    SolveOptions opts;
+    opts.maxSweeps = 3;
+    opts.checkInterval = 1;
+    const SolveResult r = c.solve(opts);
+    EXPECT_FALSE(r.converged);
+    EXPECT_EQ(r.sweeps, 3);
+}
+
 /**
  * The Fig 6.18 local Arch II net at n = 4, X = 1.71 ms, on the time
  * scale solveLocal() picks: the smallest stage mean over 20 time
@@ -739,6 +759,36 @@ TEST(Analyzer, Fig618LocalArchIISolvesInFewSweeps)
     EXPECT_LE(r.sweeps, 2000);
     const double thr = m.throughputPerUs(r.usage(models::lambdaResource));
     EXPECT_NEAR(thr, 0.000216416229756, 0.000216416229756 * 1e-6);
+}
+
+TEST(Markov, AcceleratedSolveOfFig618LocalArchII)
+{
+    // The largest chain the chapter-6 models solve cold (6336 states).
+    // Plain Gauss-Seidel took 1153 sweeps here; the accelerated solve
+    // must take under 450 and still land within 1e-8 of a solve run
+    // to a tolerance of 1e-14, at every state.
+    const models::LocalParams p = models::localParams(models::Arch::II);
+    const double x = 1710.0;
+    const models::LocalModel m = models::buildLocalModel(
+        p, 4, x, models::localTimeScale(p, x), 1);
+    StateSpace space(m.net);
+    space.solve();
+    const MarkovChain &chain = space.chain();
+    ASSERT_EQ(chain.numStates(), 6336u);
+
+    const SolveResult r = chain.solve();
+    ASSERT_TRUE(r.converged);
+    EXPECT_LE(r.sweeps, 450);
+    SolveOptions tight;
+    tight.tolerance = 1e-14;
+    const SolveResult ref = chain.solve(tight);
+    ASSERT_TRUE(ref.converged);
+    std::size_t off = 0;
+    for (std::size_t j = 0; j < chain.numStates(); ++j) {
+        const double want = ref.piEmbedded[j];
+        off += !(std::abs(r.piEmbedded[j] - want) <= 1e-8 * want);
+    }
+    EXPECT_EQ(off, 0u);
 }
 
 TEST(Analyzer, LongDelaysDoNotAliasStates)
@@ -1074,8 +1124,32 @@ TEST(Analyzer, ResultsArePinned)
         }
     }
 
-    EXPECT_EQ(nets.h, 0xcbd57d67b55e071aULL);
-    EXPECT_EQ(solutions.h, 0x942e8eab8524a07aULL);
+    EXPECT_EQ(nets.h, 0xab095835183f540fULL);
+    EXPECT_EQ(solutions.h, 0x3f39c3b992944d39ULL);
+}
+
+TEST(Analyzer, ZeroDelayTransitionsReadNoFiringRate)
+{
+    // firingRate counts completions out of tangible states, so a
+    // transition of delay 0, which fires within the selection phase,
+    // reads exactly 0.  mpGrab hands each request of the Arch II
+    // client net to the MP, once per round trip, as does the mpSend
+    // stage it feeds.
+    const models::NonlocalClientParams cp =
+        models::nonlocalClientParams(models::Arch::II);
+    const double scale =
+        pinScale(std::min({cp.sendSyscall, cp.dmaOut, cp.dmaIn,
+                           cp.intrService, cp.mpSend + cp.dispatch}));
+    const models::ClientModel cm =
+        models::buildClientModel(cp, 2, 40.0 * scale, 1, scale);
+    const AnalyzerResult r = analyze(cm.net);
+    ASSERT_TRUE(r.converged);
+    const auto rate = [&](const char *name) {
+        return r.firingRate[static_cast<std::size_t>(
+            cm.net.findTransition(name))];
+    };
+    EXPECT_EQ(rate("mpGrab"), 0.0);
+    EXPECT_GT(rate("mpSend.exit"), 0.0);
 }
 
 TEST(Markov, HigherDampingStillConverges)

@@ -257,6 +257,49 @@ TEST(Markov, StateEnteredOnlyByItsSelfLoopDrains)
     EXPECT_NEAR(r.piTime[2], 0.75, 1e-9);
 }
 
+TEST(Markov, StationaryStartDropsTheHistory)
+{
+    // A doubly stochastic chain starts at its stationary vector, so
+    // every sweep returns its input bit for bit.  The residuals the
+    // accelerated solve combines are then all 0 and its small system
+    // is singular: it must drop the history, not divide by 0.
+    MarkovChain c;
+    for (std::size_t i = 0; i < 3; ++i) {
+        for (std::size_t j = 0; j < 3; ++j)
+            c.addEdge(i, j, i == j ? 0.5 : 0.25);
+    }
+    const SolveResult r = c.solve();
+    ASSERT_TRUE(r.converged);
+    EXPECT_EQ(r.sweeps, SolveOptions().checkInterval + 1);
+    for (std::size_t j = 0; j < 3; ++j)
+        EXPECT_DOUBLE_EQ(r.piEmbedded[j], 1.0 / 3.0) << "state " << j;
+}
+
+TEST(Markov, SteepBirthDeathChainKeepsItsSmallestStates)
+{
+    // A walk on 0..39 that steps up with probability 0.1: pi(i) falls
+    // as 9^-i, to 1e-38 of pi(0).  Combining sweeps overshoots the
+    // smallest entries below 0, which the solve clips; every entry
+    // must still come out within 1e-8 of the closed form, relative.
+    const std::size_t n = 40;
+    const double up = 0.1, down = 0.9;
+    MarkovChain c;
+    for (std::size_t i = 0; i < n; ++i) {
+        c.addEdge(i, i + 1 < n ? i + 1 : i, up);
+        c.addEdge(i, i > 0 ? i - 1 : i, down);
+    }
+    const SolveResult r = c.solve();
+    ASSERT_TRUE(r.converged);
+    const double rho = up / down;
+    double z = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        z += std::pow(rho, static_cast<double>(i));
+    for (std::size_t i = 0; i < n; ++i) {
+        const double want = std::pow(rho, static_cast<double>(i)) / z;
+        EXPECT_NEAR(r.piEmbedded[i], want, 1e-8 * want) << "state " << i;
+    }
+}
+
 TEST(Markov, ResultVectorsHoldOneEntryPerState)
 {
     // Rings of 1 ... 5 states with self-loops: each state has one
