@@ -254,7 +254,7 @@ BENCHMARK(BM_EventQueueScheduleRunProfiled)->Arg(16)->Arg(256);
  * heap pays an O(log n) sift of 16-byte keys per operation.  Same
  * self-rescheduling workload as above at fanouts 4096..65536 — far
  * past the few dozen pending events any shipped workload reaches
- * (docs/performance.md, "Why one heap").
+ * (docs/performance.md, "Why one heap per event kind").
  */
 void
 BM_EventQueueHighPendingHeap(benchmark::State &state)

@@ -58,8 +58,6 @@ render(const EngineProfile &p, bool full)
         const EngineProfile::CoStep &c = p.coStep;
         doc += ",\n  \"coStep\": {\"loops\": " + u64(c.loops) +
                ", \"steps\": " + u64(c.steps) +
-               ", \"takenOver\": " + u64(c.takenOver) +
-               ", \"pushedBack\": " + u64(c.pushedBack) +
                ", \"stops\": {\"nonAccess\": " + u64(c.stopNonAccess) +
                ", \"bound\": " + u64(c.stopBound) +
                ", \"drained\": " + u64(c.stopDrained) + "}}";
@@ -99,8 +97,6 @@ EngineProfile::CoStep::merge(const CoStep &other)
 {
     loops += other.loops;
     steps += other.steps;
-    takenOver += other.takenOver;
-    pushedBack += other.pushedBack;
     stopNonAccess += other.stopNonAccess;
     stopBound += other.stopBound;
     stopDrained += other.stopDrained;

@@ -58,7 +58,8 @@ struct EngineProfile
     std::uint64_t sampleEvery = 0; //!< wall/dwell subsampling period
 
     // Event-queue telemetry (every event; plain counters).
-    std::uint64_t pushes = 0;
+    // Both pending sets count: the callback heap and the step heap.
+    std::uint64_t pushes = 0;        //!< keys scheduled
     std::uint64_t pops = 0;
     std::uint64_t comparisons = 0;   //!< heap-order tests in sifts
     std::uint64_t maxHeapSize = 0;   //!< peak in-flight population
@@ -73,16 +74,14 @@ struct EngineProfile
 
     /**
      * The access loop's work (docs/performance.md, "Co-stepping
-     * access loops").  A loop starts at a popped step event, which
-     * counts as a pop; the step events it takes over from the heap
-     * do not, so pushes = pops + takenOver + remainingAtEnd.
+     * access loops").  A loop starts at a step event popped from the
+     * step heap, which counts as a pop; the steps it runs after that
+     * do not, so pushes = pops + (steps - loops) + remainingAtEnd.
      */
     struct CoStep
     {
-        std::uint64_t loops = 0;      //!< loops started
-        std::uint64_t steps = 0;      //!< step events run in them
-        std::uint64_t takenOver = 0;  //!< heap events run as steps
-        std::uint64_t pushedBack = 0; //!< keys left on the heap at stops
+        std::uint64_t loops = 0; //!< loops started
+        std::uint64_t steps = 0; //!< step events run in them
         //! Stops by cause: a pending non-step event came first, the
         //! next step lay past the runUntil() bound, nothing was left.
         std::uint64_t stopNonAccess = 0;

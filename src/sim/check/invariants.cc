@@ -751,24 +751,22 @@ checkEngineProfile(Checker &c)
     c.expectTrue(!p.tracks.empty() && p.tracks[0].name == "sim",
                  "engprof.meta", "track 0 is not the 'sim' residual");
 
-    // Queue conservation: everything pushed was either executed, run
-    // as a step by an access loop that took it over, or is still in
-    // the heap at the horizon.
+    // Queue conservation: every key scheduled was either popped, run
+    // by an access loop as a step after its first, or is still
+    // pending in one of the two sets at the horizon.
+    const obs::EngineProfile::CoStep &cs = p.coStep;
     c.expectEq(static_cast<long>(p.pushes), "engprof.pushes",
-               static_cast<long>(p.pops + p.coStep.takenOver +
+               static_cast<long>(p.pops + (cs.steps - cs.loops) +
                                  p.remainingAtEnd),
-               "pops + coStep.takenOver + remainingAtEnd",
+               "pops + (coStep.steps - coStep.loops) + remainingAtEnd",
                "engprof.conservation");
     // Every loop starts at a popped event and stops for one cause.
-    const obs::EngineProfile::CoStep &cs = p.coStep;
-    c.expectTrue(cs.loops <= p.pops &&
-                     cs.steps >= cs.loops + cs.takenOver &&
+    c.expectTrue(cs.loops <= p.pops && cs.steps >= cs.loops &&
                      cs.stopNonAccess + cs.stopBound + cs.stopDrained ==
                          cs.loops,
                  "engprof.conservation",
                  "coStep: " + std::to_string(cs.loops) + " loops, " +
                      std::to_string(cs.steps) + " steps, " +
-                     std::to_string(cs.takenOver) + " taken over, " +
                      std::to_string(cs.stopNonAccess + cs.stopBound +
                                     cs.stopDrained) +
                      " stops");

@@ -55,10 +55,10 @@
  *
  *  engine profile (Experiment::engineProfile; engprof.*)
  *   - pay-for-use: with the knob off the profile is empty
- *   - queue conservation: pushes = pops + coStep.takenOver +
- *     remainingAtEnd, with remainingAtEnd below the observed heap
- *     peak; every access loop starts at a pop, runs at least its
- *     first event and each one it took over, and stops once
+ *   - queue conservation: pushes = pops + (coStep.steps -
+ *     coStep.loops) + remainingAtEnd over both pending sets, with
+ *     remainingAtEnd below the observed peak; every access loop
+ *     starts at a pop, runs at least its first event, and stops once
  *   - sampling: sampled executions <= pops, dwell samples <= pushes,
  *     dwell and heap-depth sketches fill in lockstep, dwell >= 0
  *   - attribution: track event counts partition pops exactly (track

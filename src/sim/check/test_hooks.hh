@@ -59,9 +59,9 @@ struct TestHooks
 
     /**
      * Ticks the access loop (node/processor.cc) adds to the time of
-     * the earliest pending event, and to the runUntil() bound, when
-     * it decides what runs next — a deliberate overshoot that runs
-     * the loop's own steps past the next pending event, so an event
+     * the earliest pending callback event, and to the runUntil()
+     * bound, when it decides what runs next — a deliberate overshoot
+     * that runs steps past the next pending event, so an event
      * that should have seen (or contended for) the bus first no
      * longer does.  Traced runs take the per-access path, so the
      * determinism.traceIdentity oracle must catch the divergence and

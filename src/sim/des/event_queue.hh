@@ -3,7 +3,7 @@
  * Discrete-event simulation core: a time-ordered event queue with
  * stable FIFO ordering among simultaneous events.
  *
- * The pending-event set is an indirect binary min-heap.  The heap
+ * Each pending-event set is an indirect binary min-heap.  A heap
  * holds only 16-byte keys, (when, seq << 24 | step << 22 | slot),
  * so comparing the second word compares seq; the callbacks sit still
  * in a slot arena beside it, reused through a LIFO free list.  Each
@@ -16,11 +16,12 @@
  * invokes it, because the callback may schedule events and grow the
  * arena under itself.
  *
- * The heap is explicit rather than a std::priority_queue so that
- * runUntil() does exactly one heap inspection per executed event:
- * the bounds check reads the root in place and the same read feeds
- * the pop.  O(log n) per operation; the simulator keeps a few dozen
- * pending events (docs/performance.md, "Why one heap").
+ * The heaps are explicit rather than std::priority_queues so that
+ * runUntil() inspects the two roots once per executed event: the
+ * bounds check reads the earlier root in place and the same read
+ * feeds the pop.  O(log n) per operation; the simulator keeps a few
+ * dozen pending events (docs/performance.md, "Why one heap per event
+ * kind").
  *
  * Backing storage is reserved up front so the steady state never
  * reallocates.  Callbacks are EventCallback (see callable.hh): 48
@@ -30,22 +31,23 @@
  * Step events carry no callback at all.  A processor's chunk end
  * with accesses left and a bus release are keys that name their kind
  * and their target (scheduleStep()); the access loop in
- * node/processor.cc runs them.  When runUntil() pops one, the loop
+ * node/processor.cc runs them.  They wait in a second heap of their
+ * own, split from the callback heap by event kind alone: the next
+ * event is the earlier of the two roots by (when, seq), and seq is
+ * drawn in one sequence for both, so the two sets run in exactly the
+ * order one heap would.  When runUntil() pops a step event, the loop
  * runs it and every later step event, on any bus of any node, in
- * exact (when, seq) order, up to the first pending non-step event or
- * the bound.  The steps it schedules meanwhile are kept as keys in a
- * small heap of its own, and the step events it meets at the root of
- * this heap are taken over; at the stop the loop's keys go back here
- * with the seqs they drew.  runOne() runs a step event alone, and so
- * does runUntil() while a sink that records per access is observed
- * (observe()): the queue alone decides whether steps co-step
- * (docs/performance.md, "Co-stepping access loops").
+ * exact (when, seq) order, up to the first pending callback event or
+ * the bound; the keys it schedules meanwhile join the step heap, and
+ * at the stop they stay there for the next loop.  runOne() runs a
+ * step event alone, and so does runUntil() while a sink that records
+ * per access is observed (observe()): the queue alone decides whether
+ * steps co-step (docs/performance.md, "Co-stepping access loops").
  */
 
 #ifndef HSIPC_SIM_EVENT_QUEUE_HH
 #define HSIPC_SIM_EVENT_QUEUE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -83,7 +85,7 @@ class EventQueue
         heap.reserve(reservedCapacity);
         slots.reserve(reservedCapacity);
         freeSlots.reserve(reservedCapacity);
-        loopKeys.reserve(reservedCapacity);
+        stepHeap.reserve(reservedCapacity);
     }
 
     Tick now() const { return current; }
@@ -146,8 +148,9 @@ class EventQueue
 
     /**
      * Schedule step @p kind of target @p id at @p when.  The seq is
-     * drawn now, as for any event; inside an access loop the key
-     * joins the loop's own keys instead of this heap.
+     * drawn now, as for any event, and the key joins the step heap;
+     * the first one a step schedules inside an access loop waits
+     * beside it as the loop's likely next step.
      */
     void
     scheduleStep(Tick when, Step kind, std::uint32_t id)
@@ -158,22 +161,22 @@ class EventQueue
                               static_cast<std::uint64_t>(kind)
                                   << stepShift |
                               id};
-        if (!looping) {
-            pushKey(k);
-        } else if (!haveNext) [[likely]] {
+        if (prof)
+            notePush(k);
+        if (looping && !haveNext) [[likely]] {
             loopNext = k; // most steps schedule one: often the next
             haveNext = true;
         } else {
-            pushLoopKey(k);
+            insertStep(k);
         }
     }
 
     /** Is an access loop running (see node/processor.cc)? */
     bool coStepping() const { return looping; }
 
-    bool empty() const { return heap.empty(); }
+    bool empty() const { return heap.empty() && stepHeap.empty(); }
 
-    std::size_t size() const { return heap.size(); }
+    std::size_t size() const { return heap.size() + stepHeap.size(); }
 
     /** Events executed since construction (for the metrics dump). */
     std::uint64_t eventsRun() const { return executed; }
@@ -186,13 +189,14 @@ class EventQueue
     bool
     runOne()
     {
-        if (empty())
+        std::vector<Key> *set = earliestSet();
+        if (!set)
             return false;
         if (prof) {
-            execOne<true>(noLoop);
+            execOne<true>(*set, noLoop);
             flushProfile();
         } else {
-            execOne<false>(noLoop);
+            execOne<false>(*set, noLoop);
         }
         return true;
     }
@@ -257,16 +261,6 @@ class EventQueue
         return a.when != b.when ? a.when < b.when : a.order < b.order;
     }
 
-    /** The access loop's min-heap order, for the std heap functions. */
-    struct After
-    {
-        bool
-        operator()(const Key &a, const Key &b) const
-        {
-            return before(b, a);
-        }
-    };
-
     /**
      * Build @p f in a free slot and push its key: the insertion path
      * of every callback event.
@@ -287,71 +281,92 @@ class EventQueue
             freeSlots.pop_back();
             slots[slot].emplace(std::forward<F>(f));
         }
-        pushKeyT<Prof>(Key{when, nextSeq++ << seqShift | slot});
+        const Key k{when, nextSeq++ << seqShift | slot};
+        if constexpr (Prof)
+            notePush(k);
+        insertT<Prof>(heap, k);
+    }
+
+    /** Events pending in either set, the access loop's next included. */
+    std::size_t
+    pending() const
+    {
+        return heap.size() + stepHeap.size() + (haveNext ? 1 : 0);
     }
 
     /**
-     * The single heap insertion: the profiled instantiation counts
-     * the push and tracks peak population and the 1-in-N dwell/depth
-     * subsample; Prof=false compiles to the bare insert.
+     * The profiled push ledger, once per key scheduled into either
+     * set: it counts the push and tracks peak population and the
+     * 1-in-N dwell/depth subsample.
      */
-    template <bool Prof>
     void
-    pushKeyT(Key k)
+    notePush(Key k)
     {
-        if constexpr (Prof) {
-            ++profPushes;
-            const std::size_t depth = heap.size() + 1;
-            if (depth > profMaxHeap)
-                profMaxHeap = depth;
-            // An event pushed for `when` sits in the queue exactly
-            // `when - now` simulated ticks — dwell is known at push
-            // time, so events carry no extra timestamp.
-            if ((k.seq() & profMask) == 0) [[unlikely]]
-                prof->observePush(k.when - current, depth);
-        }
-        heap.push_back(k);
-        siftUpT<Prof>(heap.size() - 1);
+        ++profPushes;
+        const std::size_t depth = pending() + 1;
+        if (depth > profMaxHeap)
+            profMaxHeap = depth;
+        // An event pushed for `when` sits in the queue exactly
+        // `when - now` simulated ticks — dwell is known at push time,
+        // so events carry no extra timestamp.
+        if ((k.seq() & profMask) == 0) [[unlikely]]
+            prof->observePush(k.when - current, depth);
     }
 
+    /** Add @p k to the step heap (its push is already counted). */
     void
-    pushKey(Key k)
+    insertStep(Key k)
     {
         if (prof)
-            pushKeyT<true>(k);
+            insertT<true>(stepHeap, k);
         else
-            pushKeyT<false>(k);
+            insertT<false>(stepHeap, k);
     }
 
-    /** Add @p k to the access loop's own heap of keys. */
-    void
-    pushLoopKey(Key k)
-    {
-        loopKeys.push_back(k);
-        std::push_heap(loopKeys.begin(), loopKeys.end(), After{});
-    }
-
-    /** Remove the root key (the access loop's take-over). */
+    /** Remove the step heap's root. */
     Key
-    popRoot()
+    popStep()
     {
-        return prof ? popTop<true>() : popTop<false>();
+        return prof ? popTopT<true>(stepHeap) : popTopT<false>(stepHeap);
+    }
+
+    /** Remove the step heap's root and put @p k in its place. */
+    Key
+    replaceStep(Key k)
+    {
+        return prof ? replaceTopT<true>(stepHeap, k)
+                    : replaceTopT<false>(stepHeap, k);
     }
 
     /**
-     * Pop and execute the earliest event.  A callback leaves its
-     * slot, and the slot returns to the free list, before it runs:
-     * it may schedule events, and so grow the arena, while running.
-     * A step event goes to the access loop, bounded by @p loopEnd.
+     * The set whose root is the earliest pending event, by
+     * (when, seq); null when both are empty.
+     */
+    std::vector<Key> *
+    earliestSet()
+    {
+        if (stepHeap.empty())
+            return heap.empty() ? nullptr : &heap;
+        if (heap.empty() || before(stepHeap.front(), heap.front()))
+            return &stepHeap;
+        return &heap;
+    }
+
+    /**
+     * Pop and execute the root of @p set, the earliest event.  A
+     * callback leaves its slot, and the slot returns to the free
+     * list, before it runs: it may schedule events, and so grow the
+     * arena, while running.  A step event goes to the access loop,
+     * bounded by @p loopEnd.
      * The Prof=true instantiation counts the pop, and for the
      * deterministic 1-in-N subsample (keyed on seq, as at push)
      * brackets the event body with a steady_clock pair.
      */
     template <bool Prof>
     void
-    execOne(Tick loopEnd)
+    execOne(std::vector<Key> &set, Tick loopEnd)
     {
-        const Key top = popTop<Prof>();
+        const Key top = popTopT<Prof>(set);
         current = top.when;
         ++executed;
         if constexpr (Prof)
@@ -402,8 +417,9 @@ class EventQueue
     runUntilT(Tick end)
     {
         const Tick loopEnd = stepsAlone ? noLoop : end;
-        while (!heap.empty() && heap.front().when <= end)
-            execOne<Prof>(loopEnd);
+        for (std::vector<Key> *set;
+             (set = earliestSet()) && set->front().when <= end;)
+            execOne<Prof>(*set, loopEnd);
         if (current < end)
             current = end;
         if constexpr (Prof)
@@ -412,13 +428,13 @@ class EventQueue
 
     /**
      * Hand the profiler the queue counters it deliberately does not
-     * keep itself: pushes counted at each heap push, and pops as the
-     * executed delta since the last flush (a step event the access
-     * loop takes over is neither; the loop reports those itself);
-     * comparisons and peak population accumulate in queue members
-     * whose cache lines every event dirties anyway.  Runs after every
-     * run loop, so the ledger is current whenever control returns to
-     * the caller.
+     * keep itself: pushes counted as each key is scheduled, and pops
+     * as the executed delta since the last flush (a step an access
+     * loop runs after its first is not a pop; the loop reports those
+     * itself); comparisons and peak population, over both sets,
+     * accumulate in queue members whose cache lines every event
+     * dirties anyway.  Runs after every run loop, so the ledger is
+     * current whenever control returns to the caller.
      */
     void
     flushProfile()
@@ -430,52 +446,73 @@ class EventQueue
         profCmps = 0;
     }
 
-    /** Remove and return the root key, restoring the heap invariant. */
+    /** Add @p k to min-heap @p h. */
+    template <bool Prof>
+    void
+    insertT(std::vector<Key> &h, Key k)
+    {
+        h.push_back(k);
+        siftUpT<Prof>(h, h.size() - 1);
+    }
+
+    /** Remove and return the root key of @p h, restoring its order. */
     template <bool Prof>
     Key
-    popTop()
+    popTopT(std::vector<Key> &h)
     {
-        const Key top = heap.front();
-        heap.front() = heap.back();
-        heap.pop_back();
-        if (heap.size() > 1)
-            siftDownT<Prof>(0);
+        const Key top = h.front();
+        h.front() = h.back();
+        h.pop_back();
+        if (h.size() > 1)
+            siftDownT<Prof>(h, 0);
+        return top;
+    }
+
+    /** Remove and return the root key of @p h, putting @p k there. */
+    template <bool Prof>
+    Key
+    replaceTopT(std::vector<Key> &h, Key k)
+    {
+        const Key top = h.front();
+        h.front() = k;
+        siftDownT<Prof>(h, 0);
         return top;
     }
 
     /**
-     * Bubble the key at @p i up, hole-style (one move per level).
-     * The Prof=true instantiation counts heap-order comparisons into
-     * the profiler; Prof=false compiles to the original sift.
+     * Bubble the key at @p i of @p h up, hole-style (one move per
+     * level).  The Prof=true instantiation counts heap-order
+     * comparisons into the profiler; Prof=false compiles to the bare
+     * sift.
      */
     template <bool Prof>
     void
-    siftUpT(std::size_t i)
+    siftUpT(std::vector<Key> &h, std::size_t i)
     {
         std::uint64_t cmps = 0;
-        const Key e = heap[i];
+        const Key e = h[i];
         while (i > 0) {
             const std::size_t parent = (i - 1) / 2;
             if constexpr (Prof)
                 ++cmps;
-            if (!before(e, heap[parent]))
+            if (!before(e, h[parent]))
                 break;
-            heap[i] = heap[parent];
+            h[i] = h[parent];
             i = parent;
         }
-        heap[i] = e;
+        h[i] = e;
         if constexpr (Prof)
             profCmps += cmps;
     }
 
-    /** Push the key at @p i down, hole-style. */
+    /** Push the key at @p i of @p h down, hole-style. */
     template <bool Prof>
     void
-    siftDownT(std::size_t i)
+    siftDownT(std::vector<Key> &h, std::size_t i)
     {
         std::uint64_t cmps = 0;
-        const Key e = heap[i];
-        const std::size_t n = heap.size();
+        const Key e = h[i];
+        const std::size_t n = h.size();
         for (;;) {
             std::size_t child = 2 * i + 1;
             if (child >= n)
@@ -483,23 +520,23 @@ class EventQueue
             if (child + 1 < n) {
                 if constexpr (Prof)
                     ++cmps;
-                if (before(heap[child + 1], heap[child]))
+                if (before(h[child + 1], h[child]))
                     ++child;
             }
             if constexpr (Prof)
                 ++cmps;
-            if (!before(heap[child], e))
+            if (!before(h[child], e))
                 break;
-            heap[i] = heap[child];
+            h[i] = h[child];
             i = child;
         }
-        heap[i] = e;
+        h[i] = e;
         if constexpr (Prof)
             profCmps += cmps;
     }
 
     /**
-     * The pre-sized backing stores (heap, slots, free list): the
+     * The pre-sized backing stores (both heaps, slots, free list): the
      * kernel simulator keeps a few dozen to a few hundred events in
      * flight, so this headroom removes every steady-state
      * reallocation.
@@ -509,7 +546,8 @@ class EventQueue
     /** A step's loop bound before every tick: it runs alone. */
     static constexpr Tick noLoop = std::numeric_limits<Tick>::min();
 
-    std::vector<Key> heap;
+    std::vector<Key> heap;                //!< callback events
+    std::vector<Key> stepHeap;            //!< step events
     std::vector<Callback> slots;           //!< pending callbacks by slot
     std::vector<std::uint32_t> freeSlots; //!< LIFO: last freed, first reused
     Tick current = 0;
@@ -521,7 +559,6 @@ class EventQueue
     void (*accessLoop)(EventQueue &, Key, Tick) = nullptr;
     bool stepsAlone = false;   //!< a per-access sink is observed
     bool looping = false;      //!< inside an access loop
-    std::vector<Key> loopKeys; //!< its pending steps; empty outside
     bool haveNext = false;     //!< the running step scheduled loopNext
     Key loopNext{};            //!< the first step it scheduled
     obs::EngineProfiler *prof = nullptr;
@@ -530,7 +567,7 @@ class EventQueue
     // cost the hot loop almost nothing; flushProfile() batches them
     // over.  profMask is cached so the 1-in-N tests stay local too.
     std::uint64_t profMask = 0;
-    std::uint64_t profPushes = 0;      //!< heap pushes since flush
+    std::uint64_t profPushes = 0;      //!< keys scheduled since flush
     std::uint64_t profCmps = 0;        //!< sift comparisons since flush
     std::size_t profMaxHeap = 0;       //!< peak population since attach
     std::uint64_t profExecFlushed = 0; //!< executed at last flush

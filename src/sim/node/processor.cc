@@ -17,13 +17,12 @@ namespace hsipc::sim
  * A step is exactly what the event does when it runs alone: the
  * chunk end's takeAccess(), charge() and acquire(), or the release's
  * resumption of the holder (segment(), with its preemption test) and
- * grant of the next request.  Only where they schedule differs: a
- * step event scheduled inside the loop draws its seq as it would
- * anyway but stays a key in the loop's own heap, and a step event at
- * the root of the queue's heap that comes first is taken over.  A
- * finish, or any other event, goes onto the queue's heap, so it
- * bounds the rest of the loop.  At the stop the loop's keys go back
- * onto the queue's heap with the seqs they hold.
+ * grant of the next request.  Every step event waits in the queue's
+ * step heap, whoever scheduled it, with the seq it drew; the loop
+ * runs the earliest of them while it comes before the callback
+ * heap's root.  A finish, or any other event, goes onto the callback
+ * heap, so it bounds the rest of the loop.  At the stop the loop's
+ * keys stay where they are, for the next loop to start from.
  */
 class AccessLoop
 {
@@ -39,9 +38,9 @@ class AccessLoop
     probeOf(const EventQueue &q, Key k)
     {
         void *who = q.stepTargets[k.id()];
-        return k.step() == Step::ChunkEnd
-            ? static_cast<Processor *>(who)->probe
-            : static_cast<Resource *>(who)->probe;
+        if (k.step() == Step::ChunkEnd)
+            return static_cast<Processor *>(who)->probe;
+        return static_cast<Resource *>(who)->probe;
     }
 
     /** Run step event @p k alone. */
@@ -69,26 +68,6 @@ class AccessLoop
                               const Key &other);
 
     static void run(EventQueue &q, Key first, Tick end);
-
-    /** Replace the root of min-heap @p h with @p x and sift it down. */
-    static void
-    replaceTop(std::vector<Key> &h, Key x)
-    {
-        std::size_t i = 0;
-        const std::size_t n = h.size();
-        for (;;) {
-            std::size_t child = 2 * i + 1;
-            if (child >= n)
-                break;
-            if (child + 1 < n && EventQueue::before(h[child + 1], h[child]))
-                ++child;
-            if (!EventQueue::before(h[child], x))
-                break;
-            h[i] = h[child];
-            i = child;
-        }
-        h[i] = x;
-    }
 };
 
 /*
@@ -106,16 +85,16 @@ class AccessLoop
 
 /**
  * The earliest pending event that is not one of the running steps':
- * the loop's first key, the heap's root (moved by the slack plant),
- * or just past the bound.  A step in place schedules nothing else, so
- * it holds while one runs.
+ * the step heap's root, the callback heap's root (moved by the slack
+ * plant), or just past the bound.  A step in place schedules nothing
+ * else, so it holds while one runs.
  */
 AccessLoop::Key
 AccessLoop::otherThan(const EventQueue &q, Tick end, Tick slack)
 {
     Key other{end == std::numeric_limits<Tick>::max() ? end : end + 1, 0};
-    if (!q.loopKeys.empty() && EventQueue::before(q.loopKeys.front(), other))
-        other = q.loopKeys.front();
+    if (!q.stepHeap.empty() && EventQueue::before(q.stepHeap.front(), other))
+        other = q.stepHeap.front();
     if (!q.heap.empty()) {
         Key r = q.heap.front();
         r.when += slack;
@@ -199,12 +178,12 @@ AccessLoop::run(EventQueue &q, Key first, Tick end)
     // it; each step's own scope then names only the source of the
     // provenance edges it records.
     const auto claim = firstProbe.scope();
-    // The slack plant moves the root, and the bound, that much later:
-    // the loop runs its own steps past the next pending event.
+    // The slack plant moves the callback root, and the bound, that
+    // much later: the loop runs steps past the next pending event.
     const Tick slack = check::testHooks().fastForwardSlackTicks;
     if (slack > 0 && end <= std::numeric_limits<Tick>::max() - slack)
         end += slack;
-    std::vector<Key> &keys = q.loopKeys;
+    const std::vector<Key> &keys = q.stepHeap;
     obs::EngineProfile::CoStep c;
     c.loops = 1;
     q.looping = true;
@@ -230,36 +209,26 @@ AccessLoop::run(EventQueue &q, Key first, Tick end)
             step(q, k);
         }
         ++c.steps;
-        // The loop's earliest key: the first one this step scheduled
-        // when it comes before the rest, as it often does (a chunk
-        // end's release, a release's next chunk end), with no trip
-        // through the loop's heap.
+        // The earliest step: the first one this step scheduled when it
+        // comes before the rest, as it often does (a chunk end's
+        // release, a release's next chunk end), with no trip through
+        // the step heap.
         const bool nextFirst =
             q.haveNext &&
             (keys.empty() || EventQueue::before(q.loopNext, keys.front()));
         const Key *mine = nextFirst       ? &q.loopNext
                           : !keys.empty() ? &keys.front()
                                           : nullptr;
-        // Next is the earlier of that key and the heap's root.
+        // A callback event that comes first stops the loop.
         if (!q.heap.empty()) {
             Key r = q.heap.front();
             r.when += slack;
             if (!mine || EventQueue::before(r, *mine)) {
-                if (r.when > end) {
+                if (r.when > end)
                     ++c.stopBound;
-                    break;
-                }
-                if (r.step() == Step::None) {
+                else
                     ++c.stopNonAccess;
-                    break;
-                }
-                if (q.haveNext) {
-                    q.pushLoopKey(q.loopNext);
-                    q.haveNext = false;
-                }
-                k = q.popRoot();
-                ++c.takenOver;
-                continue;
+                break;
             }
         }
         if (!mine) {
@@ -270,27 +239,19 @@ AccessLoop::run(EventQueue &q, Key first, Tick end)
             ++c.stopBound;
             break;
         }
-        if (nextFirst) {
+        if (nextFirst)
             k = q.loopNext;
-        } else if (q.haveNext) {
-            k = keys.front();
-            replaceTop(keys, q.loopNext);
-        } else {
-            std::pop_heap(keys.begin(), keys.end(), EventQueue::After{});
-            k = keys.back();
-            keys.pop_back();
-        }
+        else if (q.haveNext)
+            k = q.replaceStep(q.loopNext);
+        else
+            k = q.popStep();
         q.haveNext = false;
     }
     q.looping = false;
     if (q.haveNext) {
-        keys.push_back(q.loopNext);
+        q.insertStep(q.loopNext);
         q.haveNext = false;
     }
-    c.pushedBack = keys.size();
-    for (const Key &k : keys)
-        q.pushKey(k);
-    keys.clear();
     if (q.prof)
         q.prof->noteCoStep(c);
 }

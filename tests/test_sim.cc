@@ -736,6 +736,24 @@ struct CoStepRig
         });
     }
 
+    /**
+     * Record @p label at @p atUs, from an event of its own, with the
+     * ticks @p p had booked by then (a charge books the chunk or the
+     * access it starts in full): a step event at the same tick shows
+     * by whether it ran first.
+     */
+    void
+    markAt(double atUs, const Processor &p, const std::string &label)
+    {
+        eq.schedule(usToTicks(atUs), [=, this, &p]() {
+            Tick booked = 0;
+            for (const auto &[name, t] : p.activityTicks())
+                booked += t;
+            finishes.emplace_back(label + " saw " + std::to_string(booked),
+                                  eq.now());
+        });
+    }
+
     /** Everything a bound can see; @p withSpan adds utilization. */
     std::vector<double>
     state(bool withSpan) const
@@ -792,7 +810,8 @@ runCoStep(const CoStepScenario &setup, Drive d,
     if (d == Drive::Profiled) {
         r.prof.finishRun(r.eq.size());
         const obs::EngineProfile &p = r.prof.profile();
-        EXPECT_EQ(p.pushes, p.pops + p.coStep.takenOver + p.remainingAtEnd);
+        EXPECT_EQ(p.pushes, p.pops + (p.coStep.steps - p.coStep.loops) +
+                                p.remainingAtEnd);
         EXPECT_EQ(p.coStep.loops, p.coStep.stopNonAccess +
                                       p.coStep.stopBound +
                                       p.coStep.stopDrained);
@@ -1094,6 +1113,85 @@ TEST(CoStep, ChunkEndAtAReleaseInstantInBothSeqOrders)
         EXPECT_EQ(finishOf(h, "p2"), usToTicks(11 + 1 + chunkUs));
         EXPECT_EQ(finishOf(h, "p1"), usToTicks(32));
     }
+}
+
+TEST(CoStep, StepAndCallbackAtOneTickInBothSeqOrders)
+{
+    // p runs 8 us of CPU around 3 accesses on an idle bus: chunks of
+    // 2 us, so a release at 3 us (its seq drawn at the chunk end at
+    // 2 us) and a chunk end at 5 us (drawn at that release).  A mark
+    // at the same tick is a callback event in the other pending set.
+    // Scheduled at the start its seq is older and it runs first;
+    // scheduled from an event half a microsecond before, younger, and
+    // the step runs first.  What p had booked shows which ran first:
+    // the release books the 2-us chunk after it, the chunk end its
+    // 1-us access.
+    struct Case
+    {
+        const char *label;
+        double atUs;
+        bool stepFirst;
+        double sawUs;
+    };
+    const Case cases[] = {
+        {"callback, then release", 3, false, 3},
+        {"release, then callback", 3, true, 5},
+        {"callback, then chunk end", 5, false, 5},
+        {"chunk end, then callback", 5, true, 6},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.label);
+        const CoStepHistory h = expectCoStepExact(
+            [&c](CoStepRig &r, Drive d) {
+                Resource &bus = r.bus("bus");
+                Processor &p = r.proc("p");
+                r.observe(d);
+                r.submit(p, "a", 8, 3, &bus);
+                if (!c.stepFirst)
+                    r.markAt(c.atUs, p, "mark");
+                else
+                    r.eq.schedule(usToTicks(c.atUs - 0.5), [&r, &c, &p]() {
+                        r.markAt(c.atUs, p, "mark");
+                    });
+            },
+            {c.atUs});
+        EXPECT_EQ(h.finishes,
+                  (Finishes{{"mark saw " +
+                                 std::to_string(usToTicks(c.sawUs)),
+                             usToTicks(c.atUs)},
+                            {"a", usToTicks(11)}}));
+    }
+}
+
+TEST(CoStep, LoopStopsAtACallbackWithSeveralBusesStepsPending)
+{
+    // Three buses with two contending processors each.  Every mark is
+    // a callback event among their accesses: the loop stops at it with
+    // chunk ends and releases of all three buses pending in the step
+    // heap, and the next loop resumes from them.  Each mark records
+    // what one processor had booked by then.
+    const CoStepHistory h = expectCoStepExact(
+        [](CoStepRig &r, Drive d) {
+            std::vector<std::pair<Processor *, Resource *>> masters;
+            for (int b = 0; b < 3; ++b) {
+                const std::string node = "n" + std::to_string(b);
+                Resource &bus = r.bus(node + ".bus");
+                masters.emplace_back(&r.proc(node + ".p1"), &bus);
+                masters.emplace_back(&r.proc(node + ".p2"), &bus);
+            }
+            r.observe(d);
+            for (std::size_t i = 0; i < masters.size(); ++i) {
+                auto [p, bus] = masters[i];
+                r.submit(*p, p->processorName(), 40 + 7.5 * i,
+                         9 + static_cast<int>(i), bus);
+            }
+            for (double t : {6.0, 13.7, 29.0, 41.25})
+                for (auto [p, bus] : masters)
+                    r.markAt(t, *p,
+                             p->processorName() + "@" + std::to_string(t));
+        },
+        {20, 45});
+    EXPECT_EQ(h.finishes.size(), 6u + 4u * 6u);
 }
 
 TEST(CoStep, InterruptWaiterOvertakesAnEarlierTaskWaiter)

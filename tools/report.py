@@ -144,7 +144,7 @@ def _check_profile(doc, where):
         if (not isinstance(co, dict)
                 or not isinstance(co.get("stops"), dict)
                 or any(not isinstance(co.get(k), (int, float)) for k in
-                       ("loops", "steps", "takenOver", "pushedBack"))
+                       ("loops", "steps"))
                 or any(not isinstance(co["stops"].get(k), (int, float))
                        for k in ("nonAccess", "bound", "drained"))):
             raise ValueError(f"{where}: malformed coStep block — "
@@ -308,12 +308,11 @@ def render_profile_text(doc, out):
     co = doc.get("coStep")
     if co:
         stops = co["stops"]
-        out.write("  access loops: %s started, %s steps (%.1f per loop), "
-                  "%s taken over, %s pushed back; stopped by a "
-                  "non-access event %s, the bound %s, drained %s\n" %
+        out.write("  access loops: %s started, %s steps (%.1f per loop); "
+                  "stopped by a non-access event %s, the bound %s, "
+                  "drained %s\n" %
                   (fmt(co["loops"]), fmt(co["steps"]),
                    co["steps"] / co["loops"] if co["loops"] else 0.0,
-                   fmt(co["takenOver"]), fmt(co["pushedBack"]),
                    fmt(stops["nonAccess"]), fmt(stops["bound"]),
                    fmt(stops["drained"])))
     cb = doc.get("callbacks", {})

@@ -178,8 +178,8 @@ class LoadTest(unittest.TestCase):
                 (profile_doc(edges="oops"), "edges"),
                 (profile_doc(coStep={"loops": 1}), "coStep"),
                 (profile_doc(coStep={
-                    "loops": 1, "steps": 1, "takenOver": 0,
-                    "pushedBack": 0, "stops": {"bound": 1}}), "coStep")):
+                    "loops": 1, "steps": 1, "stops": {"bound": 1}}),
+                 "coStep")):
             self.check_raises(make_report(engineProfile=bad), pattern)
 
 
@@ -283,11 +283,10 @@ class ProfileRenderTest(unittest.TestCase):
     def test_renders_the_access_loop_block_only_when_present(self):
         self.assertNotIn("access loops", self.render(profile_doc()))
         text = self.render(profile_doc(coStep={
-            "loops": 4, "steps": 90, "takenOver": 6, "pushedBack": 5,
+            "loops": 4, "steps": 90,
             "stops": {"nonAccess": 3, "bound": 1, "drained": 0}}))
         self.assertIn("access loops: 4 started, 90 steps (22.5 per loop)",
                       text)
-        self.assertIn("6 taken over, 5 pushed back", text)
         self.assertIn("non-access event 3, the bound 1, drained 0", text)
 
     def test_edges_sorted_by_lookahead_with_zeros_last(self):
