@@ -17,26 +17,6 @@ u64(std::uint64_t v)
     return jsonNumber(static_cast<double>(v));
 }
 
-bool
-edgeLess(const EngineProfile::Edge &a, const EngineProfile::Edge &b)
-{
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-}
-
-std::string
-edgeJson(const EngineProfile::Edge &e)
-{
-    const double mean =
-        e.count > 0 ? e.sumDeltaUs / static_cast<double>(e.count) : 0;
-    return "{\"src\": " + jsonString(e.src) +
-           ", \"dst\": " + jsonString(e.dst) +
-           ", \"count\": " + u64(e.count) +
-           ", \"zeroDelta\": " + u64(e.zeroDelta) +
-           ", \"minPositiveDeltaUs\": " +
-           jsonNumber(e.minPositiveDeltaUs) +
-           ", \"meanDeltaUs\": " + jsonNumber(mean) + "}";
-}
-
 /**
  * The document body; @p full adds the wall-clock sketches and the
  * pool-miss count — everything a rerun cannot reproduce bit-exactly.
@@ -82,11 +62,6 @@ render(const EngineProfile &p, bool full)
         doc += "}";
     }
     doc += p.tracks.empty() ? "]" : "\n  ]";
-    doc += ",\n  \"edges\": [";
-    for (std::size_t i = 0; i < p.edges.size(); ++i)
-        doc += std::string(i ? "," : "") + "\n   " +
-               edgeJson(p.edges[i]);
-    doc += p.edges.empty() ? "]" : "\n  ]";
     return doc + "\n}\n";
 }
 
@@ -137,27 +112,6 @@ EngineProfile::merge(const EngineProfile &other)
         mine->events += ot.events;
         mine->wallNs.merge(ot.wallNs);
     }
-    for (const Edge &oe : other.edges) {
-        Edge *mine = nullptr;
-        for (Edge &e : edges) {
-            if (e.src == oe.src && e.dst == oe.dst) {
-                mine = &e;
-                break;
-            }
-        }
-        if (!mine) {
-            edges.push_back(Edge{oe.src, oe.dst, 0, 0, 0, 0});
-            mine = &edges.back();
-        }
-        mine->count += oe.count;
-        mine->zeroDelta += oe.zeroDelta;
-        if (oe.minPositiveDeltaUs > 0 &&
-            (mine->minPositiveDeltaUs == 0 ||
-             oe.minPositiveDeltaUs < mine->minPositiveDeltaUs))
-            mine->minPositiveDeltaUs = oe.minPositiveDeltaUs;
-        mine->sumDeltaUs += oe.sumDeltaUs;
-    }
-    std::sort(edges.begin(), edges.end(), edgeLess);
 }
 
 std::string
@@ -200,7 +154,7 @@ EngineProfiler::finishRun(std::size_t remaining)
     prof_.oversizeConstructs =
         now.oversizeConstructs - poolStart_.oversizeConstructs;
     prof_.freshPoolBlocks = now.freshBlocks - poolStart_.freshBlocks;
-    cur_ = 0; // close the claim window
+    claimOpen_ = false;
 
     // Events no component claimed belong to origin 0 ("sim").
     std::uint64_t claimedEvents = 0;
@@ -208,22 +162,6 @@ EngineProfiler::finishRun(std::size_t remaining)
         claimedEvents += prof_.tracks[i].events;
     hsipc_assert(claimedEvents <= prof_.pops);
     prof_.tracks[0].events = prof_.pops - claimedEvents;
-
-    prof_.edges.clear();
-    prof_.edges.reserve(edges_.size());
-    for (const auto &[key, acc] : edges_) {
-        EngineProfile::Edge e;
-        e.src =
-            prof_.tracks[static_cast<std::size_t>(key.first)].name;
-        e.dst =
-            prof_.tracks[static_cast<std::size_t>(key.second)].name;
-        e.count = acc.count;
-        e.zeroDelta = acc.zeroDelta;
-        e.minPositiveDeltaUs = ticksToUs(acc.minPositive);
-        e.sumDeltaUs = ticksToUs(acc.sum);
-        prof_.edges.push_back(std::move(e));
-    }
-    std::sort(prof_.edges.begin(), prof_.edges.end(), edgeLess);
 }
 
 } // namespace hsipc::obs

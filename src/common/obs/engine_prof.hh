@@ -6,12 +6,11 @@
  * observes the *simulator*: where wall-clock time goes per executed
  * event (bucketed by the component that handled it), how the event
  * queue behaves (dwell times, heap depth, push/pop/comparison
- * counts), how the EventCallback storage tiers are exercised, and —
- * the piece ROADMAP item 2 needs — a scheduling-provenance graph:
- * which component schedules events for which, with what simulated
- * time delta.  The minimum positive delta on an edge is that edge's
- * empirical lookahead, exactly the quantity a Chandy–Misra
- * null-message parallelization must know per LP pair.
+ * counts), how the EventCallback storage tiers are exercised, and
+ * how much work the access loops do.  A profiled run executes the
+ * bare run's events and access loops: the profiler only counts and
+ * samples them, so the profile describes the program that runs
+ * without it.
  *
  * Discipline mirrors the tracer and timeline recorders:
  *
@@ -29,7 +28,7 @@
  * Wall-clock values are inherently nondeterministic, so the profile
  * splits: deterministicJson() renders the subset that is bit-stable
  * across reruns and jobs levels (counters, dwell/depth sketches over
- * *simulated* quantities, the edge graph, per-track event counts);
+ * *simulated* quantities, per-track event counts);
  * toJson() adds the wall-time sketches and pool-miss counts on top.
  * Nothing here ever enters outcomeJson().
  */
@@ -39,7 +38,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,13 +73,15 @@ struct EngineProfile
     /**
      * The access loop's work (docs/performance.md, "Co-stepping
      * access loops").  A loop starts at a step event popped from the
-     * step heap, which counts as a pop; the steps it runs after that
-     * do not, so pushes = pops + (steps - loops) + remainingAtEnd.
+     * step heap, which counts as a pop; the step keys it consumes
+     * after that do not, so pushes = pops + (steps - loops) +
+     * remainingAtEnd.  A step that runs its processor's later
+     * accesses in place pushes no key for them and counts once.
      */
     struct CoStep
     {
         std::uint64_t loops = 0; //!< loops started
-        std::uint64_t steps = 0; //!< step events run in them
+        std::uint64_t steps = 0; //!< step keys the loops consumed
         //! Stops by cause: a pending non-step event came first, the
         //! next step lay past the runUntil() bound, nothing was left.
         std::uint64_t stopNonAccess = 0;
@@ -104,24 +104,10 @@ struct EngineProfile
     };
     std::vector<Track> tracks;
 
-    /** One scheduling-provenance ("who schedules whom") edge. */
-    struct Edge
-    {
-        std::string src;
-        std::string dst;
-        std::uint64_t count = 0;     //!< schedules recorded on the edge
-        std::uint64_t zeroDelta = 0; //!< of those, delta == 0 (no lookahead)
-        //! Minimum positive simulated delta — the empirical lookahead
-        //! (0 when every recorded delta was zero).
-        double minPositiveDeltaUs = 0;
-        double sumDeltaUs = 0; //!< for the mean delta
-    };
-    std::vector<Edge> edges; //!< sorted by (src, dst)
-
     /**
      * Fold @p other in: counters add, sketches merge exactly, tracks
-     * and edges match by name so profiles from different runs of a
-     * sweep aggregate into one cost model.
+     * match by name so profiles from different runs of a sweep
+     * aggregate into one cost model.
      */
     void merge(const EngineProfile &other);
 
@@ -138,8 +124,8 @@ struct EngineProfile
 
 /**
  * The live recorder.  Attach to an EventQueue (queue hooks) and to
- * Processor/Resource instances (attribution scopes + provenance
- * edges); call beginRun() before and finishRun() after the run.
+ * the components whose events it attributes (claim()); call
+ * beginRun() before and finishRun() after the run.
  */
 class EngineProfiler
 {
@@ -191,46 +177,27 @@ class EngineProfiler
     }
 
     /**
-     * RAII attribution: while alive, scheduling-provenance edges name
-     * @p id as their source, and the first scope entered during an
-     * event claims the event (its count, and its wall sample when the
-     * event is a sampled one).  Null-profiler-safe: one branch.
+     * Attribute the running event to origin @p id.  notePop() opens
+     * the claim window; the first claim takes the event (its count,
+     * and its wall sample when the event is a sampled one) and closes
+     * it, so a later claim in the same event counts nothing.  Claims
+     * outside an event (while wiring) find it closed too.
      */
-    class Scope
+    void
+    claim(int id)
     {
-      public:
-        Scope(EngineProfiler *p, int id) : p_(p)
-        {
-            if (!p_)
-                return;
-            prev_ = p_->cur_;
-            p_->cur_ = id;
-            // cur_ < 0 is the open claim window notePop() leaves; at
-            // wiring time cur_ is 0, so wiring Scopes never claim.
-            if (prev_ < 0) {
-                p_->eventOrigin_ = id;
-                ++p_->prof_.tracks[static_cast<std::size_t>(id)]
-                      .events;
-            }
-        }
-        ~Scope()
-        {
-            if (p_)
-                p_->cur_ = prev_;
-        }
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-
-      private:
-        EngineProfiler *p_;
-        int prev_ = 0;
-    };
+        if (!claimOpen_)
+            return;
+        claimOpen_ = false;
+        eventOrigin_ = id;
+        ++prof_.tracks[static_cast<std::size_t>(id)].events;
+    }
 
     // --- EventQueue hooks -------------------------------------------
     //
-    // The queue keeps the per-event counters (pushes via its seq
-    // counter, pops via its executed counter, comparisons and peak
-    // depth as members on cache lines it dirties every event anyway)
+    // The queue keeps the per-event counters (pushes and comparisons
+    // as it schedules and sifts, pops via its executed counter, peak
+    // depth, all as members on cache lines it dirties every event)
     // and hands them over in batch; the profiler object is touched
     // per event only by notePop()'s one store, plus the sampled
     // 1-in-N sketch observes.  That split is what keeps profiled-run
@@ -246,16 +213,11 @@ class EngineProfiler
                                            std::size_t heapSize);
 
     /**
-     * A pop, immediately before the event body runs.  The negative
-     * sentinel both resets the edge source to "sim" and opens the
-     * claim window for the first Scope the event body enters — one
-     * store on the hot path instead of a store plus a flag.
+     * A pop, immediately before the event body runs: opens the claim
+     * window for the first claim() the event body makes.  An event
+     * nothing claims falls to origin 0, "sim" (finishRun()).
      */
-    void
-    notePop()
-    {
-        cur_ = -1;
-    }
+    void notePop() { claimOpen_ = true; }
 
     /** Batched queue-counter deltas (flushed after run loops). */
     void
@@ -296,28 +258,6 @@ class EngineProfiler
 
     __attribute__((cold)) void endEvent();
 
-    // --- provenance -------------------------------------------------
-
-    /**
-     * Record "the current origin schedules an event that @p dst will
-     * handle, @p deltaTicks of simulated time from now".
-     */
-    void
-    edge(int dst, Tick deltaTicks)
-    {
-        // An unclaimed event (cur_ still the notePop() sentinel)
-        // schedules as origin 0, "sim".
-        EdgeAccum &e = edges_[{cur_ < 0 ? 0 : cur_, dst}];
-        ++e.count;
-        if (deltaTicks <= 0) {
-            ++e.zeroDelta;
-        } else {
-            if (e.minPositive == 0 || deltaTicks < e.minPositive)
-                e.minPositive = deltaTicks;
-            e.sum += deltaTicks;
-        }
-    }
-
     /** Close the run: @p remaining is the end-of-run queue size. */
     void finishRun(std::size_t remaining);
 
@@ -327,22 +267,11 @@ class EngineProfiler
     EngineProfile take() { return std::move(prof_); }
 
   private:
-    struct EdgeAccum
-    {
-        std::uint64_t count = 0;
-        std::uint64_t zeroDelta = 0;
-        Tick minPositive = 0;
-        Tick sum = 0;
-    };
-
     EngineProfile prof_;
     std::uint64_t sampleMask_;
-    std::map<std::pair<int, int>, EdgeAccum> edges_;
     CallbackPoolCounters poolStart_;
-    //! Edge source while an event runs; < 0 (the notePop() sentinel)
-    //! doubles as "this event is unclaimed — the next Scope claims".
-    int cur_ = 0;
-    int eventOrigin_ = 0; //!< first claimant of the current event
+    bool claimOpen_ = false; //!< the running event is still unclaimed
+    int eventOrigin_ = 0;    //!< first claimant of the current event
     std::chrono::steady_clock::time_point t0_;
 };
 

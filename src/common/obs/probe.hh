@@ -4,10 +4,10 @@
  *
  * A run has up to three observational sinks: the Tracer (Chrome
  * trace spans and counters), the CausalLog (per-message critical-path
- * intervals) and the EngineProfiler (host cost and scheduling
- * provenance).  The simulator decides once, when it builds the run,
- * which of them record, and hands the answer to every component as
- * one Sinks value.  A component keeps a Probe: the sinks plus the ids
+ * intervals) and the EngineProfiler (host cost per event, attributed
+ * to the component that claims it).  The simulator decides once, when
+ * it builds the run, which of them record, and hands the answer to
+ * every component as one Sinks value.  A component keeps a Probe: the sinks plus the ids
  * it registered in them, so its event path tests a pointer it already
  * holds and never asks a sink whether it is enabled.
  */
@@ -54,8 +54,13 @@ struct Probe
     /** Does anything record this component access by access? */
     bool perAccess() const { return tracer || causal; }
 
-    /** Attribute the enclosing event to this component's origin. */
-    EngineProfiler::Scope scope() const { return {prof, origin}; }
+    /** Attribute the running event to this component's origin. */
+    void
+    claim() const
+    {
+        if (prof)
+            prof->claim(origin);
+    }
 
     trace::Tracer *tracer = nullptr;
     trace::CausalLog *causal = nullptr;

@@ -738,7 +738,7 @@ checkEngineProfile(Checker &c)
         // pins that flipping the knob leaves outcomeJson bit-equal).
         c.expectTrue(!p.enabled && p.pushes == 0 && p.pops == 0 &&
                          p.sampledEvents == 0 && p.tracks.empty() &&
-                         p.edges.empty() && p.dwellUs.count() == 0,
+                         p.dwellUs.count() == 0,
                      "engprof.disabled",
                      "engine profile filled without the knob");
         return;
@@ -809,30 +809,6 @@ checkEngineProfile(Checker &c)
                "sum(track.wallNs.count)",
                static_cast<long>(p.sampledEvents), "sampledEvents",
                "engprof.attribution");
-
-    // The lookahead graph: per-edge ledgers are internally coherent
-    // and deltas are never negative (minPositiveDeltaUs == 0 encodes
-    // "every delta on the edge was zero").
-    for (const obs::EngineProfile::Edge &e : p.edges) {
-        const std::string label = e.src + " -> " + e.dst;
-        c.expectTrue(e.count > 0, "engprof.edges",
-                     "empty edge " + label);
-        c.expectTrue(e.zeroDelta <= e.count, "engprof.edges",
-                     "zeroDelta > count on " + label);
-        c.expectNonNeg(e.sumDeltaUs, "edge.sumDeltaUs",
-                       "engprof.edges");
-        const bool anyPositive = e.count > e.zeroDelta;
-        c.expectTrue((e.minPositiveDeltaUs > 0) == anyPositive,
-                     "engprof.edges",
-                     "minPositiveDeltaUs=" + fmt(e.minPositiveDeltaUs) +
-                         " inconsistent with count=" +
-                         std::to_string(e.count) + " zeroDelta=" +
-                         std::to_string(e.zeroDelta) + " on " + label);
-        if (anyPositive)
-            c.expectLe(e.minPositiveDeltaUs, "edge.minPositiveDeltaUs",
-                       e.sumDeltaUs, "edge.sumDeltaUs",
-                       "engprof.edges");
-    }
 }
 
 /**
@@ -1123,7 +1099,7 @@ checkedRun(const Experiment &exp, const OracleOptions &opts)
                 break;
             }
             // The profile's deterministic subset (counters, dwell
-            // sketches of simulated quantities, the lookahead graph)
+            // sketches of simulated quantities, per-track counts)
             // must replicate too; wall-clock values are excluded by
             // construction.
             if (exp.engineProfile &&

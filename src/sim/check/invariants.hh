@@ -64,9 +64,6 @@
  *   - attribution: track event counts partition pops exactly (track
  *     0 "sim" holds the residual) and wall samples partition the
  *     sampled executions
- *   - lookahead graph: per-edge zeroDelta <= count, deltas
- *     non-negative, and minPositiveDeltaUs > 0 exactly when the edge
- *     saw a positive delta
  *
  *  fabric ledger (Experiment::topo; topo.*)
  *   - topo.bypass: without an explicit topology the reported ledger

@@ -65,11 +65,9 @@ struct TestHooks
      * that should have seen (or contended for) the bus first no
      * longer does.  Traced runs take the per-access path, so the
      * determinism.traceIdentity oracle must catch the divergence and
-     * the fuzzer must shrink it.  (The name is that of the processor
-     * fast-forward the loop replaced, whose horizon it widened.)
-     * Read when an access loop starts.
+     * the fuzzer must shrink it.  Read when an access loop starts.
      */
-    Tick fastForwardSlackTicks = 0;
+    Tick coStepSlackTicks = 0;
 
     /**
      * Makes a bus grant its waiting requests in FIFO order, ignoring

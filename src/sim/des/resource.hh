@@ -57,9 +57,8 @@ class Resource
      * Report to the run's sinks: holds and queue depth on a trace
      * track; a request carrying a msgId as Queue (wait for the grant)
      * and Service (the hold) intervals on this resource's name; and
-     * release events plus a provenance edge per grant in the engine
-     * profile.  Observational only: grant order and timing never
-     * change.
+     * release events in the engine profile.  Observational only: grant
+     * order and timing never change.
      */
     void observe(const obs::Sinks &s) { probe = obs::Probe(s, name); }
 
@@ -184,13 +183,13 @@ class Resource
     {
         busy = true;
         bookHold(eq.now());
-        if (probe.tracer || probe.causal || probe.prof) [[unlikely]]
+        if (probe.perAccess()) [[unlikely]]
             recordGrant(msgId, enqueuedAt);
         eq.scheduleStep(eq.now() + holdTicks, EventQueue::Step::Release,
                         stepId);
     }
 
-    /** grant()'s trace span, causal intervals and provenance edge. */
+    /** grant()'s trace span and causal intervals. */
     __attribute__((noinline, cold)) void
     recordGrant(long msgId, Tick enqueuedAt)
     {
@@ -207,8 +206,6 @@ class Resource
                                    trace::Component::Service, eq.now(),
                                    eq.now() + holdTicks);
         }
-        if (probe.prof)
-            probe.prof->edge(probe.origin, holdTicks);
     }
 
     /** Book a hold granted at @p at. */

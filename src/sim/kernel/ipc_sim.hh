@@ -180,10 +180,11 @@ struct Experiment
      * docs/performance.md "Profiling the engine").  When set, the run
      * fills Outcome::engineProfile with the simulator's own cost
      * model: event-queue telemetry, dwell/heap-depth distributions,
-     * per-component wall-clock sketches, and the scheduling-provenance
-     * lookahead graph, and adds the "engineProfile" section to the
-     * run report.  Strictly observational: every other Outcome field
-     * — and every trace, metrics, and timeline artifact — stays
+     * the access loops' work and per-component event counts and
+     * wall-clock sketches, and adds the "engineProfile" section to the
+     * run report.  The run executes the same events and access loops
+     * as without it.  Strictly observational: every other Outcome
+     * field — and every trace, metrics, and timeline artifact — stays
      * byte-identical, and the profile itself never enters
      * outcomeJson().
      */

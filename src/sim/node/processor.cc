@@ -48,15 +48,10 @@ class AccessLoop
     step(EventQueue &q, Key k)
     {
         void *who = q.stepTargets[k.id()];
-        if (k.step() == Step::ChunkEnd) {
-            Processor &p = *static_cast<Processor *>(who);
-            const auto s = p.probe.scope();
-            p.chunkEnd();
-        } else {
-            Resource &r = *static_cast<Resource *>(who);
-            const auto s = r.probe.scope();
-            r.release();
-        }
+        if (k.step() == Step::ChunkEnd)
+            static_cast<Processor *>(who)->chunkEnd();
+        else
+            static_cast<Resource *>(who)->release();
     }
 
     static Key otherThan(const EventQueue &q, Tick end, Tick slack);
@@ -71,16 +66,16 @@ class AccessLoop
 };
 
 /*
- * In a loop nothing profiles, the steps of a processor whose bus is
- * free run in place: a chunk end whose release, then the chunk end
- * after it, each come before every other pending event and by the
- * bound, and a release with nobody waiting.  That is what their steps
- * would do — the grant's bookHold(), the release, segment()'s
- * preemption test and chargeChunk() — with each seq drawn where their
- * schedule would draw it, minus the dispatch.  The first access that
- * finds the bus taken, or a key that does not come first, falls back
- * to the step's own code at that point.  A profiled loop takes every
- * step apart, so its edges and counts are those of the steps.
+ * In a loop, the steps of a processor whose bus is free run in place:
+ * a chunk end whose release, then the chunk end after it, each come
+ * before every other pending event and by the bound, and a release
+ * with nobody waiting.  That is what their steps would do — the
+ * grant's bookHold(), the release, segment()'s preemption test and
+ * chargeChunk() — with each seq drawn where their schedule would draw
+ * it, minus the dispatch.  The first access that finds the bus taken,
+ * or a key that does not come first, falls back to the step's own
+ * code at that point.  A profiled loop runs the same way: the
+ * profiler counts the keys, not the accesses in place.
  */
 
 /**
@@ -165,6 +160,9 @@ AccessLoop::accessQuietly(EventQueue &q, Processor &p, const Key &other)
 void
 AccessLoop::run(EventQueue &q, Key first, Tick end)
 {
+    // The popped event is its component's, alone or in a loop.
+    const obs::Probe &firstProbe = probeOf(q, first);
+    firstProbe.claim();
     if (end < first.when) { // runOne(), or a per-access sink: alone
         step(q, first);
         return;
@@ -172,15 +170,10 @@ AccessLoop::run(EventQueue &q, Key first, Tick end)
     // Steps in place record no grant: a component that records per
     // access, on a queue not told so (EventQueue::observe()), would
     // lose its records here.  One check per loop, not per step.
-    const obs::Probe &firstProbe = probeOf(q, first);
     hsipc_assert(!firstProbe.perAccess());
-    // The popped event is claimed for its component, as step() claims
-    // it; each step's own scope then names only the source of the
-    // provenance edges it records.
-    const auto claim = firstProbe.scope();
     // The slack plant moves the callback root, and the bound, that
     // much later: the loop runs steps past the next pending event.
-    const Tick slack = check::testHooks().fastForwardSlackTicks;
+    const Tick slack = check::testHooks().coStepSlackTicks;
     if (slack > 0 && end <= std::numeric_limits<Tick>::max() - slack)
         end += slack;
     const std::vector<Key> &keys = q.stepHeap;
@@ -190,9 +183,7 @@ AccessLoop::run(EventQueue &q, Key first, Tick end)
     for (Key k = first;;) {
         q.current = k.when;
         void *who = q.stepTargets[k.id()];
-        if (q.prof) {
-            step(q, k);
-        } else if (k.step() == Step::ChunkEnd) {
+        if (k.step() == Step::ChunkEnd) {
             accessQuietly(q, *static_cast<Processor *>(who),
                           otherThan(q, end, slack));
         } else if (Resource &b = *static_cast<Resource *>(who);
@@ -259,7 +250,6 @@ AccessLoop::run(EventQueue &q, Key first, Tick end)
 void
 resumeAfterAccess(Processor &master)
 {
-    const auto s = master.probe.scope();
     master.segment();
 }
 
@@ -390,13 +380,11 @@ Processor::chargeChunk(Tick at)
 void
 Processor::scheduleNext(Tick at)
 {
-    if (probe.prof)
-        probe.prof->edge(probe.origin, at - eq.now());
     if (running->memLeft + running->memLeft2 > 0) {
         eq.scheduleStep(at, EventQueue::Step::ChunkEnd, stepId);
     } else {
         eq.schedule(at, [this]() {
-            const auto s = probe.scope();
+            probe.claim();
             finish();
         });
     }

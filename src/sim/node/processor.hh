@@ -83,8 +83,8 @@ class Processor
      * one span); every CPU chunk of an activity with a msgId as a
      * Service interval on this processor's name (the access waits
      * stay off the causal log: the bus attributes that microsecond
-     * itself); and its segment/finish events plus their provenance
-     * edges in the engine profile.  Observational only.
+     * itself); and its chunk-end and finish events in the engine
+     * profile.  Observational only.
      */
     void observe(const obs::Sinks &s) { probe = obs::Probe(s, name); }
 

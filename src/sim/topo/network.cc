@@ -71,13 +71,10 @@ void
 Network::dispatch(Tick delay, EventQueue::Callback cb)
 {
     if (prof) {
-        // The inter-node lookahead edge: whoever is transmitting
-        // now schedules a delivery `delay` in the future — the
-        // minimum positive delta on (src -> wire) edges is the
-        // lookahead a sharded engine could exploit between nodes.
-        prof->edge(wireOrigin, delay);
+        // The delivery is the wire's: its claim comes before any the
+        // receiving component makes.
         auto wrapped = [this, inner = std::move(cb)]() {
-            obs::EngineProfiler::Scope s(prof, wireOrigin);
+            prof->claim(wireOrigin);
             inner();
         };
         eq.scheduleAfter(delay, std::move(wrapped));

@@ -34,8 +34,8 @@
  *
  * Observational hooks mirror the rest of the simulator: a Tracer
  * gets a "topo" counter track of the switch's depth (star only),
- * an EngineProfiler a "wire" origin and the inter-node lookahead
- * edges.  Neither perturbs the event sequence.
+ * an EngineProfiler a "wire" origin that claims every delivery.
+ * Neither perturbs the event sequence.
  */
 
 #ifndef HSIPC_SIM_TOPO_NETWORK_HH

@@ -95,53 +95,39 @@ TEST(EngineProfiler, SamplingMaskIsDeterministic)
     EXPECT_TRUE(prof.sampledSeq(2048));
 }
 
-TEST(EngineProfiler, ScopesAttributeAndBuildEdges)
+TEST(EngineProfiler, FirstClaimAttributesTheEventOnce)
 {
     obs::EngineProfiler prof(0);
     const int busId = prof.origin("bus");
     const int cpuId = prof.origin("cpu");
     EXPECT_EQ(busId, prof.origin("bus")) << "interning is idempotent";
+    prof.claim(cpuId); // outside any event: counts nothing
 
     prof.beginRun();
     sim::EventQueue eq;
     eq.observe(obs::Sinks{.prof = &prof});
 
-    // cpu handles an event and schedules for bus with delta 7; the
-    // bus event runs under its own scope with a zero-delta
-    // self-schedule.
+    // cpu claims its event, then bus claims the same event: the
+    // second claim finds the window closed.  The bus event claims
+    // its own, and the last event claims nothing.
     eq.scheduleAfter(1, [&]() {
-        obs::EngineProfiler::Scope s(&prof, cpuId);
-        prof.edge(busId, 7);
+        prof.claim(cpuId);
+        prof.claim(busId);
         eq.scheduleAfter(7, [&]() {
-            obs::EngineProfiler::Scope t(&prof, busId);
-            prof.edge(busId, 0);
-            eq.scheduleAfter(0, [&]() {
-                obs::EngineProfiler::Scope u(&prof, busId);
-            });
+            prof.claim(busId);
+            eq.scheduleAfter(0, []() {});
         });
     });
     eq.runUntil(100);
     prof.finishRun(eq.size());
 
     const obs::EngineProfile &p = prof.profile();
+    EXPECT_EQ(p.pops, 3u);
     EXPECT_EQ(p.tracks[static_cast<std::size_t>(cpuId)].events, 1u);
-    EXPECT_EQ(p.tracks[static_cast<std::size_t>(busId)].events, 2u);
-    EXPECT_EQ(p.tracks[0].events, 0u)
-        << "claimed events leave the sim residual";
-
-    ASSERT_EQ(p.edges.size(), 2u); // (bus->bus), (cpu->bus): sorted
-    EXPECT_EQ(p.edges[0].src, "bus");
-    EXPECT_EQ(p.edges[0].dst, "bus");
-    EXPECT_EQ(p.edges[0].count, 1u);
-    EXPECT_EQ(p.edges[0].zeroDelta, 1u);
-    EXPECT_EQ(p.edges[0].minPositiveDeltaUs, 0.0)
-        << "all-zero edge encodes no lookahead";
-    EXPECT_EQ(p.edges[1].src, "cpu");
-    EXPECT_EQ(p.edges[1].dst, "bus");
-    EXPECT_EQ(p.edges[1].count, 1u);
-    EXPECT_EQ(p.edges[1].zeroDelta, 0u);
-    EXPECT_DOUBLE_EQ(p.edges[1].minPositiveDeltaUs,
-                     hsipc::ticksToUs(7));
+    EXPECT_EQ(p.tracks[static_cast<std::size_t>(busId)].events, 1u)
+        << "a second claim in one event counts nothing";
+    EXPECT_EQ(p.tracks[0].events, 1u)
+        << "the unclaimed event falls to the sim residual";
 }
 
 TEST(EngineProfiler, MergeAggregatesByName)
@@ -153,10 +139,7 @@ TEST(EngineProfiler, MergeAggregatesByName)
         sim::EventQueue eq;
         eq.observe(obs::Sinks{.prof = &prof});
         for (int i = 0; i < extraEvents; ++i)
-            eq.scheduleAfter(i + 1, [&prof, id]() {
-                obs::EngineProfiler::Scope s(&prof, id);
-                prof.edge(id, 3);
-            });
+            eq.scheduleAfter(i + 1, [&prof, id]() { prof.claim(id); });
         eq.runUntil(1000);
         prof.finishRun(eq.size());
         return prof.take();
@@ -169,10 +152,6 @@ TEST(EngineProfiler, MergeAggregatesByName)
     ASSERT_EQ(merged.tracks.size(), 2u);
     EXPECT_EQ(merged.tracks[1].name, "worker");
     EXPECT_EQ(merged.tracks[1].events, 5u);
-    ASSERT_EQ(merged.edges.size(), 1u);
-    EXPECT_EQ(merged.edges[0].count, 5u);
-    EXPECT_DOUBLE_EQ(merged.edges[0].minPositiveDeltaUs,
-                     hsipc::ticksToUs(3));
 }
 
 // --- whole-simulation contracts --------------------------------------
@@ -225,7 +204,7 @@ TEST(EngineProfileSim, ProfileSmokeSchema)
     EXPECT_GT(v.at("sampleEvery").asNumber(), 0.0);
     for (const char *key :
          {"sampledEvents", "queue", "callbacks", "dwellUs",
-          "heapDepth", "tracks", "edges"})
+          "heapDepth", "tracks"})
         EXPECT_TRUE(v.has(key)) << "missing key " << key;
 
     // Every push was popped, run by an access loop after its first
@@ -258,22 +237,12 @@ TEST(EngineProfileSim, ProfileSmokeSchema)
     EXPECT_EQ(events, q.at("pops").asNumber());
     EXPECT_TRUE(sawWall) << "no track carries a wall-clock sketch";
 
-    ASSERT_TRUE(v.at("edges").isArray());
-    EXPECT_FALSE(v.at("edges").asArray().empty())
-        << "a two-node run must record scheduling-provenance edges";
-    for (const JsonValue &edge : v.at("edges").asArray()) {
-        EXPECT_TRUE(edge.has("src") && edge.has("dst"));
-        EXPECT_GE(edge.at("minPositiveDeltaUs").asNumber(), 0.0);
-        EXPECT_GE(edge.at("count").asNumber(),
-                  edge.at("zeroDelta").asNumber());
-    }
-
-    // The wire edge is the inter-node lookahead ROADMAP item 2 needs.
-    bool wireEdge = false;
-    for (const JsonValue &edge : v.at("edges").asArray())
-        wireEdge = wireEdge ||
-                   edge.at("dst").asString() == "wire";
-    EXPECT_TRUE(wireEdge) << "no (src -> wire) lookahead edge";
+    // The fabric claims its deliveries: a two-node run has some.
+    bool wireEvents = false;
+    for (const JsonValue &t : tracks)
+        wireEvents = wireEvents || (t.at("name").asString() == "wire" &&
+                                    t.at("events").asNumber() > 0);
+    EXPECT_TRUE(wireEvents) << "no event on the wire track";
 
     EXPECT_TRUE(out.engineProfile.enabled);
     std::remove(path.c_str());

@@ -506,7 +506,7 @@ TEST(Fuzz, PlantedFastForwardOvershootIsCaughtShrunkAndReplayable)
     EXPECT_TRUE(checkedRun(failing, oracle).ok());
 
     ScopedTestHooks guard;
-    testHooks().fastForwardSlackTicks = usToTicks(3);
+    testHooks().coStepSlackTicks = usToTicks(3);
 
     const std::vector<Violation> caught =
         checkedRun(failing, oracle).violations;
@@ -542,7 +542,7 @@ TEST(Fuzz, PlantedFastForwardOvershootIsCaughtShrunkAndReplayable)
 
     // With the planted bug removed the same repro runs clean: the
     // failure was the bug, not the configuration.
-    testHooks().fastForwardSlackTicks = 0;
+    testHooks().coStepSlackTicks = 0;
     EXPECT_TRUE(checkedRun(replayed, oracle).ok());
 }
 

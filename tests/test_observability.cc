@@ -810,7 +810,7 @@ TEST(Observability, FullRunObservationIsPinned)
          "\"n1.host0\": 7116.62875, \"n1.nicIn\": 44.78075},\n"
          "  \"bottleneck\": \"n1.host0\",\n"
          "  \"bottleneckShare\": 0.515762513206}",
-         0xb526d86e35f9afaaull},
+         0x9e2acc1349e27047ull},
         {models::Arch::II, false,
          "n0.host0,n0.mp,n0.busTcb,n0.nicIn,n0.nicOut,n0.svc,n1.host0,n1.mp,"
          "n1.busTcb,n1.nicIn,n1.nicOut,n1.svc,medium,net.n0->n1,net.n1->n0,"
@@ -837,7 +837,7 @@ TEST(Observability, FullRunObservationIsPinned)
          "\"n1.mp\": 3054.22416667, \"n1.nicIn\": 59.4926666667},\n"
          "  \"bottleneck\": \"n1.mp\",\n"
          "  \"bottleneckShare\": 0.365649086156}",
-         0x364424c5d1124d8dull},
+         0x32434de98180fdbaull},
         {models::Arch::III, false,
          "n0.host0,n0.mp,n0.busTcb,n0.nicIn,n0.nicOut,n0.svc,n1.host0,n1.mp,"
          "n1.busTcb,n1.nicIn,n1.nicOut,n1.svc,medium,net.n0->n1,net.n1->n0,"
@@ -864,7 +864,7 @@ TEST(Observability, FullRunObservationIsPinned)
          "\"n1.mp\": 1951.044, \"n1.nicIn\": 25.5118888889},\n"
          "  \"bottleneck\": \"n1.mp\",\n"
          "  \"bottleneckShare\": 0.357386842014}",
-         0x6c1fc0bc65e5c52dull},
+         0x3c8f454a6e4b67e4ull},
         {models::Arch::IV, false,
          "n0.host0,n0.mp,n0.busTcb,n0.busKb,n0.nicIn,n0.nicOut,n0.svc,"
          "n1.host0,n1.mp,n1.busTcb,n1.busKb,n1.nicIn,n1.nicOut,n1.svc,medium,"
@@ -893,7 +893,7 @@ TEST(Observability, FullRunObservationIsPinned)
          "\"n1.nicIn\": 22.9607},\n"
          "  \"bottleneck\": \"n1.mp\",\n"
          "  \"bottleneckShare\": 0.358495522427}",
-         0x6b216f5ceeedf10dull},
+         0x735a6dc8ce6f82acull},
         {models::Arch::II, true,
          "topo,n0.host0,n0.mp,n0.busTcb,n0.nicIn,n0.nicOut,n0.svc,n1.host0,"
          "n1.mp,n1.busTcb,n1.nicIn,n1.nicOut,n1.svc,n2.host0,n2.mp,n2.busTcb,"
@@ -931,7 +931,7 @@ TEST(Observability, FullRunObservationIsPinned)
          "\"n3.busTcb\": 0.777818181818},\n"
          "  \"bottleneck\": \"n1.mp\",\n"
          "  \"bottleneckShare\": 0.183550035538}",
-         0xb91062f649f65611ull},
+         0x5d9f26f5e14e0dc2ull},
     };
     for (const Pin &p : pins) {
         sim::Experiment e;
@@ -1040,9 +1040,9 @@ TEST(Observability, ReportSectionsArePinned)
     // The first timeline digest is that of the committed
     // bench/baselines/beyond_overload_timeline.json.
     const Pin pins[] = {
-        {false, 0xcb88bc8a43b1b04full, 0x5d780f451b1798ebull,
+        {false, 0xcb88bc8a43b1b04full, 0xafef00cc60e3db1aull,
          0x0b6a4b5141b196c5ull},
-        {true, 0xb2efaf2179604270ull, 0xd32513bbb47fe241ull,
+        {true, 0xb2efaf2179604270ull, 0x89777c35ebf7d9d1ull,
          0xa7fde2d61c43f618ull},
     };
     for (const Pin &p : pins) {

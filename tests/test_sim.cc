@@ -465,6 +465,13 @@ TEST(FastForward, UncontendedActivityRunsInTwoEvents)
         // causal log do not.
         const bool fast = d == Drive::CoStep || d == Drive::Profiled;
         EXPECT_EQ(s.eq.eventsRun(), fast ? 2u : 19u);
+        if (d == Drive::Profiled) {
+            // The profiled loop is the bare one: it pushes the first
+            // chunk end and the finish, and consumes one step key,
+            // running every access after it in place.
+            EXPECT_EQ(s.prof.profile().pushes, 2u);
+            EXPECT_EQ(s.prof.profile().coStep.steps, 1u);
+        }
         EXPECT_EQ(s.taskDone, usToTicks(109));
         EXPECT_EQ(s.p.busyTime(), usToTicks(109));
         EXPECT_EQ(s.p.activityTicks().at("task"), usToTicks(109));

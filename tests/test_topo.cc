@@ -139,7 +139,7 @@ TEST(TopoDegenerate, MatchesLegacyWithTheReliableProtocol)
 TEST(TopoDegenerate, MatchesLegacyEngineProfileDeterministically)
 {
     // The implicit and explicit spellings build the same fabric, so
-    // the whole deterministic profile — lookahead graph and callback
+    // the whole deterministic profile — track counts and callback
     // storage included — agrees.
     Experiment e = implicitRemote(2);
     e.engineProfile = true;

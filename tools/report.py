@@ -27,10 +27,8 @@ and where host time went (the engine profile):
   sparkline per timeline series with min/mean/max and, for counters,
   the integral (which equals the whole-run Outcome counter exactly),
   plus the steady-state verdict; the engine profile's event-queue
-  telemetry, per-track wall-clock cost table and scheduling-provenance
-  (lookahead/LP) graph, flagging edges whose deltas are all zero
-  (they would force null lookahead on a conservative parallel
-  partition); and the registry's histograms.
+  telemetry, access-loop counts and per-track event and wall-clock
+  cost table; and the registry's histograms.
 
   *HTML* (`--html out.html`): a self-contained dashboard (inline SVG,
   no external assets) with one chart per timeline series, the warmup
@@ -125,7 +123,7 @@ def _check_timeline(doc, where):
 
 
 def _check_profile(doc, where):
-    _require(doc, where, ("engineProfile", "queue", "tracks", "edges"),
+    _require(doc, where, ("engineProfile", "queue", "tracks"),
              "engine-profile")
     if doc["engineProfile"] != 1:
         raise ValueError(f"{where}: unsupported engine-profile schema "
@@ -149,18 +147,13 @@ def _check_profile(doc, where):
                        for k in ("nonAccess", "bound", "drained"))):
             raise ValueError(f"{where}: malformed coStep block — "
                              "truncated or corrupt document")
-    for section, keys in (("tracks", ("name", "events", "sampled")),
-                          ("edges", ("src", "dst", "count",
-                                     "zeroDelta",
-                                     "minPositiveDeltaUs"))):
-        if not isinstance(doc[section], list):
-            raise ValueError(f"{where}: '{section}' is not an array — "
-                             "truncated or corrupt document")
-        for item in doc[section]:
-            if not isinstance(item, dict) or any(k not in item
-                                                 for k in keys):
-                raise ValueError(
-                    f"{where}: malformed {section} entry {item!r}")
+    if not isinstance(doc["tracks"], list):
+        raise ValueError(f"{where}: 'tracks' is not an array — "
+                         "truncated or corrupt document")
+    for item in doc["tracks"]:
+        if not isinstance(item, dict) or any(
+                k not in item for k in ("name", "events", "sampled")):
+            raise ValueError(f"{where}: malformed tracks entry {item!r}")
 
 
 def load(path):
@@ -341,32 +334,6 @@ def render_profile_text(doc, out):
                    if isinstance(wall, dict) and wall.get("count")
                    else ""))
 
-    out.write("  lookahead graph (src -> dst, min positive "
-              "delta):\n")
-    edges = sorted(doc["edges"],
-                   key=lambda e: (e["minPositiveDeltaUs"] == 0,
-                                  e["minPositiveDeltaUs"],
-                                  e["src"], e["dst"]))
-    zero_edges = 0
-    for e in edges:
-        if e["minPositiveDeltaUs"] > 0:
-            bound = "lookahead %s us" % fmt(e["minPositiveDeltaUs"])
-            if e.get("meanDeltaUs"):
-                bound += " (mean %s)" % fmt(e["meanDeltaUs"])
-            if e["zeroDelta"]:
-                bound += ", %s zero-delta!" % fmt(e["zeroDelta"])
-                zero_edges += 1
-        else:
-            bound = "NO LOOKAHEAD (all deltas zero)"
-            zero_edges += 1
-        out.write("    %s -> %s: %s schedules, %s\n" %
-                  (e["src"], e["dst"], fmt(e["count"]), bound))
-    if not edges:
-        out.write("    (none recorded)\n")
-    if zero_edges:
-        out.write("  warning: %d edge(s) carry zero-delta "
-                  "schedules; a conservative parallel partition "
-                  "cut on them would stall\n" % zero_edges)
 
 
 def render_text(paths, docs, only, width, out=None):

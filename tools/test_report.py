@@ -105,14 +105,6 @@ def profile_doc(**overrides):
                         "max": 900.0, "p50": 200.0, "p95": 700.0,
                         "p99": 880.0}},
         ],
-        "edges": [
-            {"src": "n0.cpu0", "dst": "wire", "count": 500,
-             "zeroDelta": 0, "minPositiveDeltaUs": 100.0,
-             "meanDeltaUs": 100.0},
-            {"src": "n0.bus", "dst": "n0.bus", "count": 80,
-             "zeroDelta": 80, "minPositiveDeltaUs": 0.0,
-             "meanDeltaUs": 0.0},
-        ],
     }
     d.update(overrides)
     return d
@@ -174,8 +166,7 @@ class LoadTest(unittest.TestCase):
         for bad, pattern in (
                 (profile_doc(queue={"pushes": 1}), "queue.pops"),
                 (profile_doc(tracks=[{"name": "sim"}]), "tracks"),
-                (profile_doc(edges=[{"src": "a"}]), "edges"),
-                (profile_doc(edges="oops"), "edges"),
+                (profile_doc(tracks="oops"), "tracks"),
                 (profile_doc(coStep={"loops": 1}), "coStep"),
                 (profile_doc(coStep={
                     "loops": 1, "steps": 1, "stops": {"bound": 1}}),
@@ -269,16 +260,12 @@ class ProfileRenderTest(unittest.TestCase):
         report.render_profile_text(d, out)
         return out.getvalue()
 
-    def test_renders_queue_tracks_and_lookahead(self):
+    def test_renders_queue_and_tracks(self):
         text = self.render(profile_doc())
         self.assertIn("1-in-256 wall sampling", text)
         self.assertIn("10240 pushes", text)
-        self.assertIn("n0.cpu0", text)
+        self.assertIn("n0.cpu0      10000 events", text)
         self.assertIn("wall(ns)", text)
-        self.assertIn("n0.cpu0 -> wire: 500 schedules", text)
-        self.assertIn("lookahead 100 us", text)
-        self.assertIn("NO LOOKAHEAD", text)
-        self.assertIn("warning: 1 edge(s)", text)
 
     def test_renders_the_access_loop_block_only_when_present(self):
         self.assertNotIn("access loops", self.render(profile_doc()))
@@ -288,16 +275,6 @@ class ProfileRenderTest(unittest.TestCase):
         self.assertIn("access loops: 4 started, 90 steps (22.5 per loop)",
                       text)
         self.assertIn("non-access event 3, the bound 1, drained 0", text)
-
-    def test_edges_sorted_by_lookahead_with_zeros_last(self):
-        text = self.render(profile_doc())
-        self.assertLess(text.index("n0.cpu0 -> wire"),
-                        text.index("n0.bus -> n0.bus"))
-
-    def test_profile_without_edges_renders_placeholder(self):
-        text = self.render(profile_doc(edges=[]))
-        self.assertIn("(none recorded)", text)
-        self.assertNotIn("warning:", text)
 
 
 class MainTest(unittest.TestCase):
@@ -323,7 +300,7 @@ class MainTest(unittest.TestCase):
             # Both halves of one report, then the profile-only one.
             self.assertIn("950 round trips/s", text)
             self.assertIn("steady after 5000 us", text)
-            self.assertIn("lookahead 100 us", text)
+            self.assertIn("10240 pushes", text)
             self.assertIn("des.eventsRun 13473", text)
             self.assertEqual(text.count("1-in-256 wall sampling"), 2)
             html_out = os.path.join(d, "dash.html")
@@ -334,7 +311,7 @@ class MainTest(unittest.TestCase):
             self.assertIn("<svg", page)
             self.assertIn("ipc.allTrips", page)
             self.assertIn("steady after 5000 us", page)
-            self.assertIn("n0.cpu0 -&gt; wire: 500 schedules", page)
+            self.assertIn("n0.cpu0      10000 events", page)
             # Self-contained: no external scripts or stylesheets.
             self.assertNotIn("http://", page.replace("http://www.w3", ""))
             self.assertNotIn("<script", page)
